@@ -3,25 +3,26 @@
 //! Unlike the exp*/fig* reproductions (which mirror the paper's tables),
 //! this experiment exists for the *repo's own* performance trajectory:
 //! fixed-seed R-MAT graphs at two scales, PageRank under every strategy
-//! with prefetch on and off — and, since format v3, under both the raw
-//! and the delta+varint `auto` blob encodings, reporting counted read
-//! bytes per iteration and the on-disk blob ratio alongside
-//! iterations/sec and traversed edges/sec. Schema v4 adds the effective
-//! engine `threads` to every strategy row (so the committed JSON can
-//! distinguish "1-core host" from "configured 1 thread") and embeds the
-//! [`scaling`](crate::exps::scaling) experiment's thread-sweep +
-//! determinism section. Schema v5 adds the I/O-scheduler dimension
-//! (`io_sched` + `read_syscalls_per_iter` per strategy row), a
-//! `cold_cache` flag (`--cold-cache` drops the workload's page cache
-//! between reps) and an `out_of_core` section: a forward-only R-MAT graph
-//! **prepared in streamed chunks on real files** — never fully resident —
-//! run under SPU + prefetch + I/O scheduler, with `O_DIRECT` reads when
-//! cold-cache mode is on, raw vs compressed encoding side by side. With
-//! `--json` the results are written to `BENCH_pagerank.json` (override
-//! with `--out PATH`) so successive PRs can diff the numbers; CI runs it
-//! at a tiny scale, once per encoding, to keep both paths from
-//! bit-rotting. `--encoding` pins a single policy for the strategy grid;
-//! the default measures raw and auto side by side.
+//! and, since format v3, under both the raw and the delta+varint `auto`
+//! blob encodings, reporting counted read bytes per iteration and the
+//! on-disk blob ratio alongside iterations/sec and traversed edges/sec.
+//! Schema v4 adds the effective engine `threads` to every strategy row (so
+//! the committed JSON can distinguish "1-core host" from "configured 1
+//! thread") and embeds the [`scaling`](crate::exps::scaling) experiment's
+//! thread-sweep + determinism section. Schema v5 adds
+//! `read_syscalls_per_iter` per strategy row, a `cold_cache` flag
+//! (`--cold-cache` drops the workload's page cache between reps) and an
+//! `out_of_core` section: a forward-only R-MAT graph **prepared in
+//! streamed chunks on real files** — never fully resident — run under
+//! zero-budget SPU, with `O_DIRECT` reads when cold-cache mode is on, raw
+//! vs compressed encoding side by side. Schema v6 follows the engine to
+//! its single read pipeline: one strategy row per encoding × strategy
+//! cell, keyed by `strategy` + `threads`, and no scheduler counters in the
+//! out-of-core rows. With `--json` the results are written to
+//! `BENCH_pagerank.json` (override with `--out PATH`) so successive PRs
+//! can diff the numbers; CI runs it at a tiny scale, once per encoding, to
+//! keep both paths from bit-rotting. `--encoding` pins a single policy for
+//! the strategy grid; the default measures raw and auto side by side.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -36,7 +37,8 @@ use nxgraph_graphgen::datasets::Dataset;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
 use nxgraph_core::PreparedGraph;
 use nxgraph_storage::{
-    Disk, DiskConfig, EncodingPolicy, IoProfileSnapshot, OsDisk, PacedDisk, SharedBytes,
+    Disk, DiskConfig, EncodingPolicy, IoProfileSnapshot, OsDisk, PacedDisk, ScratchDir,
+    SharedBytes,
 };
 
 use crate::exps::scaling::{self, ScalingReport};
@@ -58,9 +60,6 @@ const OOC_BASE_SCALE: i32 = 20;
 struct Row {
     encoding: String,
     strategy: &'static str,
-    prefetch: bool,
-    /// Whether the per-iteration I/O scheduler issued the reads.
-    io_sched: bool,
     /// Effective engine thread count of this run (post-clamping), not the
     /// raw `--threads` request.
     threads: usize,
@@ -189,13 +188,11 @@ fn measure(scale: u32, opts: &Opts) -> ScaleReport {
     let mut shape = (0u32, 0u64);
     for encoding in encodings(opts) {
         // Real files (OsDisk): an out-of-core system's wall clock includes
-        // read+decode, which is exactly what the prefetcher overlaps — and
-        // inflation runs on its decode thread.
-        let root = std::env::temp_dir().join(format!(
-            "nxbench-perf-{}-{scale}-{encoding}",
-            std::process::id()
-        ));
-        let (g, os) = prepare_os_disk(&d, 8, false, &root, encoding, DiskConfig::default());
+        // read+decode, which is exactly what the read pipeline overlaps —
+        // and inflation runs on its workers.
+        let root = ScratchDir::new("perf");
+        let (g, os) =
+            prepare_os_disk(&d, 8, false, root.path(), encoding, DiskConfig::default());
         let n = g.num_vertices() as u64;
         shape = (g.num_vertices(), g.num_edges());
         disk.push(DiskReport {
@@ -207,46 +204,34 @@ fn measure(scale: u32, opts: &Opts) -> ScaleReport {
             ("mpu", Strategy::Mpu, half_resident_budget(n, 8)),
             ("dpu", Strategy::Dpu, 0),
         ] {
-            // Prefetch on/off (scheduler off), plus the scheduler on top
-            // of the prefetched path — its intended configuration.
-            for (prefetch, io_sched) in [(true, false), (false, false), (true, true)] {
-                let cfg = nx_cfg(opts)
-                    .with_strategy(strategy)
-                    .with_budget(budget)
-                    .with_prefetch(prefetch)
-                    .with_io_scheduler(io_sched);
-                // One untimed warmup run, then the median of three measured
-                // runs — single engine runs at these scales are noisy.
-                algo::pagerank(&g, opts.iters, &cfg).expect("pagerank warmup");
-                let mut samples = Vec::with_capacity(3);
-                for _ in 0..3 {
-                    if opts.cold_cache {
-                        os.drop_all_page_cache();
-                    }
-                    let before = io_snap(&os);
-                    let (_, stats) = algo::pagerank(&g, opts.iters, &cfg).expect("pagerank");
-                    let io = io_snap(&os).delta(&before);
-                    samples.push((stats.elapsed.as_secs_f64().max(1e-9), stats, io));
+            let cfg = nx_cfg(opts).with_strategy(strategy).with_budget(budget);
+            // One untimed warmup run, then the median of three measured
+            // runs — single engine runs at these scales are noisy.
+            algo::pagerank(&g, opts.iters, &cfg).expect("pagerank warmup");
+            let mut samples = Vec::with_capacity(3);
+            for _ in 0..3 {
+                if opts.cold_cache {
+                    os.drop_all_page_cache();
                 }
-                samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-                let (secs, stats, io) = &samples[1];
-                let iters = stats.iterations.max(1) as u64;
-                rows.push(Row {
-                    encoding: encoding.to_string(),
-                    strategy: name,
-                    prefetch,
-                    io_sched,
-                    threads: cfg.threads,
-                    elapsed_secs: *secs,
-                    iters_per_sec: stats.iterations as f64 / secs,
-                    edges_per_sec: stats.edges_traversed as f64 / secs,
-                    read_bytes_per_iter: stats.io.read_bytes / iters,
-                    read_syscalls_per_iter: io.read_syscalls / iters,
-                });
+                let before = io_snap(&os);
+                let (_, stats) = algo::pagerank(&g, opts.iters, &cfg).expect("pagerank");
+                let io = io_snap(&os).delta(&before);
+                samples.push((stats.elapsed.as_secs_f64().max(1e-9), stats, io));
             }
+            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (secs, stats, io) = &samples[1];
+            let iters = stats.iterations.max(1) as u64;
+            rows.push(Row {
+                encoding: encoding.to_string(),
+                strategy: name,
+                threads: cfg.threads,
+                elapsed_secs: *secs,
+                iters_per_sec: stats.iterations as f64 / secs,
+                edges_per_sec: stats.edges_traversed as f64 / secs,
+                read_bytes_per_iter: stats.io.read_bytes / iters,
+                read_syscalls_per_iter: io.read_syscalls / iters,
+            });
         }
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
     }
     ScaleReport {
         dataset: d.name,
@@ -269,8 +254,8 @@ struct OocRow {
     io: IoProfileSnapshot,
 }
 
-/// The out-of-core section: streamed prep + SPU + prefetch + I/O
-/// scheduler on real files, raw vs compressed.
+/// The out-of-core section: streamed prep + zero-budget SPU on real
+/// files, raw vs compressed.
 struct OocReport {
     dataset: String,
     scale: u32,
@@ -281,8 +266,6 @@ struct OocReport {
     /// `DeviceProfile` name the reads were paced to, or `"real"` for the
     /// container's actual (unpaced) device.
     device: String,
-    /// Configured scheduler window size the runs were issued with.
-    io_queue_depth: usize,
     prep_secs: f64,
     rows: Vec<OocRow>,
 }
@@ -320,13 +303,17 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
     let mut shape = (String::new(), 0u32, 0u64);
     let mut prep_secs = 0.0f64;
     for encoding in [EncodingPolicy::Raw, EncodingPolicy::Compressed] {
-        let root = std::env::temp_dir().join(format!(
-            "nxbench-ooc-{}-{scale}-{encoding}",
-            std::process::id()
-        ));
+        let root = ScratchDir::new("ooc");
         let t = Instant::now();
-        let (g, os) =
-            prepare_streamed_os(scale, EDGE_FACTOR, opts.seed, 8, &root, encoding, disk_cfg);
+        let (g, os) = prepare_streamed_os(
+            scale,
+            EDGE_FACTOR,
+            opts.seed,
+            8,
+            root.path(),
+            encoding,
+            disk_cfg,
+        );
         prep_secs += t.elapsed().as_secs_f64();
         // Device emulation: reopen the graph through a pacing wrapper so
         // the measured iterations see the named profile's bandwidth and
@@ -344,11 +331,7 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
         // SPU with a zero budget streams every sub-shard every iteration —
         // the most read-bound configuration, where the encoding's byte
         // savings translate directly into wall-clock.
-        let cfg = nx_cfg(opts)
-            .with_strategy(Strategy::Spu)
-            .with_budget(0)
-            .with_prefetch(true)
-            .with_io_scheduler(true);
+        let cfg = nx_cfg(opts).with_strategy(Strategy::Spu).with_budget(0);
         algo::pagerank(&g, opts.iters, &cfg).expect("ooc warmup");
         let mut samples = Vec::with_capacity(3);
         for _ in 0..3 {
@@ -370,8 +353,6 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
             read_bytes_per_iter: stats.io.read_bytes / stats.iterations.max(1) as u64,
             io: *io,
         });
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
     }
     OocReport {
         dataset: shape.0,
@@ -383,7 +364,6 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
         device: opts
             .ooc_device
             .map_or_else(|| "real".to_string(), |p| p.name.to_string()),
-        io_queue_depth: nx_cfg(opts).io_queue_depth,
         prep_secs,
         rows,
     }
@@ -415,14 +395,14 @@ fn render_json(
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"bench\": \"pagerank\",");
-    let _ = writeln!(s, "  \"schema_version\": 5,");
+    let _ = writeln!(s, "  \"schema_version\": 6,");
     let _ = writeln!(s, "  \"seed\": {},", opts.seed);
     let _ = writeln!(s, "  \"iters\": {},", opts.iters);
     let _ = writeln!(s, "  \"threads\": {},", opts.threads);
     let _ = writeln!(s, "  \"cold_cache\": {},", opts.cold_cache);
-    // Record the host's parallelism: prefetch numbers from a single-core
-    // host are degenerate (nothing to overlap) and should be diffed only
-    // against baselines with comparable hardware.
+    // Record the host's parallelism: numbers from a single-core host are
+    // degenerate (the read pipeline has nothing to overlap) and should be
+    // diffed only against baselines with comparable hardware.
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let _ = writeln!(s, "  \"host_parallelism\": {host},");
     let _ = writeln!(s, "  \"edge_factor\": {EDGE_FACTOR},");
@@ -450,11 +430,9 @@ fn render_json(
         for (ri, row) in r.rows.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "        {{\"encoding\": \"{}\", \"strategy\": \"{}\", \"prefetch\": {}, \"io_sched\": {}, \"threads\": {}, \"elapsed_secs\": {:.6}, \"iters_per_sec\": {:.3}, \"edges_per_sec\": {:.1}, \"read_bytes_per_iter\": {}, \"read_syscalls_per_iter\": {}}}{}",
+                "        {{\"encoding\": \"{}\", \"strategy\": \"{}\", \"threads\": {}, \"elapsed_secs\": {:.6}, \"iters_per_sec\": {:.3}, \"edges_per_sec\": {:.1}, \"read_bytes_per_iter\": {}, \"read_syscalls_per_iter\": {}}}{}",
                 row.encoding,
                 row.strategy,
-                row.prefetch,
-                row.io_sched,
                 row.threads,
                 row.elapsed_secs,
                 row.iters_per_sec,
@@ -487,8 +465,6 @@ fn render_json(
     let _ = writeln!(s, "    \"vertices\": {},", ooc.vertices);
     let _ = writeln!(s, "    \"edges\": {},", ooc.edges);
     let _ = writeln!(s, "    \"strategy\": \"spu\",");
-    let _ = writeln!(s, "    \"io_sched\": true,");
-    let _ = writeln!(s, "    \"io_queue_depth\": {},", ooc.io_queue_depth);
     let _ = writeln!(s, "    \"cold_cache\": {},", ooc.cold_cache);
     let _ = writeln!(s, "    \"direct_requested\": {},", ooc.direct_requested);
     let _ = writeln!(s, "    \"device\": \"{}\",", ooc.device);
@@ -498,7 +474,7 @@ fn render_json(
         let io = &row.io;
         let _ = writeln!(
             s,
-            "      {{\"encoding\": \"{}\", \"elapsed_secs\": {:.6}, \"iters_per_sec\": {:.3}, \"edges_per_sec\": {:.1}, \"read_bytes_per_iter\": {}, \"read_syscalls\": {}, \"direct_reads\": {}, \"direct_bytes\": {}, \"direct_fallbacks\": {}, \"sched_batches\": {}, \"sched_reads\": {}, \"max_queue_depth\": {}, \"cache_drops\": {}}}{}",
+            "      {{\"encoding\": \"{}\", \"elapsed_secs\": {:.6}, \"iters_per_sec\": {:.3}, \"edges_per_sec\": {:.1}, \"read_bytes_per_iter\": {}, \"read_syscalls\": {}, \"direct_reads\": {}, \"direct_bytes\": {}, \"direct_fallbacks\": {}, \"cache_drops\": {}}}{}",
             row.encoding,
             row.elapsed_secs,
             row.iters_per_sec,
@@ -508,9 +484,6 @@ fn render_json(
             io.direct_reads,
             io.direct_bytes,
             io.direct_fallbacks,
-            io.sched_batches,
-            io.sched_reads,
-            io.max_queue_depth,
             io.cache_drops,
             if ri + 1 < ooc.rows.len() { "," } else { "" }
         );
@@ -538,7 +511,7 @@ pub fn run(opts: &Opts, json_out: Option<&str>) -> bool {
     let decode = measure_decode(opts);
     let ooc = measure_out_of_core(opts);
     // The thread-scaling sweep + bitwise determinism matrix ride along in
-    // the same JSON (schema v5), so the committed baseline carries the
+    // the same JSON, so the committed baseline carries the
     // multi-thread story; a determinism failure fails `perf` too.
     let scaling = scaling::measure(opts);
 
@@ -549,16 +522,14 @@ pub fn run(opts: &Opts, json_out: Option<&str>) -> bool {
                 r.dataset, r.vertices, r.edges, opts.iters
             ),
             &[
-                "encoding", "strategy", "prefetch", "sched", "threads", "time (s)", "iters/s",
-                "edges/s", "read B/iter", "read calls/iter",
+                "encoding", "strategy", "threads", "time (s)", "iters/s", "edges/s",
+                "read B/iter", "read calls/iter",
             ],
         );
         for row in &r.rows {
             t.row(vec![
                 row.encoding.clone(),
                 row.strategy.to_string(),
-                row.prefetch.to_string(),
-                row.io_sched.to_string(),
                 row.threads.to_string(),
                 fmt_secs(std::time::Duration::from_secs_f64(row.elapsed_secs)),
                 format!("{:.2}", row.iters_per_sec),
@@ -590,7 +561,6 @@ pub fn run(opts: &Opts, json_out: Option<&str>) -> bool {
         ),
         &[
             "encoding", "time (s)", "iters/s", "read B/iter", "read syscalls", "direct B",
-            "sched batches", "max qdepth",
         ],
     );
     for row in &ooc.rows {
@@ -601,8 +571,6 @@ pub fn run(opts: &Opts, json_out: Option<&str>) -> bool {
             row.read_bytes_per_iter.to_string(),
             row.io.read_syscalls.to_string(),
             row.io.direct_bytes.to_string(),
-            row.io.sched_batches.to_string(),
-            row.io.max_queue_depth.to_string(),
         ]);
     }
     t.print();
@@ -645,15 +613,17 @@ mod tests {
         assert_eq!(ooc.rows.len(), 2);
         assert!(ooc.compressed_speedup().is_some());
         let json = render_json(&opts, &reports, &decode, &ooc, &scaling::stub_report());
-        assert!(json.contains("\"schema_version\": 5"));
+        assert!(json.contains("\"schema_version\": 6"));
         assert!(json.contains("\"bench\": \"pagerank\""));
-        // Schema v5: every strategy row records its effective threads and
-        // scheduler state, and the scaling section is present.
-        for line in json.lines().filter(|l| l.contains("\"strategy\": \"") && l.contains("\"prefetch\":")) {
+        // Every strategy row is keyed by strategy + effective threads, and
+        // there is exactly one per encoding × strategy cell.
+        let rows: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"encoding\":") && l.contains("\"strategy\":"))
+            .collect();
+        assert_eq!(rows.len(), 2 * 3, "one row per encoding × strategy");
+        for line in rows {
             assert!(line.contains("\"threads\":"), "row missing threads: {line}");
-        }
-        for line in json.lines().filter(|l| l.contains("\"prefetch\":")) {
-            assert!(line.contains("\"io_sched\":"), "row missing io_sched: {line}");
             assert!(
                 line.contains("\"read_syscalls_per_iter\":"),
                 "row missing read_syscalls_per_iter: {line}"
@@ -664,18 +634,11 @@ mod tests {
         assert!(json.contains("\"device\": \"real\""));
         assert!(json.contains("\"encoding\": \"compressed\""));
         assert!(json.contains("\"direct_requested\": false"));
-        assert!(json.contains("\"sched_batches\""));
-        assert!(json.contains("\"max_queue_depth\""));
-        assert!(json.contains("\"io_queue_depth\""));
         assert!(json.contains("\"compressed_iters_per_sec_ratio\""));
-        assert!(json.contains("\"io_sched\": true"));
-        assert!(json.contains("\"io_sched\": false"));
         assert!(json.contains("\"scaling\": {"));
         assert!(json.contains("\"bitwise_identical\""));
         assert!(json.contains("\"strategy\": \"spu\""));
         assert!(json.contains("\"strategy\": \"dpu\""));
-        assert!(json.contains("\"prefetch\": true"));
-        assert!(json.contains("\"prefetch\": false"));
         assert!(json.contains("\"encoding\": \"raw\""));
         assert!(json.contains("\"encoding\": \"auto\""));
         assert!(json.contains("\"raw_subshard_bytes\""));
@@ -703,7 +666,7 @@ mod tests {
         let read_of = |enc: &str, strat: &str| {
             r.rows
                 .iter()
-                .find(|row| row.encoding == enc && row.strategy == strat && row.prefetch)
+                .find(|row| row.encoding == enc && row.strategy == strat)
                 .map(|row| row.read_bytes_per_iter)
                 .unwrap()
         };

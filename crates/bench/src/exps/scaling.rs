@@ -29,7 +29,7 @@ use nxgraph_core::engine::{self, EngineConfig, Strategy, SyncMode};
 use nxgraph_core::prep::{preprocess, PrepConfig};
 use nxgraph_graphgen::datasets::Dataset;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
-use nxgraph_storage::{Disk, EncodingPolicy, MemDisk};
+use nxgraph_storage::{Disk, EncodingPolicy, MemDisk, ScratchDir};
 
 use crate::exps::{half_resident_budget, nx_cfg};
 use crate::Opts;
@@ -189,13 +189,10 @@ fn measure_sweep(opts: &Opts) -> ScalingReport {
         name: format!("rmat-{scale}x{EDGE_FACTOR}"),
         edges: rmat::generate(&cfg),
     };
-    let root = std::env::temp_dir().join(format!(
-        "nxbench-scaling-{}-{scale}",
-        std::process::id()
-    ));
+    let root = ScratchDir::new("scaling");
     // `auto` encoding: the default modern path, and the one whose decode
-    // cost the parallel prefetch workers actually overlap.
-    let g = prepare_os_enc(&d, 8, false, &root, EncodingPolicy::Auto);
+    // cost the read pipeline's workers actually overlap.
+    let g = prepare_os_enc(&d, 8, false, root.path(), EncodingPolicy::Auto);
     let n = g.num_vertices() as u64;
 
     let mut rows = Vec::new();
@@ -232,8 +229,6 @@ fn measure_sweep(opts: &Opts) -> ScalingReport {
         }
     }
     let (vertices, edges) = (g.num_vertices(), g.num_edges());
-    drop(g);
-    let _ = std::fs::remove_dir_all(&root);
     ScalingReport {
         dataset: d.name,
         scale,

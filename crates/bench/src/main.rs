@@ -19,12 +19,12 @@
 //!   exp8     Table V   — limited-resource comparison (+HDD model)
 //!   exp9     Table VI  — best-case comparison
 //!   perf     repo perf baseline — PageRank iters/sec, edges/sec and read
-//!            bytes/iter per encoding × strategy × prefetch on fixed-seed
+//!            bytes/iter per encoding × strategy on fixed-seed
 //!            R-MAT at two scales, plus the thread-scaling section;
 //!            `--json` writes BENCH_pagerank.json (`--out` overrides).
 //!            Measures encodings raw *and* auto unless `--encoding` pins
 //!            one. Includes a disk-backed out-of-core section (streamed
-//!            R-MAT prep, O_DIRECT + I/O scheduler); `--cold-cache`
+//!            R-MAT prep, O_DIRECT); `--cold-cache`
 //!            drops the page cache between reps so reads hit the disk.
 //!   scaling  repo thread-scaling baseline — PageRank iters/sec per
 //!            strategy at 1/2/4/8 engine threads on the scale-15 fixture,

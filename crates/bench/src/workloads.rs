@@ -126,13 +126,13 @@ mod tests {
 
     #[test]
     fn streamed_workload_builds_and_runs() {
-        let root = std::env::temp_dir().join(format!("nxbench-stream-test-{}", std::process::id()));
+        let root = nxgraph_storage::ScratchDir::new("stream-test");
         let (g, os) = prepare_streamed_os(
             6,
             4,
             7,
             4,
-            &root,
+            root.path(),
             EncodingPolicy::Auto,
             DiskConfig { direct_reads: true },
         );
@@ -141,7 +141,5 @@ mod tests {
         assert!(!g.has_reverse());
         // The direct-read config made it through to the disk.
         assert!(os.config().direct_reads);
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -21,14 +21,11 @@ usage:
                     [--max-concurrent N] [--query-budget-mib N] [--total-budget-mib N]
                     [--query-threads N] [--seed N]
 
-engine flags (all algorithms): [--no-prefetch] disables the background
-sub-shard/hub prefetch thread (synchronous loads, for debugging/baselines);
-[--io-sched] batches each iteration's reads into layout-ordered
-submissions on a dedicated I/O thread (results are bitwise-identical);
-[--io-queue-depth N] plan entries per scheduler issue window (>= 1;
-small values clamp to the scheduler minimum);
-[--io-deadline-ms N] hung-I/O watchdog: a scheduled read with no
-completion after N ms fails with a typed stall error instead of hanging;
+engine flags (all algorithms): sub-shards and hubs stream through one
+read pipeline (inline at --threads 1, otherwise read and decoded ahead by
+up to 4 background workers; results are bitwise-identical either way);
+[--io-deadline-ms N] hung-I/O watchdog: when the pipeline delivers nothing
+for N ms the run fails with a typed stall error instead of hanging;
 [--direct] opens the graph with O_DIRECT reads where the platform allows
 (falls back to buffered reads otherwise)
 
@@ -45,7 +42,7 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["--no-reverse", "--no-prefetch", "--io-sched", "--direct"];
+const SWITCHES: &[&str] = &["--no-reverse", "--direct"];
 
 impl Args {
     /// Parse raw argv (after the subcommand).

@@ -120,26 +120,10 @@ fn open(args: &Args) -> Result<PreparedGraph, String> {
 fn engine_cfg(args: &Args) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::default();
     if let Some(t) = args.get::<usize>("threads")? {
-        // Through the builder so prefetch re-derives from the effective
-        // thread count (`--threads 1` must not spawn decode workers).
         cfg = cfg.with_threads(t);
     }
     if let Some(mib) = args.get::<u64>("budget-mib")? {
         cfg.memory_budget = mib << 20;
-    }
-    // Only force prefetch *off*: absent the flag, keep EngineConfig's
-    // thread-count-aware default (off on effectively single-thread runs).
-    if args.switch("--no-prefetch") {
-        cfg.prefetch = false;
-    }
-    if args.switch("--io-sched") {
-        cfg = cfg.with_io_scheduler(true);
-    }
-    if let Some(depth) = args.get::<usize>("io-queue-depth")? {
-        if depth == 0 {
-            return Err("--io-queue-depth must be at least 1".into());
-        }
-        cfg = cfg.with_io_queue_depth(depth);
     }
     if let Some(ms) = args.get::<u64>("io-deadline-ms")? {
         if ms == 0 {
@@ -156,16 +140,13 @@ fn report_io_profile(g: &PreparedGraph) {
     if let Some(profile) = g.disk().io_profile() {
         let io = profile.snapshot();
         println!(
-            "io profile: {} read / {} write syscalls, {} opens; direct: {} reads / {} bytes / {} fallbacks; sched: {} batches / {} reads, max queue depth {}; {} cache drops",
+            "io profile: {} read / {} write syscalls, {} opens; direct: {} reads / {} bytes / {} fallbacks; {} cache drops",
             io.read_syscalls,
             io.write_syscalls,
             io.opens,
             io.direct_reads,
             io.direct_bytes,
             io.direct_fallbacks,
-            io.sched_batches,
-            io.sched_reads,
-            io.max_queue_depth,
             io.cache_drops
         );
         println!(

@@ -9,7 +9,7 @@
 //!
 //! [`merge_edges`] is that lazy merge-iterator; [`MergedSubShardView`]
 //! drives it once to materialise a words-backed [`SubShardView`], which is
-//! what the loaders hand to the engines — SPU/DPU/MPU, the prefetcher and
+//! what the loaders hand to the engines — SPU/DPU/MPU, the read pipeline and
 //! the plan cache consume the merged cell through the exact same view API
 //! as a bare base blob, and never learn that a chain existed.
 

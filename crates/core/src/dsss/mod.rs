@@ -28,8 +28,8 @@ pub use subshard::SubShard;
 pub use view::{HubView, SubShardView};
 
 /// Immutable snapshot of the manifest's per-cell delta chains, shared by
-/// every loader of one [`PreparedGraph`] instance (including background
-/// prefetch jobs, which clone the [`ViewLoader`] holding it).
+/// every loader of one [`PreparedGraph`] instance (including the read
+/// pipeline's workers, which clone the [`ViewLoader`] holding it).
 #[derive(Debug, Default)]
 pub(crate) struct DeltaIndex {
     cells: HashMap<(u32, u32, bool), ChainInfo>,
@@ -196,13 +196,45 @@ fn read_hub_named<A: Attr>(
     Ok(Some((dsts, accs)))
 }
 
+/// One typed read request: a sub-shard cell or a hub, by coordinates.
+/// The engines hand ordered lists of these to the
+/// [read pipeline](crate::engine::pipeline).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    /// Sub-shard `SS(i→j)` (transposed when `reverse`).
+    Shard {
+        /// Source interval.
+        i: u32,
+        /// Destination interval.
+        j: u32,
+        /// Load the transposed sub-shard.
+        reverse: bool,
+    },
+    /// Hub `H(i→j)`.
+    Hub {
+        /// Source interval.
+        i: u32,
+        /// Destination interval.
+        j: u32,
+    },
+}
+
+/// What a [`Fetch`] delivers: the decoded view, ready for the kernel.
+pub enum Fetched<A: Attr> {
+    /// The sub-shard, merged across its delta chain.
+    Shard(SubShardView),
+    /// The hub; `None` when it was never written (its source row was
+    /// skipped as inactive).
+    Hub(Option<HubView<A>>),
+}
+
 /// Cheap cloneable handle for loading zero-copy views off the engine
 /// thread.
 ///
-/// Prefetch jobs run on a background worker and can only capture
-/// `'static` data, never `&PreparedGraph`; a `ViewLoader` bundles exactly
-/// the pieces a load needs — the disk, the read-buffer pool and the
-/// checksum policy — all behind `Arc`s.
+/// Pipeline workers can only capture `'static` data, never
+/// `&PreparedGraph`; a `ViewLoader` bundles exactly the pieces a load
+/// needs — the disk, the read-buffer pool, the checksum and retry
+/// policies — all behind `Arc`s.
 #[derive(Clone)]
 pub struct ViewLoader {
     disk: Arc<dyn Disk>,
@@ -212,18 +244,29 @@ pub struct ViewLoader {
     /// a dynamic commit reopens the graph, producing fresh loaders.
     chains: Arc<DeltaIndex>,
     /// Transient-failure retry policy applied to every blob read this
-    /// loader issues (sync path and prefetch workers alike).
+    /// loader issues.
     retry: RetryPolicy,
     /// Scratch-file naming (hubs) for the graph this loader came from.
     scratch: ScratchTag,
 }
 
 impl ViewLoader {
+    /// The single read → verify → decode step every engine read goes
+    /// through, inline or on a pipeline worker: resolve the item's file
+    /// names, read each under the retry policy, verify per the checksum
+    /// policy, decode in place and merge the delta chain.
+    pub fn fetch<A: Attr>(&self, item: Fetch) -> EngineResult<Fetched<A>> {
+        match item {
+            Fetch::Shard { i, j, reverse } => self.load_subshard(i, j, reverse).map(Fetched::Shard),
+            Fetch::Hub { i, j } => self.read_hub(i, j).map(Fetched::Hub),
+        }
+    }
+
     /// Load sub-shard `SS(i→j)` (transposed when `reverse`) as a
     /// zero-copy view: one pooled read (or a `MemDisk` handout with no
-    /// copy at all), parsed and validated in place. When the cell carries
-    /// a delta chain, the base and every delta blob are loaded the same
-    /// way and lazily merge-iterated into one words-backed view
+    /// copy at all) per chain part, parsed and validated in place. When
+    /// the cell carries a delta chain, the parts are lazily
+    /// merge-iterated into one words-backed view
     /// ([`MergedSubShardView`]) — the engines never see the chain.
     ///
     /// Base and delta files alike are immutable once referenced by a
@@ -232,52 +275,48 @@ impl ViewLoader {
     /// part — and a name is marked verified only after its checksum
     /// actually passed.
     pub fn load_subshard(&self, i: u32, j: u32, reverse: bool) -> EngineResult<SubShardView> {
-        let chain = self.chains.info(i, j, reverse);
-        let base = self.load_part(&GraphManifest::subshard_base_file(i, j, reverse, chain.gen))?;
-        if chain.deltas == 0 {
-            return Ok(base);
-        }
-        let mut parts = Vec::with_capacity(chain.deltas as usize + 1);
-        parts.push(base);
-        for k in 1..=chain.deltas {
-            let name = GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, k);
-            let part = self.load_part(&name)?;
-            check_delta_cell(part.src_interval(), part.dst_interval(), i, j, &name)?;
+        let names = self.subshard_part_names(i, j, reverse);
+        let mut parts = Vec::with_capacity(names.len());
+        for (k, name) in names.iter().enumerate() {
+            let bytes = self.read(name)?;
+            let verify = self.checksums.should_verify(name);
+            // Compressed (v3) blobs inflate into a buffer from the same
+            // pool the read came from; raw blobs cast in place.
+            let part = SubShardView::parse_pooled(bytes, name, verify, Some(&self.pool))?;
+            if verify {
+                self.checksums.note_verified(name);
+            }
+            if k > 0 {
+                check_delta_cell(part.src_interval(), part.dst_interval(), i, j, name)?;
+            }
             parts.push(part);
+        }
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("base part always present"));
         }
         Ok(MergedSubShardView::merge(&parts).into_view())
     }
 
-    /// One chain part (base or delta blob) as a zero-copy view. The read
-    /// retries transient failures per this loader's [`RetryPolicy`]; the
-    /// decode does not (corrupt bytes re-read identically).
-    fn load_part(&self, name: &str) -> EngineResult<SubShardView> {
-        let bytes = self.read_retried(name)?;
-        self.decode_part(name, bytes)
+    /// Read hub `H(i→j)` as a zero-copy view; `None` when the hub was
+    /// never written. Hubs are *rewritten with fresh content every
+    /// iteration* under the same name, so the verify-once rationale does
+    /// not apply — every hub read verifies (unless the policy is `Never`).
+    pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
+        let Some(name) = self.hub_part_name(i, j) else {
+            return Ok(None);
+        };
+        let bytes = self.read(&name)?;
+        let verify = self.checksums.should_verify_mutable();
+        Ok(Some(HubView::parse(bytes, &name, verify)?))
     }
 
-    /// `read_shared` with transient-failure retry, counting re-issues and
-    /// giveups in the disk's [`IoProfile`](nxgraph_storage::IoProfile).
-    fn read_retried(&self, name: &str) -> EngineResult<SharedBytes> {
-        Ok(self
-            .retry
-            .run(self.disk.io_profile(), || {
-                self.disk.read_shared(name, &self.pool)
-            })?)
-    }
-
-    /// Decode one already-read chain part. Shared by the inline read path
-    /// and the I/O-scheduler path, so both apply the identical verify-once
-    /// checksum discipline.
-    fn decode_part(&self, name: &str, bytes: SharedBytes) -> EngineResult<SubShardView> {
-        let verify = self.checksums.should_verify(name);
-        // Compressed (v3) blobs inflate into a buffer from the same pool
-        // the read came from; raw blobs cast in place as before.
-        let view = SubShardView::parse_pooled(bytes, name, verify, Some(&self.pool))?;
-        if verify {
-            self.checksums.note_verified(name);
-        }
-        Ok(view)
+    /// `read_shared` with transient-failure retry (the decode is not
+    /// retried: corrupt bytes re-read identically), counting re-issues
+    /// and giveups in the disk's [`IoProfile`](nxgraph_storage::IoProfile).
+    fn read(&self, name: &str) -> StorageResult<SharedBytes> {
+        self.retry.run(self.disk.io_profile(), || {
+            self.disk.read_shared(name, &self.pool)
+        })
     }
 
     /// The disk this loader reads from.
@@ -290,15 +329,9 @@ impl ViewLoader {
         &self.pool
     }
 
-    /// The retry policy applied to this loader's reads.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The on-disk files backing cell `(i, j, reverse)`: the base blob
     /// first, then each delta of the chain in append order — exactly the
-    /// reads [`ViewLoader::load_subshard`] would issue, exposed so an I/O
-    /// scheduler can plan them without loading anything.
+    /// reads [`ViewLoader::load_subshard`] issues.
     pub fn subshard_part_names(&self, i: u32, j: u32, reverse: bool) -> Vec<String> {
         let chain = self.chains.info(i, j, reverse);
         let mut names = Vec::with_capacity(chain.deltas as usize + 1);
@@ -311,67 +344,19 @@ impl ViewLoader {
 
     /// The hub file backing `H(i→j)`, or `None` when it was never
     /// written. Hub files are stable within an engine phase (they are
-    /// written during ToHub and removed only after their column's fold),
-    /// so a plan-time existence check agrees with decode time.
+    /// written during ToHub and removed only after their column's fold).
     pub fn hub_part_name(&self, i: u32, j: u32) -> Option<String> {
         let name = self.scratch.hub_file(i, j);
         self.disk.exists(&name).then_some(name)
     }
 
-    /// Assemble cell `(i, j)` from parts already read off disk (in
-    /// [`ViewLoader::subshard_part_names`] order) — the scheduler-fed
-    /// twin of [`ViewLoader::load_subshard`], bitwise-identical in every
-    /// decode, checksum and merge step.
-    pub fn decode_subshard(
-        &self,
-        i: u32,
-        j: u32,
-        names: &[String],
-        bytes: Vec<StorageResult<SharedBytes>>,
-    ) -> EngineResult<SubShardView> {
-        // `bytes` can be shorter than `names` only when the session shut
-        // down mid-plan, in which case its single entry is an error that
-        // propagates out of the `?` below.
-        let mut parts = Vec::with_capacity(names.len());
-        for (k, (name, b)) in names.iter().zip(bytes).enumerate() {
-            let part = self.decode_part(name, b?)?;
-            if k > 0 {
-                check_delta_cell(part.src_interval(), part.dst_interval(), i, j, name)?;
-            }
-            parts.push(part);
+    /// The first file a fetch of `item` reads — what a stalled read is
+    /// reported under.
+    pub(crate) fn first_file(&self, item: Fetch) -> String {
+        match item {
+            Fetch::Shard { i, j, reverse } => self.subshard_part_names(i, j, reverse).swap_remove(0),
+            Fetch::Hub { i, j } => self.scratch.hub_file(i, j),
         }
-        if parts.len() == 1 {
-            return Ok(parts.pop().expect("base part always present"));
-        }
-        Ok(MergedSubShardView::merge(&parts).into_view())
-    }
-
-    /// Decode hub bytes already read off disk — the scheduler-fed twin of
-    /// [`ViewLoader::read_hub`]'s parse step (hubs are mutable, so every
-    /// read verifies unless the policy is `Never`).
-    pub fn decode_hub<A: Attr>(&self, name: &str, bytes: SharedBytes) -> EngineResult<HubView<A>> {
-        Ok(HubView::parse(
-            bytes,
-            name,
-            self.checksums.should_verify_mutable(),
-        )?)
-    }
-
-    /// Read hub `H(i→j)` as a zero-copy view; `None` when the hub was
-    /// never written. Hubs are *rewritten with fresh content every
-    /// iteration* under the same name, so the verify-once rationale does
-    /// not apply — every hub read verifies (unless the policy is `Never`).
-    pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
-        let name = self.scratch.hub_file(i, j);
-        if !self.disk.exists(&name) {
-            return Ok(None);
-        }
-        let bytes = self.read_retried(&name)?;
-        Ok(Some(HubView::parse(
-            bytes,
-            &name,
-            self.checksums.should_verify_mutable(),
-        )?))
     }
 }
 
@@ -554,7 +539,7 @@ impl PreparedGraph {
     }
 
     /// A cloneable loader for zero-copy sub-shard/hub views (usable from
-    /// background prefetch jobs).
+    /// the read pipeline's workers).
     pub fn view_loader(&self) -> ViewLoader {
         ViewLoader {
             disk: Arc::clone(&self.disk),

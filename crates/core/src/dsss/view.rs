@@ -82,8 +82,8 @@ impl SubShardView {
     /// over it exactly like a raw load. Raw blobs never touch the pool
     /// (they cast in place). This is the entry point of the streamed
     /// engine path ([`ViewLoader`](super::ViewLoader)), which runs on the
-    /// prefetcher's decode thread when prefetch is on, keeping inflation
-    /// off the compute thread.
+    /// read pipeline's workers at threads > 1, keeping inflation off the
+    /// compute thread.
     pub fn parse_pooled(
         bytes: SharedBytes,
         name: &str,

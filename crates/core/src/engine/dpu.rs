@@ -15,16 +15,12 @@
 //! `Bwrite ≤ n·Ba + m·(Ba+Bv)/d` — independent of `P` and the budget, so
 //! DPU "can scale to very large graphs or very small memory budget".
 
-use std::sync::Arc;
-
-use crate::dsss::{HubView, PreparedGraph, SubShardView};
+use crate::dsss::{HubView, PreparedGraph};
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
-use crate::types::VertexId;
 
-use super::iosched::IoSession;
 use super::kernel::absorb_single;
-use super::prefetch::{JobStream, Jobs, Prefetcher};
+use super::pipeline::{Fetch, Pipeline};
 use super::state::{finalize_interval_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
@@ -46,11 +42,10 @@ pub fn run_dpu<P: VertexProgram>(
     }
     let mut activity = Activity::init(g, prog);
 
-    // One background decode thread for the whole run; each row/column
-    // below drives it through its own ordered JobStream.
-    let prefetcher = cfg
-        .prefetch
-        .then(|| Prefetcher::with_workers(cfg.decode_workers()));
+    // One read pipeline for the whole run; each row/column below drives
+    // it through its own ordered stream.
+    let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
+    let dirs = ShardStore::dirs(cfg.direction);
 
     let mut iterations = 0;
     let mut edges_traversed = 0u64;
@@ -60,7 +55,7 @@ pub fn run_dpu<P: VertexProgram>(
 
         // ------------------------------------------------------------------
         // ToHub phase: rows. Load interval i once, write hubs H(i→*); the
-        // prefetcher decodes sub-shard (i, j+1) while (i, j) is absorbed.
+        // pipeline decodes sub-shard (i, j+1) while (i, j) is absorbed.
         // ------------------------------------------------------------------
         for i in 0..p {
             if activity.row_skippable(i) {
@@ -68,47 +63,17 @@ pub fn run_dpu<P: VertexProgram>(
             }
             let src_vals: Vec<P::Value> = g.read_interval(i)?;
             let r_i = g.interval_range(i);
-            let keys: Vec<(u32, bool)> = (0..p)
-                .flat_map(|j| {
-                    ShardStore::dirs(cfg.direction).iter().map(move |&reverse| (j, reverse))
-                })
-                .collect();
-            // With the I/O scheduler on, the row becomes one access plan
-            // whose reads a dedicated I/O thread issues in batched layout
-            // order; delivery order (and so every fold) is unchanged.
-            let session = cfg.io_scheduler.then(|| {
-                let loader = g.view_loader();
-                let plan = keys
-                    .iter()
-                    .map(|&(j, rev)| loader.subshard_part_names(i, j, rev))
-                    .collect();
-                IoSession::start(
-                    Arc::clone(loader.disk()),
-                    Arc::clone(loader.pool()),
-                    plan,
-                    cfg.io_queue_depth,
-                    loader.retry_policy(),
-                    cfg.io_deadline,
-                )
-            });
-            let mut jobs: Jobs<EngineResult<SubShardView>> = Vec::with_capacity(keys.len());
-            for (seq, &(j, reverse)) in keys.iter().enumerate() {
-                let loader = g.view_loader();
-                match session.as_ref().map(IoSession::client) {
-                    Some(client) => jobs.push(Box::new(move || {
-                        let names = loader.subshard_part_names(i, j, reverse);
-                        loader.decode_subshard(i, j, &names, client.take(seq))
-                    })),
-                    None => jobs.push(Box::new(move || loader.load_subshard(i, j, reverse))),
-                }
-            }
-            let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+            let mut stream = pipe.stream(
+                (0..p)
+                    .flat_map(|j| dirs.iter().map(move |&reverse| Fetch::Shard { i, j, reverse }))
+                    .collect(),
+            );
             for j in 0..p {
                 let r_j = g.interval_range(j);
                 let mut buf: AccBuf<P> =
                     AccBuf::new(prog, r_j.start, (r_j.end - r_j.start) as usize);
-                for _ in ShardStore::dirs(cfg.direction) {
-                    let ss = Arc::new(stream.next().expect("one job per (j, dir)")?);
+                for _ in dirs {
+                    let ss = stream.shard()?;
                     edges_traversed += ss.num_edges() as u64;
                     absorb_single(
                         prog,
@@ -129,7 +94,7 @@ pub fn run_dpu<P: VertexProgram>(
 
         // ------------------------------------------------------------------
         // FromHub phase: columns. Fold hubs H(*→j), apply, write interval;
-        // the prefetcher decodes hub (i+1, j) while (i, j) merges.
+        // the pipeline decodes hub (i+1, j) while (i, j) merges.
         // ------------------------------------------------------------------
         let mut changed = vec![false; p as usize];
         let mut any_changed = false;
@@ -145,48 +110,9 @@ pub fn run_dpu<P: VertexProgram>(
                 r_j.clone().map(|v| prog.init(v)).collect()
             };
             let mut buf: AccBuf<P> = AccBuf::new(prog, r_j.start, len);
-            type Hub<P> = Option<HubView<<P as VertexProgram>::Accum>>;
             // Hubs are stable within the phase (written in ToHub, removed
-            // only after this column folds), so planning by name up-front
-            // sees exactly the hubs the jobs will read. Absent hubs become
-            // empty plan entries the scheduler parks immediately.
-            let session = cfg.io_scheduler.then(|| {
-                let loader = g.view_loader();
-                let plan = (0..p)
-                    .map(|i| loader.hub_part_name(i, j).map(|n| vec![n]).unwrap_or_default())
-                    .collect();
-                IoSession::start(
-                    Arc::clone(loader.disk()),
-                    Arc::clone(loader.pool()),
-                    plan,
-                    cfg.io_queue_depth,
-                    loader.retry_policy(),
-                    cfg.io_deadline,
-                )
-            });
-            let mut jobs: Jobs<EngineResult<Hub<P>>> = Vec::with_capacity(p as usize);
-            for (seq, i) in (0..p).enumerate() {
-                let loader = g.view_loader();
-                match session.as_ref().map(IoSession::client) {
-                    Some(client) => jobs.push(Box::new(move || {
-                        match loader.hub_part_name(i, j) {
-                            Some(name) => {
-                                let mut bytes = client.take(seq);
-                                let b = bytes.pop().expect("one part per hub plan")?;
-                                loader.decode_hub::<P::Accum>(&name, b).map(Some)
-                            }
-                            None => {
-                                // Nothing planned for this seq; still take
-                                // it so the scheduler frontier advances.
-                                client.take(seq);
-                                Ok(None)
-                            }
-                        }
-                    })),
-                    None => jobs.push(Box::new(move || loader.read_hub::<P::Accum>(i, j))),
-                }
-            }
-            let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+            // only after this column folds).
+            let mut stream = pipe.stream((0..p).map(|i| Fetch::Hub { i, j }).collect());
             // Collect the column's hubs in row order, then fold them as
             // one destination-range-parallel batch — per-slot merge order
             // stays the row order, so the result is bitwise-identical to
@@ -195,7 +121,7 @@ pub fn run_dpu<P: VertexProgram>(
             let mut hubs: Vec<HubView<P::Accum>> = Vec::new();
             let mut hub_rows: Vec<u32> = Vec::new();
             for i in 0..p {
-                if let Some(hub) = stream.next().expect("one job per row")? {
+                if let Some(hub) = stream.hub()? {
                     hubs.push(hub);
                     hub_rows.push(i);
                 }
@@ -234,8 +160,6 @@ pub fn run_dpu<P: VertexProgram>(
     Ok((out, iterations, edges_traversed))
 }
 
-const _: fn(VertexId) = |_| {};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +167,7 @@ mod tests {
     use crate::engine::spu::run_spu;
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
+    use std::sync::Arc;
 
     fn graph(p: u32) -> PreparedGraph {
         let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
@@ -267,18 +192,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-12, "P={p}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn io_scheduler_is_bitwise_identical() {
-        let g = graph(4);
-        let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
-        let base = EngineConfig::default().with_max_iterations(6);
-        let (off, ..) = run_dpu(&g, &prog, &base).unwrap();
-        let (on, ..) =
-            run_dpu(&g, &prog, &base.clone().with_io_scheduler(true)).unwrap();
-        assert_eq!(off.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                   on.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
     #[test]

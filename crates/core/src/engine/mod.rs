@@ -6,10 +6,9 @@
 //! engine, and reports wall time, iteration count and byte-exact I/O.
 
 pub mod dpu;
-pub mod iosched;
 pub mod kernel;
 pub mod mpu;
-pub mod prefetch;
+pub mod pipeline;
 pub mod select;
 pub mod spu;
 pub mod state;
@@ -24,8 +23,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::program::{Direction, VertexProgram};
 use crate::types::Attr;
 
-pub use iosched::{IoClient, IoSession};
-pub use prefetch::{JobStream, Prefetcher};
+pub use pipeline::{Fetch, Fetched, Pipeline};
 pub use select::choose_strategy;
 pub use state::{finalize_interval, AccBuf};
 pub use store::ShardStore;
@@ -75,32 +73,10 @@ pub struct EngineConfig {
     /// Fine-grained task granularity: target edges per chunk task
     /// ("several thousands of edges", §III-D).
     pub edges_per_task: usize,
-    /// Background prefetch of the next sub-shard/hub while the kernel
-    /// works on the current one (DPU ToHub/FromHub and SPU's streamed
-    /// rows), using [`decode_workers`](Self::decode_workers) decode
-    /// threads. Results and I/O totals are identical either way — only
-    /// latency changes. Defaults to on exactly when the *effective*
-    /// thread count exceeds one (on a forced single-thread run the
-    /// background decoder would only add context switches);
-    /// [`with_threads`](Self::with_threads) re-derives it.
-    pub prefetch: bool,
-    /// Route each iteration's sub-shard/hub reads through the
-    /// [`iosched`] I/O thread: batched, layout-ordered submissions per
-    /// window of the access plan instead of decode-paced single reads.
-    /// Delivery order is unchanged, so results are bitwise-identical with
-    /// the scheduler on or off. Off by default (it adds a thread; it pays
-    /// off when the disk, not decode, is the bottleneck).
-    pub io_scheduler: bool,
-    /// Plan entries per scheduler issue window (clamped to at least
-    /// [`iosched::MIN_QUEUE_DEPTH`]); larger windows mean longer
-    /// sequential read batches but more parked memory.
-    pub io_queue_depth: usize,
-    /// Hung-I/O watchdog deadline for scheduled reads: how long a decode
-    /// job waits on the reorder buffer before the wait converts into a
-    /// typed `StorageError::Stalled` and the iteration cancels cleanly.
-    /// `None` (the default) waits forever. Only effective with
-    /// [`io_scheduler`](Self::io_scheduler) on — unscheduled blocking
-    /// reads have no cancellation point.
+    /// Hung-I/O watchdog: how long the engine waits for the read
+    /// [`pipeline`] to deliver the next sub-shard or hub before the wait
+    /// converts into a typed `StorageError::Stalled` and the run cancels
+    /// cleanly. `None` (the default) waits forever.
     pub io_deadline: Option<Duration>,
 }
 
@@ -133,29 +109,22 @@ impl Default for EngineConfig {
             max_iterations: 50,
             direction: Direction::Forward,
             edges_per_task: 8192,
-            prefetch: threads > 1,
-            io_scheduler: false,
-            io_queue_depth: iosched::DEFAULT_QUEUE_DEPTH,
             io_deadline: None,
         }
     }
 }
 
 impl EngineConfig {
-    /// Builder-style thread override. Re-derives the `prefetch` default
-    /// from the *effective* thread count (a forced `with_threads(1)` run
-    /// must not spawn background decoders); chain
-    /// [`with_prefetch`](Self::with_prefetch) *after* this to force the
-    /// setting either way.
+    /// Builder-style thread override.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self.prefetch = self.threads > 1;
         self
     }
 
-    /// How many background decode workers the prefetcher gets: one per
-    /// engine thread, capped at four (the consumer folds results serially
-    /// per row, so a wider decode fan-out only buys queue depth).
+    /// How many background workers the read [`pipeline`] gets when it is
+    /// not running inline: one per engine thread, capped at four (the
+    /// consumer folds results serially per row, so a wider decode fan-out
+    /// only buys queue depth).
     pub fn decode_workers(&self) -> usize {
         self.threads.clamp(1, 4)
     }
@@ -190,27 +159,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style prefetch override.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Builder-style I/O scheduler toggle.
-    pub fn with_io_scheduler(mut self, on: bool) -> Self {
-        self.io_scheduler = on;
-        self
-    }
-
-    /// Builder-style scheduler window size (clamped to at least
-    /// [`iosched::MIN_QUEUE_DEPTH`]).
-    pub fn with_io_queue_depth(mut self, depth: usize) -> Self {
-        self.io_queue_depth = depth.max(iosched::MIN_QUEUE_DEPTH);
-        self
-    }
-
-    /// Builder-style hung-I/O watchdog deadline (scheduled reads only;
-    /// `None` disables the watchdog).
+    /// Builder-style hung-I/O watchdog deadline (`None` disables the
+    /// watchdog).
     pub fn with_io_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.io_deadline = deadline;
         self
@@ -343,25 +293,8 @@ mod tests {
         assert_eq!(cfg.strategy, Strategy::Auto);
         assert_eq!(cfg.sync, SyncMode::Callback);
         assert!(cfg.edges_per_task > 0);
-        // Prefetch defaults on exactly when the effective thread count
-        // (NXGRAPH_THREADS override, else host parallelism) exceeds one.
         assert_eq!(cfg.threads, env_threads().unwrap_or_else(host_threads));
-        assert_eq!(cfg.prefetch, cfg.threads > 1);
-    }
-
-    #[test]
-    fn with_threads_rederives_prefetch() {
-        // Regression: a forced single-thread run used to keep the
-        // host-derived prefetch default and still spawn the decode thread.
-        let cfg = EngineConfig::default().with_prefetch(true).with_threads(1);
-        assert!(!cfg.prefetch, "threads=1 must disable prefetch by default");
-        let cfg = EngineConfig::default().with_threads(4);
-        assert!(cfg.prefetch, "multi-thread runs default prefetch on");
-        // An explicit override *after* the thread override still wins.
-        let cfg = EngineConfig::default().with_threads(1).with_prefetch(true);
-        assert!(cfg.prefetch);
-        let cfg = EngineConfig::default().with_threads(8).with_prefetch(false);
-        assert!(!cfg.prefetch);
+        assert_eq!(cfg.io_deadline, None);
     }
 
     #[test]
@@ -381,28 +314,14 @@ mod tests {
             .with_sync(SyncMode::Lock)
             .with_max_iterations(7)
             .with_direction(Direction::Both)
-            .with_prefetch(false)
-            .with_io_scheduler(true)
-            .with_io_queue_depth(32);
+            .with_io_deadline(Some(Duration::from_millis(250)));
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.memory_budget, 1024);
         assert_eq!(cfg.strategy, Strategy::Dpu);
         assert_eq!(cfg.sync, SyncMode::Lock);
         assert_eq!(cfg.max_iterations, 7);
         assert_eq!(cfg.direction, Direction::Both);
-        assert!(!cfg.prefetch);
-        assert!(cfg.io_scheduler);
-        assert_eq!(cfg.io_queue_depth, 32);
-    }
-
-    #[test]
-    fn io_scheduler_defaults_off_and_depth_is_clamped() {
-        let cfg = EngineConfig::default();
-        assert!(!cfg.io_scheduler);
-        assert_eq!(cfg.io_queue_depth, iosched::DEFAULT_QUEUE_DEPTH);
-        // A degenerate depth cannot undercut the deadlock-safety floor.
-        let cfg = cfg.with_io_queue_depth(1);
-        assert_eq!(cfg.io_queue_depth, iosched::MIN_QUEUE_DEPTH);
+        assert_eq!(cfg.io_deadline, Some(Duration::from_millis(250)));
     }
 
     #[test]

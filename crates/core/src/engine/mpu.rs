@@ -15,44 +15,21 @@
 //! At `Q = P` this degenerates to SPU, at `Q = 0` to DPU; in between the
 //! I/O amount interpolates Table II's MPU row.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::dsss::{HubView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
-use crate::parallel::{run_tasks, split_ranges};
 use crate::program::VertexProgram;
 use crate::types::{Attr, VertexId};
 
-use super::iosched::IoSession;
 use super::kernel::{absorb_row, absorb_single};
-use super::prefetch::{JobStream, Jobs, Prefetcher};
+use super::pipeline::{Fetch, Pipeline};
 use super::select::choose_strategy;
-use super::state::{finalize_interval_par, finalize_range, AccBuf};
+use super::state::{finalize_interval_par, finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
-
-/// One unit of phase C's mixed stream: the resident-row sub-shards of a
-/// column followed by the column's hubs, prefetched in consumption order.
-enum ColItem<A: Attr> {
-    Shard(SubShardView),
-    Hub(Option<HubView<A>>),
-}
-
-/// Pop the next sub-shard for a key sequence whose cache hits were
-/// resolved up-front (misses stream, in order, possibly decoded ahead).
-fn next_shard(
-    hits: &mut VecDeque<Option<Arc<SubShardView>>>,
-    stream: &mut JobStream<'_, EngineResult<SubShardView>>,
-) -> EngineResult<Arc<SubShardView>> {
-    match hits.pop_front().expect("one resolved hit per key") {
-        Some(ss) => Ok(ss),
-        None => Ok(Arc::new(stream.next().expect("one job per miss")?)),
-    }
-}
 
 /// Run to convergence under MPU. Returns (values, iterations, edges
 /// traversed).
@@ -84,13 +61,10 @@ pub fn run_mpu<P: VertexProgram>(
 
     let mut activity = Activity::init(g, prog);
 
-    // One background decode thread for the whole run; phase B's row
-    // streams and phase C's shard+hub streams drive it through ordered
-    // JobStreams (phase A reads via the cache/store and has nothing to
-    // overlap).
-    let prefetcher = cfg
-        .prefetch
-        .then(|| Prefetcher::with_workers(cfg.decode_workers()));
+    // One read pipeline for the whole run; each phase drives it through
+    // ordered streams (cache hits resolved up-front, misses fetched).
+    let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
+    let dirs = ShardStore::dirs(cfg.direction);
 
     // Accumulators for resident destination intervals (reused).
     let mut accs_res: Vec<Option<Mutex<AccBuf<P>>>> = (0..p)
@@ -117,30 +91,36 @@ pub fn run_mpu<P: VertexProgram>(
         // ------------------------------------------------------------------
         // Phase A: resident rows into resident columns (SPU order).
         // ------------------------------------------------------------------
-        for &reverse in ShardStore::dirs(cfg.direction) {
-            for i in 0..q {
-                if activity.row_skippable(i) {
-                    continue;
-                }
-                let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
-                for j in 0..q {
-                    let ss = store.get(i, j, reverse)?;
-                    edges_traversed += ss.num_edges() as u64;
-                    shards[j as usize] = Some(ss);
-                }
-                let r = g.interval_range(i);
-                absorb_row(
-                    prog,
-                    &shards,
-                    &prev_res[r.start as usize..r.end as usize],
-                    r.start,
-                    &mut accs_res,
-                    cfg.threads,
-                    cfg.edges_per_task,
-                    cfg.sync,
-                );
+        let rows: Vec<(bool, u32)> = dirs
+            .iter()
+            .flat_map(|&reverse| {
+                (0..q).filter(|&i| !activity.row_skippable(i)).map(move |i| (reverse, i))
+            })
+            .collect();
+        let (mut hits, misses) = store.resolve(
+            rows.iter().flat_map(|&(reverse, i)| (0..q).map(move |j| (i, j, reverse))),
+        );
+        let mut stream = pipe.stream(misses);
+        for &(_, i) in &rows {
+            let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
+            for (j, hit) in hits.drain(..q as usize).enumerate() {
+                let ss = stream.shard_or(hit)?;
+                edges_traversed += ss.num_edges() as u64;
+                shards[j] = Some(ss);
             }
+            let r = g.interval_range(i);
+            absorb_row(
+                prog,
+                &shards,
+                &prev_res[r.start as usize..r.end as usize],
+                r.start,
+                &mut accs_res,
+                cfg.threads,
+                cfg.edges_per_task,
+                cfg.sync,
+            );
         }
+        drop(stream);
 
         // ------------------------------------------------------------------
         // Phase B: on-disk rows; resident columns in memory, on-disk
@@ -149,7 +129,6 @@ pub fn run_mpu<P: VertexProgram>(
         // background), so the kernel folds sub-shard (i, j) while (i, j+1)
         // is already being read and validated.
         // ------------------------------------------------------------------
-        let dirs = ShardStore::dirs(cfg.direction);
         for i in q..p {
             if activity.row_skippable(i) {
                 continue;
@@ -159,60 +138,19 @@ pub fn run_mpu<P: VertexProgram>(
             // Keys in exact consumption order: resident destinations per
             // direction, then hub destinations with both directions folded
             // per column.
-            let mut keys: Vec<(u32, bool)> = Vec::new();
-            for &reverse in dirs {
-                keys.extend((0..q).map(|j| (j, reverse)));
-            }
-            for j in q..p {
-                keys.extend(dirs.iter().map(|&reverse| (j, reverse)));
-            }
-            let mut hits: VecDeque<Option<Arc<SubShardView>>> = keys
+            let resident = dirs
                 .iter()
-                .map(|&(j, reverse)| store.cached(i, j, reverse))
-                .collect();
-            let misses: Vec<(u32, bool)> = keys
-                .iter()
-                .zip(&hits)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|(&k, _)| k)
-                .collect();
-            // With the I/O scheduler on, the row's misses become one access
-            // plan whose reads a dedicated I/O thread issues in batched
-            // layout order; delivery order (and so every fold) is unchanged.
-            let session = cfg.io_scheduler.then(|| {
-                let loader = g.view_loader();
-                let plan = misses
-                    .iter()
-                    .map(|&(j, rev)| loader.subshard_part_names(i, j, rev))
-                    .collect();
-                IoSession::start(
-                    Arc::clone(loader.disk()),
-                    Arc::clone(loader.pool()),
-                    plan,
-                    cfg.io_queue_depth,
-                    loader.retry_policy(),
-                    cfg.io_deadline,
-                )
-            });
-            let mut jobs: Jobs<EngineResult<SubShardView>> = Vec::with_capacity(misses.len());
-            for (seq, &(j, reverse)) in misses.iter().enumerate() {
-                let loader = g.view_loader();
-                match session.as_ref().map(IoSession::client) {
-                    Some(client) => jobs.push(Box::new(move || {
-                        let names = loader.subshard_part_names(i, j, reverse);
-                        loader.decode_subshard(i, j, &names, client.take(seq))
-                    })),
-                    None => jobs.push(Box::new(move || loader.load_subshard(i, j, reverse))),
-                }
-            }
-            let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+                .flat_map(|&reverse| (0..q).map(move |j| (i, j, reverse)));
+            let to_hub = (q..p).flat_map(|j| dirs.iter().map(move |&reverse| (i, j, reverse)));
+            let (mut hits, misses) = store.resolve(resident.chain(to_hub));
+            let mut stream = pipe.stream(misses);
             // Resident destinations: SPU-like, straight into accs_res.
             for _ in dirs {
                 let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
-                for j in 0..q {
-                    let ss = next_shard(&mut hits, &mut stream)?;
+                for (j, hit) in hits.drain(..q as usize).enumerate() {
+                    let ss = stream.shard_or(hit)?;
                     edges_traversed += ss.num_edges() as u64;
-                    shards[j as usize] = Some(ss);
+                    shards[j] = Some(ss);
                 }
                 absorb_row(
                     prog,
@@ -231,8 +169,8 @@ pub fn run_mpu<P: VertexProgram>(
                 let r_j = g.interval_range(j);
                 let mut buf: AccBuf<P> =
                     AccBuf::new(prog, r_j.start, (r_j.end - r_j.start) as usize);
-                for _ in dirs {
-                    let ss = next_shard(&mut hits, &mut stream)?;
+                for hit in hits.drain(..dirs.len()) {
+                    let ss = stream.shard_or(hit)?;
                     edges_traversed += ss.num_edges() as u64;
                     absorb_single(
                         prog,
@@ -252,48 +190,14 @@ pub fn run_mpu<P: VertexProgram>(
         }
 
         // Finalise resident intervals (all their contributions arrived in
-        // phases A and B) as one flat batch of destination-range chunks.
-        // Keep prev_res intact — phase C reads it.
-        if q > 0 {
-            let bufs: Vec<&AccBuf<P>> = accs_res[..q as usize]
-                .iter_mut()
-                .map(|a| &*a.as_mut().expect("resident").get_mut())
-                .collect();
-            let changed_flags: Vec<AtomicBool> =
-                (0..q).map(|_| AtomicBool::new(false)).collect();
-            let mut rest: &mut [P::Value] = &mut next_res;
-            let mut tasks: Vec<(u32, usize, &mut [P::Value])> = Vec::new();
-            for j in 0..q {
-                let len = g.interval_len(j);
-                let (mut slice, r2) = rest.split_at_mut(len);
-                rest = r2;
-                for range in split_ranges(len, cfg.threads) {
-                    let (chunk, srest) = std::mem::take(&mut slice).split_at_mut(range.len());
-                    slice = srest;
-                    tasks.push((j, range.start, chunk));
-                }
-            }
-            let prev_ref = &prev_res;
-            let bufs_ref = &bufs;
-            let flags = &changed_flags;
-            run_tasks(cfg.threads, tasks, |(j, off, out)| {
-                let r = g.interval_range(j);
-                let lo = r.start as usize + off;
-                let ch = finalize_range(
-                    prog,
-                    bufs_ref[j as usize],
-                    off,
-                    &prev_ref[lo..lo + out.len()],
-                    out,
-                );
-                if ch {
-                    flags[j as usize].store(true, Ordering::Relaxed);
-                }
-            });
-            for j in 0..q as usize {
-                changed[j] = changed_flags[j].load(Ordering::Relaxed);
-            }
-        }
+        // phases A and B) as one flat batch. Keep prev_res intact — phase C
+        // reads it.
+        let bufs: Vec<&AccBuf<P>> = accs_res[..q as usize]
+            .iter_mut()
+            .map(|a| &*a.as_mut().expect("resident").get_mut())
+            .collect();
+        let flags = finalize_intervals_par(prog, &bufs, &prev_res, &mut next_res, cfg.threads);
+        changed[..q as usize].copy_from_slice(&flags);
 
         // ------------------------------------------------------------------
         // Phase C: on-disk columns; resident rows absorb directly, on-disk
@@ -311,87 +215,20 @@ pub fn run_mpu<P: VertexProgram>(
                 r_j.clone().map(|v| prog.init(v)).collect()
             };
             let mut buf: AccBuf<P> = AccBuf::new(prog, r_j.start, len);
-            // Shard keys in consumption order (activity filter applied now;
-            // flags do not change within an iteration).
-            let mut keys: Vec<(u32, bool)> = Vec::new();
-            for &reverse in dirs {
-                keys.extend((0..q).filter(|&i| !activity.row_skippable(i)).map(|i| (i, reverse)));
-            }
-            let mut hits: VecDeque<Option<Arc<SubShardView>>> = keys
+            // Resident rows in consumption order (activity filter applied
+            // now; flags do not change within an iteration), then the
+            // column's hubs: one fetch list for the whole mixed stream.
+            let keys: Vec<(u32, u32, bool)> = dirs
                 .iter()
-                .map(|&(i, reverse)| store.cached(i, j, reverse))
+                .flat_map(|&reverse| {
+                    (0..q).filter(|&i| !activity.row_skippable(i)).map(move |i| (i, j, reverse))
+                })
                 .collect();
-            let misses: Vec<(u32, bool)> = keys
-                .iter()
-                .zip(&hits)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|(&k, _)| k)
-                .collect();
-            // One access plan for the whole mixed stream: shard misses
-            // first, then the column's hubs, in exact consumption order.
-            let session = cfg.io_scheduler.then(|| {
-                let loader = g.view_loader();
-                let plan: Vec<Vec<String>> = misses
-                    .iter()
-                    .map(|&(i, rev)| loader.subshard_part_names(i, j, rev))
-                    .chain((q..p).map(|i| {
-                        loader.hub_part_name(i, j).map(|n| vec![n]).unwrap_or_default()
-                    }))
-                    .collect();
-                IoSession::start(
-                    Arc::clone(loader.disk()),
-                    Arc::clone(loader.pool()),
-                    plan,
-                    cfg.io_queue_depth,
-                    loader.retry_policy(),
-                    cfg.io_deadline,
-                )
-            });
-            let mut jobs: Jobs<EngineResult<ColItem<P::Accum>>> = Vec::new();
-            for (seq, &(i, reverse)) in misses.iter().enumerate() {
-                let loader = g.view_loader();
-                match session.as_ref().map(IoSession::client) {
-                    Some(client) => jobs.push(Box::new(move || {
-                        let names = loader.subshard_part_names(i, j, reverse);
-                        loader
-                            .decode_subshard(i, j, &names, client.take(seq))
-                            .map(ColItem::Shard)
-                    })),
-                    None => jobs.push(Box::new(move || {
-                        loader.load_subshard(i, j, reverse).map(ColItem::Shard)
-                    })),
-                }
-            }
-            for (seq, i) in (q..p).enumerate().map(|(k, i)| (misses.len() + k, i)) {
-                let loader = g.view_loader();
-                match session.as_ref().map(IoSession::client) {
-                    Some(client) => jobs.push(Box::new(move || {
-                        match loader.hub_part_name(i, j) {
-                            Some(name) => {
-                                let mut bytes = client.take(seq);
-                                let b = bytes.pop().expect("one part per hub plan")?;
-                                loader.decode_hub::<P::Accum>(&name, b).map(Some).map(ColItem::Hub)
-                            }
-                            None => {
-                                client.take(seq);
-                                Ok(ColItem::Hub(None))
-                            }
-                        }
-                    })),
-                    None => jobs.push(Box::new(move || {
-                        loader.read_hub::<P::Accum>(i, j).map(ColItem::Hub)
-                    })),
-                }
-            }
-            let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
-            for (i, _) in keys {
-                let ss = match hits.pop_front().expect("one resolved hit per key") {
-                    Some(ss) => ss,
-                    None => match stream.next().expect("one job per miss")? {
-                        ColItem::Shard(ss) => Arc::new(ss),
-                        ColItem::Hub(_) => unreachable!("hubs follow all shard jobs"),
-                    },
-                };
+            let (hits, mut fetches) = store.resolve(keys.iter().copied());
+            fetches.extend((q..p).map(|i| Fetch::Hub { i, j }));
+            let mut stream = pipe.stream(fetches);
+            for (&(i, ..), hit) in keys.iter().zip(hits) {
+                let ss = stream.shard_or(hit)?;
                 edges_traversed += ss.num_edges() as u64;
                 let r_i = g.interval_range(i);
                 absorb_single(
@@ -410,11 +247,7 @@ pub fn run_mpu<P: VertexProgram>(
             let mut hubs: Vec<HubView<P::Accum>> = Vec::new();
             let mut hub_rows: Vec<u32> = Vec::new();
             for i in q..p {
-                let hub = match stream.next().expect("one job per hub")? {
-                    ColItem::Hub(h) => h,
-                    ColItem::Shard(_) => unreachable!("all shard items already consumed"),
-                };
-                if let Some(hub) = hub {
+                if let Some(hub) = stream.hub()? {
                     hubs.push(hub);
                     hub_rows.push(i);
                 }
@@ -498,23 +331,6 @@ mod tests {
             for (a, b) in vals.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-12, "q={q}: {a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn io_scheduler_is_bitwise_identical_at_every_q() {
-        for q in 0..=4u32 {
-            let g = graph(4);
-            let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
-            let base = EngineConfig::default()
-                .with_max_iterations(6)
-                .with_budget(budget_for_q(&g, q));
-            let (off, ..) = run_mpu(&g, &prog, &base).unwrap();
-            let (on, ..) =
-                run_mpu(&g, &prog, &base.clone().with_io_scheduler(true)).unwrap();
-            assert_eq!(off.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                       on.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                       "q={q}");
         }
     }
 

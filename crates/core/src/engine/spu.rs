@@ -15,21 +15,18 @@
 //! so the fold order per accumulator is the fixed row order and results
 //! are bitwise-identical at any thread count under either flavour.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::dsss::{PreparedGraph, SubShardView};
 use crate::error::EngineResult;
-use crate::parallel::{run_tasks, split_ranges};
 use crate::program::VertexProgram;
-use crate::types::{Attr, VertexId};
+use crate::types::Attr;
 
-use super::iosched::IoSession;
 use super::kernel::absorb_row;
-use super::prefetch::{JobStream, Jobs, Prefetcher};
-use super::state::{finalize_range, AccBuf};
+use super::pipeline::Pipeline;
+use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
@@ -57,11 +54,9 @@ pub fn run_spu<P: VertexProgram>(
     let mut next = prev.clone();
     let mut activity = Activity::init(g, prog);
 
-    // Background decode workers for streamed (uncached) rows; both sync
-    // flavours consume the same row-major stream.
-    let prefetcher = cfg
-        .prefetch
-        .then(|| Prefetcher::with_workers(cfg.decode_workers()));
+    // Streamed (uncached) sub-shards arrive through the read pipeline;
+    // both sync flavours consume the same row-major stream.
+    let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
 
     let mut accs: Vec<Option<Mutex<AccBuf<P>>>> = (0..p)
         .map(|j| {
@@ -80,7 +75,7 @@ pub fn run_spu<P: VertexProgram>(
         }
 
         // Row-major traversal under either sync flavour; all tasks of a
-        // row run concurrently and the prefetcher decodes row i+1's
+        // row run concurrently and the pipeline decodes row i+1's
         // streamed sub-shards while row i is absorbed (cached shards cost
         // nothing). One row at a time also keeps the Lock flavour
         // deterministic: each destination interval's fold order is the row
@@ -92,63 +87,20 @@ pub fn run_spu<P: VertexProgram>(
             })
             .collect();
         // Cache hits are resolved up-front and consumed directly; only
-        // cache misses become prefetch jobs, at single sub-shard
-        // granularity so the ring never holds more than `slots()` decoded
-        // sub-shards beyond the row being absorbed (row-sized jobs would
-        // keep several rows resident, outside the memory-budget
+        // cache misses are fetched, at single sub-shard granularity so the
+        // pipeline never holds more than its ring depth of decoded
+        // sub-shards beyond the row being absorbed (row-sized fetches
+        // would keep several rows resident, outside the memory-budget
         // accounting).
-        let mut cached_rows: Vec<Vec<Option<Arc<SubShardView>>>> =
-            Vec::with_capacity(rows.len());
-        let mut misses: Vec<(u32, u32, bool)> = Vec::new();
-        for &(reverse, i) in &rows {
-            let hits: Vec<Option<Arc<SubShardView>>> =
-                (0..p).map(|j| store.cached(i, j, reverse)).collect();
-            for (j, hit) in hits.iter().enumerate() {
-                if hit.is_none() {
-                    misses.push((i, j as u32, reverse));
-                }
-            }
-            cached_rows.push(hits);
-        }
-        // With the I/O scheduler on, the iteration's misses become one
-        // access plan whose reads are issued in batched layout order by a
-        // dedicated I/O thread; each job then decodes its parked bytes.
-        // Delivery order (and so every fold) is unchanged either way.
-        let session = cfg.io_scheduler.then(|| {
-            let loader = g.view_loader();
-            let plan = misses
-                .iter()
-                .map(|&(i, j, rev)| loader.subshard_part_names(i, j, rev))
-                .collect();
-            IoSession::start(
-                Arc::clone(loader.disk()),
-                Arc::clone(loader.pool()),
-                plan,
-                cfg.io_queue_depth,
-                loader.retry_policy(),
-                cfg.io_deadline,
-            )
-        });
-        let mut jobs: Jobs<EngineResult<SubShardView>> = Vec::with_capacity(misses.len());
-        for (seq, &(i, j, reverse)) in misses.iter().enumerate() {
-            let loader = g.view_loader();
-            match session.as_ref().map(IoSession::client) {
-                Some(client) => jobs.push(Box::new(move || {
-                    let names = loader.subshard_part_names(i, j, reverse);
-                    loader.decode_subshard(i, j, &names, client.take(seq))
-                })),
-                None => jobs.push(Box::new(move || loader.load_subshard(i, j, reverse))),
-            }
-        }
-        let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
-        for (&(_, i), hits) in rows.iter().zip(cached_rows) {
+        let (mut hits, misses) = store.resolve(
+            rows.iter().flat_map(|&(reverse, i)| (0..p).map(move |j| (i, j, reverse))),
+        );
+        let mut stream = pipe.stream(misses);
+        for &(_, i) in &rows {
             let mut shards: Vec<Option<Arc<SubShardView>>> =
                 Vec::with_capacity(p as usize);
-            for hit in hits {
-                let ss = match hit {
-                    Some(ss) => ss,
-                    None => Arc::new(stream.next().expect("one job per miss")?),
-                };
+            for hit in hits.drain(..p as usize) {
+                let ss = stream.shard_or(hit)?;
                 edges_traversed += ss.num_edges() as u64;
                 shards.push(Some(ss));
             }
@@ -166,52 +118,15 @@ pub fn run_spu<P: VertexProgram>(
         }
         drop(stream);
 
-        // Finalise every interval as one flat batch of destination-range
-        // chunks (apply is elementwise, so chunking does not affect the
-        // values). One batch — not one per interval — so a handful of
-        // large intervals still spreads across all workers.
-        let changed_flags: Vec<AtomicBool> = (0..p).map(|_| AtomicBool::new(false)).collect();
-        {
-            let bufs: Vec<&AccBuf<P>> = accs
-                .iter_mut()
-                .map(|a| &*a.as_mut().expect("all intervals present in SPU").get_mut())
-                .collect();
-            let mut rest: &mut [P::Value] = &mut next;
-            let mut tasks: Vec<(u32, usize, &mut [P::Value])> = Vec::new();
-            for j in 0..p {
-                let len = g.interval_len(j);
-                let (mut slice, r2) = rest.split_at_mut(len);
-                rest = r2;
-                for range in split_ranges(len, cfg.threads) {
-                    let (chunk, srest) = std::mem::take(&mut slice).split_at_mut(range.len());
-                    slice = srest;
-                    tasks.push((j, range.start, chunk));
-                }
-            }
-            let prev_ref = &prev;
-            let bufs_ref = &bufs;
-            let flags = &changed_flags;
-            run_tasks(cfg.threads, tasks, |(j, off, out)| {
-                let r = g.interval_range(j);
-                let lo = r.start as usize + off;
-                let ch = finalize_range(
-                    prog,
-                    bufs_ref[j as usize],
-                    off,
-                    &prev_ref[lo..lo + out.len()],
-                    out,
-                );
-                if ch {
-                    flags[j as usize].store(true, Ordering::Relaxed);
-                }
-            });
-        }
+        // Finalise every interval as one flat batch (see
+        // `finalize_intervals_par`).
+        let bufs: Vec<&AccBuf<P>> = accs
+            .iter_mut()
+            .map(|a| &*a.as_mut().expect("all intervals present in SPU").get_mut())
+            .collect();
+        let changed = finalize_intervals_par(prog, &bufs, &prev, &mut next, cfg.threads);
         std::mem::swap(&mut prev, &mut next);
 
-        let changed: Vec<bool> = changed_flags
-            .iter()
-            .map(|f| f.load(Ordering::Relaxed))
-            .collect();
         let all_inactive = activity.advance(&changed);
         let done = if P::ALWAYS_APPLY {
             !changed.iter().any(|&c| c)
@@ -225,9 +140,6 @@ pub fn run_spu<P: VertexProgram>(
 
     Ok((prev, iterations, edges_traversed))
 }
-
-// `VertexId` is used in the interval geometry; keep the import honest.
-const _: fn(VertexId) = |_| {};
 
 #[cfg(test)]
 mod tests {
@@ -263,19 +175,6 @@ mod tests {
         for (a, b) in vals.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn io_scheduler_is_bitwise_identical() {
-        let g = graph(4);
-        let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
-        // Tiny budget forces streaming so the scheduler actually runs.
-        let base = EngineConfig::default().with_max_iterations(6).with_budget(1);
-        let (off, ..) = run_spu(&g, &prog, &base).unwrap();
-        let (on, ..) =
-            run_spu(&g, &prog, &base.clone().with_io_scheduler(true)).unwrap();
-        assert_eq!(off.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                   on.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
     #[test]

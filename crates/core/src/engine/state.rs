@@ -240,6 +240,46 @@ pub fn finalize_interval_par<P: VertexProgram>(
     any.load(Ordering::Relaxed)
 }
 
+/// Finalise several consecutive intervals as one flat pool batch of
+/// destination-range chunks, returning each interval's changed flag.
+///
+/// `bufs` are the intervals' accumulators in id order; `prev`/`next` are
+/// the ping-pong arrays covering exactly those intervals, starting at
+/// `bufs[0].base`. One batch — not one per interval — so a handful of
+/// large intervals still spreads across all workers (apply is
+/// elementwise, so chunking does not affect the values). Must be called
+/// from outside the worker pool.
+pub fn finalize_intervals_par<P: VertexProgram>(
+    prog: &P,
+    bufs: &[&AccBuf<P>],
+    prev: &[P::Value],
+    next: &mut [P::Value],
+    threads: usize,
+) -> Vec<bool> {
+    let changed: Vec<AtomicBool> = bufs.iter().map(|_| AtomicBool::new(false)).collect();
+    #[allow(clippy::type_complexity)]
+    let mut tasks: Vec<(usize, usize, &[P::Value], &mut [P::Value])> = Vec::new();
+    let mut prev_rest = prev;
+    let mut next_rest = next;
+    for (j, buf) in bufs.iter().enumerate() {
+        let mut offset = 0usize;
+        for range in split_ranges(buf.len(), threads) {
+            let (o, orest) = prev_rest.split_at(range.len());
+            let (w, wrest) = std::mem::take(&mut next_rest).split_at_mut(range.len());
+            prev_rest = orest;
+            next_rest = wrest;
+            tasks.push((j, offset, o, w));
+            offset = range.end;
+        }
+    }
+    run_tasks(threads, tasks, |(j, off, o, w)| {
+        if finalize_range(prog, bufs[j], off, o, w) {
+            changed[j].store(true, Ordering::Relaxed);
+        }
+    });
+    changed.into_iter().map(AtomicBool::into_inner).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +429,44 @@ mod tests {
                 serial.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn flat_batch_finalize_matches_per_interval_serial() {
+        let p = Sum;
+        let lens = [5usize, 0, 17, 1];
+        let total: usize = lens.iter().sum();
+        let prev: Vec<f64> = (0..total).map(|k| k as f64 * 0.5).collect();
+        let mut base = 0u32;
+        let bufs: Vec<AccBuf<Sum>> = lens
+            .iter()
+            .map(|&len| {
+                let mut b = AccBuf::<Sum>::new(&p, base, len);
+                for k in 0..len {
+                    // Interval 2 reproduces `prev` exactly: unchanged.
+                    b.acc[k] = if len == 17 { (base as usize + k) as f64 * 0.5 } else { 9.0 };
+                    b.has[k] = 1;
+                }
+                base += len as u32;
+                b
+            })
+            .collect();
+        let refs: Vec<&AccBuf<Sum>> = bufs.iter().collect();
+        let mut serial = vec![0.0f64; total];
+        let mut want = Vec::new();
+        let mut at = 0;
+        for b in &bufs {
+            let r = at..at + b.len();
+            want.push(finalize_interval(&p, b, &prev[r.clone()], &mut serial[r.clone()]));
+            at = r.end;
+        }
+        assert_eq!(want, vec![true, false, false, true]);
+        for threads in [1usize, 3, 8] {
+            let mut next = vec![0.0f64; total];
+            let got = finalize_intervals_par(&p, &refs, &prev, &mut next, threads);
+            assert_eq!(got, want, "threads={threads}");
+            assert!(serial.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 

@@ -1,36 +1,29 @@
-//! Sub-shard access with optional in-memory caching.
+//! The sub-shard cache.
 //!
 //! "If there are still memory budget left, sub-shards will also be actively
 //! loaded from disk to memory" (§III-B1). [`ShardStore`] plans a cache from
-//! the leftover budget in row-major traversal order, then serves sub-shards
-//! either from memory (no I/O counted — the bytes never move again) or by
-//! streaming from disk (counted by the disk's [`IoCounters`]).
+//! the leftover budget in row-major traversal order, then resolves each
+//! access either from memory (no I/O counted — the bytes never move again)
+//! or into a [`Fetch`] for the read [pipeline](super::pipeline) to stream
+//! from disk (counted by the disk's [`IoCounters`]).
 //!
 //! [`IoCounters`]: nxgraph_storage::IoCounters
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::dsss::{PreparedGraph, SubShardView};
+use crate::dsss::{Fetch, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::program::Direction;
 
 /// Cache key: `(i, j, reverse)`.
-type Key = (u32, u32, bool);
+pub type Key = (u32, u32, bool);
 
-/// Cached or streamed access to the sub-shards of one prepared graph.
+/// The cached sub-shards of one prepared graph.
 pub struct ShardStore<'g> {
     graph: &'g PreparedGraph,
     cache: HashMap<Key, Arc<SubShardView>>,
     cached_bytes: u64,
-    /// Single-slot MRU over the *streamed* path: consecutive `get`s of the
-    /// same uncached `(i, j, reverse)` reuse the last decoded view instead
-    /// of re-reading and re-validating the file. The slot never substitutes
-    /// for a disk read that a differently-keyed access would have made, so
-    /// it cannot change which files an engine pass touches.
-    mru: Mutex<Option<(Key, Arc<SubShardView>)>>,
 }
 
 impl<'g> ShardStore<'g> {
@@ -40,7 +33,6 @@ impl<'g> ShardStore<'g> {
             graph,
             cache: HashMap::new(),
             cached_bytes: 0,
-            mru: Mutex::new(None),
         }
     }
 
@@ -67,7 +59,7 @@ impl<'g> ShardStore<'g> {
     /// the real resident size.
     ///
     /// The initial loads count as disk reads (they are the "initial load
-    /// from disk" of §III-B1); subsequent `get`s of cached shards are free.
+    /// from disk" of §III-B1); cached shards are free from then on.
     pub fn plan_cache(&mut self, budget: u64, direction: Direction) -> EngineResult<u64> {
         let p = self.graph.num_intervals();
         'outer: for &reverse in Self::dirs(direction) {
@@ -102,30 +94,31 @@ impl<'g> ShardStore<'g> {
         self.cache.len()
     }
 
-    /// Fetch sub-shard `(i, j)`; cached copies are returned without I/O,
-    /// an immediately repeated streamed key reuses the MRU slot, anything
-    /// else streams from disk.
-    pub fn get(&self, i: u32, j: u32, reverse: bool) -> EngineResult<Arc<SubShardView>> {
-        let key = (i, j, reverse);
-        if let Some(ss) = self.cache.get(&key) {
-            return Ok(Arc::clone(ss));
-        }
-        let mut mru = self.mru.lock();
-        if let Some((k, ss)) = mru.as_ref() {
-            if *k == key {
-                return Ok(Arc::clone(ss));
-            }
-        }
-        let ss = Arc::new(self.graph.load_subshard_view(i, j, reverse)?);
-        *mru = Some((key, Arc::clone(&ss)));
-        Ok(ss)
-    }
-
-    /// The cached copy of `(i, j)`, if any — never touches the disk. Used
-    /// by the prefetcher to decide which shards still need a background
-    /// load.
+    /// The cached copy of `(i, j)`, if any — never touches the disk.
     pub fn cached(&self, i: u32, j: u32, reverse: bool) -> Option<Arc<SubShardView>> {
         self.cache.get(&(i, j, reverse)).map(Arc::clone)
+    }
+
+    /// Resolve `keys` (in consumption order) against the cache without
+    /// touching the disk: the hit or `None` per key, plus the fetch list of
+    /// the misses for the read pipeline to stream in the same order.
+    #[allow(clippy::type_complexity)]
+    pub fn resolve(
+        &self,
+        keys: impl IntoIterator<Item = Key>,
+    ) -> (VecDeque<Option<Arc<SubShardView>>>, Vec<Fetch>) {
+        let mut misses = Vec::new();
+        let hits = keys
+            .into_iter()
+            .map(|(i, j, reverse)| {
+                let hit = self.cached(i, j, reverse);
+                if hit.is_none() {
+                    misses.push(Fetch::Shard { i, j, reverse });
+                }
+                hit
+            })
+            .collect();
+        (hits, misses)
     }
 }
 
@@ -184,24 +177,29 @@ mod tests {
         let g = graph();
         let mut store = ShardStore::new(&g);
         assert_eq!(store.plan_cache(0, Direction::Forward).unwrap(), 0);
-        let before = g.disk().counters().read_bytes();
-        store.get(2, 1, false).unwrap();
-        assert!(g.disk().counters().read_bytes() > before);
+        let (hits, misses) = store.resolve([(2, 1, false), (0, 3, false)]);
+        assert!(hits.iter().all(Option::is_none));
+        assert_eq!(
+            misses,
+            vec![
+                Fetch::Shard { i: 2, j: 1, reverse: false },
+                Fetch::Shard { i: 0, j: 3, reverse: false },
+            ]
+        );
     }
 
     #[test]
-    fn full_budget_caches_everything_and_gets_are_free() {
+    fn full_budget_caches_everything_and_hits_are_free() {
         let g = graph();
         let mut store = ShardStore::new(&g);
         let cached = store.plan_cache(u64::MAX, Direction::Forward).unwrap();
         assert_eq!(cached, g.total_subshard_bytes().unwrap());
         assert_eq!(store.cached_count(), 16);
         let before = g.disk().counters().read_bytes();
-        for i in 0..4 {
-            for j in 0..4 {
-                store.get(i, j, false).unwrap();
-            }
-        }
+        let keys = (0..4).flat_map(|i| (0..4).map(move |j| (i, j, false)));
+        let (hits, misses) = store.resolve(keys);
+        assert!(hits.iter().all(Option::is_some));
+        assert!(misses.is_empty());
         assert_eq!(g.disk().counters().read_bytes(), before);
     }
 
@@ -224,52 +222,30 @@ mod tests {
         assert_eq!(store.cached_count(), 32);
         // Reverse shard served from cache.
         let before = g.disk().counters().read_bytes();
-        store.get(0, 0, true).unwrap();
+        assert!(store.cached(0, 0, true).is_some());
         assert_eq!(g.disk().counters().read_bytes(), before);
     }
 
     #[test]
-    fn cached_gets_return_the_same_arc() {
+    fn cache_hands_out_one_allocation() {
         let g = graph();
         let mut store = ShardStore::new(&g);
         store.plan_cache(u64::MAX, Direction::Forward).unwrap();
-        let a = store.get(1, 2, false).unwrap();
-        let b = store.get(1, 2, false).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache must hand out one allocation");
-        assert!(Arc::ptr_eq(&a, &store.cached(1, 2, false).unwrap()));
-    }
-
-    #[test]
-    fn mru_reuses_repeated_streamed_gets_without_io() {
-        let g = graph();
-        let store = ShardStore::new(&g); // zero budget: everything streams
-        let a = store.get(2, 1, false).unwrap();
-        let before = g.disk().counters().read_bytes();
-        let b = store.get(2, 1, false).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "repeat must come from the MRU slot");
-        assert_eq!(g.disk().counters().read_bytes(), before, "no re-read");
-        // A different key evicts the slot and streams.
-        let c = store.get(2, 2, false).unwrap();
-        assert!(g.disk().counters().read_bytes() > before);
-        let c2 = store.get(2, 2, false).unwrap();
-        assert!(Arc::ptr_eq(&c, &c2));
-        // The original key now streams again (single slot only).
-        let a2 = store.get(2, 1, false).unwrap();
-        assert!(!Arc::ptr_eq(&a, &a2));
-        assert_eq!(*a, *a2);
+        let a = store.cached(1, 2, false).unwrap();
+        let (hits, _) = store.resolve([(1, 2, false)]);
+        assert!(Arc::ptr_eq(&a, hits[0].as_ref().unwrap()));
     }
 
     #[test]
     fn streamed_shard_equals_cached_shard() {
         let g = graph();
-        let mut cached_store = ShardStore::new(&g);
-        cached_store.plan_cache(u64::MAX, Direction::Forward).unwrap();
-        let streaming = ShardStore::new(&g);
+        let mut store = ShardStore::new(&g);
+        store.plan_cache(u64::MAX, Direction::Forward).unwrap();
         for i in 0..4 {
             for j in 0..4 {
                 assert_eq!(
-                    *cached_store.get(i, j, false).unwrap(),
-                    *streaming.get(i, j, false).unwrap()
+                    *store.cached(i, j, false).unwrap(),
+                    g.load_subshard_view(i, j, false).unwrap()
                 );
             }
         }

@@ -10,8 +10,6 @@
 //!   [`OsDisk::drop_page_cache`] for cold-cache measurement.
 //! * [`MemDisk`] — an in-memory file map, used by the test-suite and to run
 //!   experiments on a "RAM disk" profile without touching the filesystem.
-//! * [`FaultyDisk`] — wraps another disk and injects failures after a
-//!   configurable number of bytes, for failure-path testing.
 //! * [`CrashDisk`] — wraps another disk and records every mutating
 //!   operation so any prefix (including a torn final write) can be
 //!   replayed: the power-loss simulator behind `tests/crash_sim.rs`.
@@ -20,7 +18,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -749,142 +747,6 @@ impl Disk for MemDisk {
 }
 
 // ---------------------------------------------------------------------------
-// FaultyDisk
-// ---------------------------------------------------------------------------
-
-/// A fault-injecting wrapper around another [`Disk`].
-///
-/// After `byte_budget` total bytes of traffic (reads + writes) every further
-/// operation fails with [`StorageError::InjectedFault`] (surfaced through
-/// `io::Error` on the Read/Write traits). Used to test that engines surface
-/// disk failures instead of producing silently wrong results.
-pub struct FaultyDisk {
-    inner: Arc<dyn Disk>,
-    remaining: Arc<AtomicU64>,
-}
-
-impl FaultyDisk {
-    /// Wrap `inner`, allowing `byte_budget` bytes of traffic before failing.
-    pub fn new(inner: Arc<dyn Disk>, byte_budget: u64) -> Self {
-        Self {
-            inner,
-            remaining: Arc::new(AtomicU64::new(byte_budget)),
-        }
-    }
-
-    fn consume(remaining: &AtomicU64, n: u64) -> io::Result<()> {
-        let mut cur = remaining.load(Ordering::Relaxed);
-        loop {
-            if cur < n {
-                return Err(io::Error::other(
-                    "injected disk fault: byte budget exhausted",
-                ));
-            }
-            match remaining.compare_exchange(
-                cur,
-                cur - n,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-struct FaultyRead {
-    inner: Box<dyn DiskRead>,
-    remaining: Arc<AtomicU64>,
-}
-
-impl Read for FaultyRead {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        FaultyDisk::consume(&self.remaining, n as u64)?;
-        Ok(n)
-    }
-}
-
-impl DiskRead for FaultyRead {
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-}
-
-struct FaultyWrite {
-    inner: Box<dyn DiskWrite>,
-    remaining: Arc<AtomicU64>,
-}
-
-impl Write for FaultyWrite {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        FaultyDisk::consume(&self.remaining, buf.len() as u64)?;
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl DiskWrite for FaultyWrite {
-    fn finish(self: Box<Self>) -> StorageResult<()> {
-        self.inner.finish()
-    }
-}
-
-impl Disk for FaultyDisk {
-    fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
-        Ok(Box::new(FaultyWrite {
-            inner: self.inner.create(name)?,
-            remaining: Arc::clone(&self.remaining),
-        }))
-    }
-
-    fn open(&self, name: &str) -> StorageResult<Box<dyn DiskRead>> {
-        Ok(Box::new(FaultyRead {
-            inner: self.inner.open(name)?,
-            remaining: Arc::clone(&self.remaining),
-        }))
-    }
-
-    /// Forward to the inner disk's (possibly `O_DIRECT`) bulk-read path —
-    /// the default `open()`-based implementation would silently bypass it
-    /// when this wrapper sits above an [`OsDisk`] — then charge the
-    /// delivered bytes against the budget.
-    fn read_into(&self, name: &str, buf: &mut AlignedBuf) -> StorageResult<()> {
-        self.inner.read_into(name, buf)?;
-        Self::consume(&self.remaining, buf.len() as u64)?;
-        Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn len_of(&self, name: &str) -> StorageResult<u64> {
-        self.inner.len_of(name)
-    }
-
-    fn remove(&self, name: &str) -> StorageResult<()> {
-        self.inner.remove(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn counters(&self) -> &Arc<IoCounters> {
-        self.inner.counters()
-    }
-
-    fn io_profile(&self) -> Option<&Arc<IoProfile>> {
-        self.inner.io_profile()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // CrashDisk — the power-loss simulator
 // ---------------------------------------------------------------------------
 
@@ -1134,6 +996,7 @@ impl Disk for CrashDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     fn exercise(disk: &dyn Disk) {
         disk.write_all_to("a.bin", b"hello world").unwrap();
@@ -1160,36 +1023,25 @@ mod tests {
 
     #[test]
     fn osdisk_roundtrip() {
-        let dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-test-{}",
-            std::process::id()
-        ));
-        let disk = OsDisk::new(&dir).unwrap();
+        let dir = ScratchDir::new("osdisk-test");
+        let disk = OsDisk::new(dir.path()).unwrap();
         exercise(&disk);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn osdisk_rejects_path_escape() {
-        let dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-esc-{}",
-            std::process::id()
-        ));
-        let disk = OsDisk::new(&dir).unwrap();
+        let dir = ScratchDir::new("osdisk-esc");
+        let disk = OsDisk::new(dir.path()).unwrap();
         disk.write_all_to("../evil", b"x").unwrap();
         // The file must have been created inside the root, not outside it.
         assert!(disk.root().join(".._evil").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn read_shared_counts_like_read_all() {
-        let os_dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-shared-{}",
-            std::process::id()
-        ));
+        let os_dir = ScratchDir::new("osdisk-shared");
         let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
-        let os: Arc<dyn Disk> = Arc::new(OsDisk::new(&os_dir).unwrap());
+        let os: Arc<dyn Disk> = Arc::new(OsDisk::new(os_dir.path()).unwrap());
         let payload: Vec<u8> = (0..9000u32).map(|k| k as u8).collect();
         for disk in [&mem, &os] {
             disk.write_all_to("f", &payload).unwrap();
@@ -1207,7 +1059,6 @@ mod tests {
                 Err(StorageError::NotFound(_))
             ));
         }
-        std::fs::remove_dir_all(&os_dir).ok();
     }
 
     #[test]
@@ -1233,18 +1084,9 @@ mod tests {
         assert_eq!(buf.as_slice(), &[2u8; 40]);
     }
 
-    #[test]
-    fn faulty_disk_read_shared_respects_budget() {
-        let inner = Arc::new(MemDisk::new());
-        inner.write_all_to("f", &[0u8; 64]).unwrap();
-        let disk = FaultyDisk::new(inner, 16);
-        let pool = BufferPool::new();
-        assert!(disk.read_shared("f", &pool).is_err());
-    }
-
     /// Wrapper audit: every Disk wrapper must forward `read_into` to the
     /// inner disk rather than inherit the default `open()`-based path, so
-    /// a stacked chain (Fault → Crash → Faulty → Paced → Os) still
+    /// a stacked chain (Fault → Crash → Paced → Os) still
     /// reaches `OsDisk`'s `O_DIRECT` implementation and its per-path
     /// counters. The direct attempt records either a direct read or a
     /// fallback; the default path records neither.
@@ -1254,20 +1096,16 @@ mod tests {
         use crate::paced::PacedDisk;
         use crate::profile::DeviceProfile;
 
-        let dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-stack-{}",
-            std::process::id()
-        ));
+        let dir = ScratchDir::new("osdisk-stack");
         let os = Arc::new(
-            OsDisk::with_config(&dir, DiskConfig { direct_reads: true }).unwrap(),
+            OsDisk::with_config(dir.path(), DiskConfig { direct_reads: true }).unwrap(),
         );
         let payload: Vec<u8> = (0..10_000u32).map(|k| (k % 251) as u8).collect();
         os.write_all_to("ss_0_0.bin", &payload).unwrap();
 
         let paced: Arc<dyn Disk> =
             Arc::new(PacedDisk::new(Arc::clone(&os) as Arc<dyn Disk>, DeviceProfile::RAM));
-        let faulty: Arc<dyn Disk> = Arc::new(FaultyDisk::new(paced, u64::MAX));
-        let crash: Arc<dyn Disk> = Arc::new(CrashDisk::new(faulty).unwrap());
+        let crash: Arc<dyn Disk> = Arc::new(CrashDisk::new(paced).unwrap());
         let fault: Arc<dyn Disk> = Arc::new(FaultDisk::new(crash, FaultPlan::new()));
 
         let before = fault.io_profile().expect("profile flows up the stack").snapshot();
@@ -1279,7 +1117,6 @@ mod tests {
             after.direct_reads + after.direct_fallbacks >= 1,
             "stacked read_shared bypassed OsDisk::read_into: {after:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1293,37 +1130,15 @@ mod tests {
     }
 
     #[test]
-    fn faulty_disk_fails_after_limit() {
-        let inner = Arc::new(MemDisk::new());
-        let disk = FaultyDisk::new(inner, 8);
-        let mut w = disk.create("f").unwrap();
-        assert!(w.write_all(b"12345678").is_ok());
-        assert!(w.write_all(b"9").is_err());
-    }
-
-    #[test]
-    fn faulty_disk_read_failure() {
-        let inner = Arc::new(MemDisk::new());
-        inner.write_all_to("f", &[0u8; 64]).unwrap();
-        let disk = FaultyDisk::new(inner, 16);
-        // Writes consumed no budget; reads beyond 16 bytes fail.
-        let mut r = disk.open("f").unwrap();
-        let mut buf = vec![0u8; 64];
-        let res = r.read_exact(&mut buf);
-        assert!(res.is_err());
-    }
-
-    #[test]
     fn rename_replaces_atomically_on_every_backend() {
-        let os_dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-rename-{}",
-            std::process::id()
-        ));
+        let os_dir = ScratchDir::new("osdisk-rename");
         let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
-        let os: Arc<dyn Disk> = Arc::new(OsDisk::new(&os_dir).unwrap());
-        let faulty: Arc<dyn Disk> =
-            Arc::new(FaultyDisk::new(Arc::new(MemDisk::new()), u64::MAX));
-        for disk in [&mem, &os, &faulty] {
+        let os: Arc<dyn Disk> = Arc::new(OsDisk::new(os_dir.path()).unwrap());
+        let wrapped: Arc<dyn Disk> = Arc::new(crate::fault::FaultDisk::new(
+            Arc::new(MemDisk::new()),
+            crate::fault::FaultPlan::new(),
+        ));
+        for disk in [&mem, &os, &wrapped] {
             disk.write_all_to("old", b"payload").unwrap();
             disk.write_all_to("target", b"stale").unwrap();
             disk.rename("old", "target").unwrap();
@@ -1335,7 +1150,6 @@ mod tests {
             ));
             disk.remove("target").unwrap();
         }
-        std::fs::remove_dir_all(&os_dir).ok();
     }
 
     #[test]
@@ -1402,12 +1216,9 @@ mod tests {
         // whose temp filesystem refuses O_DIRECT the direct disk falls
         // back to buffered reads — the bytes (and counted traffic) must
         // be identical either way.
-        let base = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-direct-{}",
-            std::process::id()
-        ));
-        let buffered = OsDisk::new(base.join("buf")).unwrap();
-        let direct = OsDisk::open_direct(base.join("dir")).unwrap();
+        let base = ScratchDir::new("osdisk-direct");
+        let buffered = OsDisk::new(base.path().join("buf")).unwrap();
+        let direct = OsDisk::open_direct(base.path().join("dir")).unwrap();
         assert!(direct.config().direct_reads);
         let payload: Vec<u8> = (0..PAGE_SIZE * 3 + 937).map(|k| (k * 7) as u8).collect();
         buffered.write_all_to("f", &payload).unwrap();
@@ -1433,23 +1244,18 @@ mod tests {
             direct.read_shared("missing", &pool),
             Err(StorageError::NotFound(_))
         ));
-        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
     fn direct_disk_handles_empty_and_exact_page_files() {
-        let base = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-direct-edge-{}",
-            std::process::id()
-        ));
-        let disk = OsDisk::open_direct(&base).unwrap();
+        let base = ScratchDir::new("osdisk-direct-edge");
+        let disk = OsDisk::open_direct(base.path()).unwrap();
         let pool = BufferPool::new();
         disk.write_all_to("empty", b"").unwrap();
         assert_eq!(disk.read_shared("empty", &pool).unwrap().len(), 0);
         let page: Vec<u8> = (0..PAGE_SIZE).map(|k| k as u8).collect();
         disk.write_all_to("page", &page).unwrap();
         assert_eq!(disk.read_shared("page", &pool).unwrap().as_slice(), &page[..]);
-        std::fs::remove_dir_all(&base).ok();
     }
 
     /// A disk whose readers over-report their length: the only way to
@@ -1516,11 +1322,8 @@ mod tests {
 
     #[test]
     fn drop_page_cache_is_graceful() {
-        let dir = std::env::temp_dir().join(format!(
-            "nxgraph-osdisk-fadvise-{}",
-            std::process::id()
-        ));
-        let disk = OsDisk::new(&dir).unwrap();
+        let dir = ScratchDir::new("osdisk-fadvise");
+        let disk = OsDisk::new(dir.path()).unwrap();
         disk.write_all_to("f", &[1u8; 8192]).unwrap();
         // Whether the kernel honours the advice is platform-dependent;
         // what must hold is that the call neither errors nor lies about
@@ -1530,7 +1333,6 @@ mod tests {
         assert_eq!(counted, dropped as u64);
         assert!(!disk.drop_page_cache("missing"));
         assert_eq!(disk.drop_all_page_cache(), dropped as usize);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

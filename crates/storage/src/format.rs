@@ -403,7 +403,7 @@ pub enum ChecksumMode {
 }
 
 /// Per-file-name checksum verification policy shared across loads
-/// (including background prefetch threads).
+/// (including the read pipeline's worker threads).
 ///
 /// Under [`ChecksumMode::FirstLoad`] the first load of each name verifies
 /// and later loads skip; concurrent first loads may both verify, which is

@@ -4,9 +4,8 @@
 //! `ss_0_1.bin`, …, then delta generations per cell), and extent-based
 //! filesystems tend to lay sequentially-created files out sequentially.
 //! Sorting names the way they were created therefore approximates LBA
-//! order — the key both the engine's I/O scheduler (issuing each window's
-//! reads in layout order) and the paced-device emulation (charging seeks
-//! on backward jumps) rely on.
+//! order — the key the paced-device emulation relies on to charge seeks
+//! on backward jumps.
 
 /// A file-name sort key approximating on-disk layout: alternating text
 /// and numeric runs compared piecewise, so `ss_0_2.bin < ss_0_10.bin`

@@ -7,8 +7,7 @@
 //!
 //! * [`disk`] — a [`Disk`] abstraction with byte-exact I/O
 //!   accounting. Implementations: [`OsDisk`] (real files),
-//!   [`MemDisk`] (in-memory, for tests and RAM-disk runs),
-//!   [`FaultyDisk`] (fault injection for failure tests) and
+//!   [`MemDisk`] (in-memory, for tests and RAM-disk runs) and
 //!   [`CrashDisk`] (a power-loss simulator that replays any prefix of the
 //!   recorded write/remove/rename stream, torn final writes included).
 //! * [`counter`] — atomic [`IoCounters`] shared by all
@@ -47,14 +46,12 @@ pub mod paced;
 pub mod pool;
 pub mod profile;
 pub mod retry;
+pub mod scratch;
 pub mod varint;
 
 pub use budget::{global_over_releases, BudgetLease, MemoryBudget};
 pub use counter::{IoCounters, IoSnapshot};
-pub use disk::{
-    CrashDisk, CrashOp, CutPoint, Disk, DiskConfig, DiskRead, DiskWrite, FaultyDisk, MemDisk,
-    OsDisk,
-};
+pub use disk::{CrashDisk, CrashOp, CutPoint, Disk, DiskConfig, DiskRead, DiskWrite, MemDisk, OsDisk};
 pub use error::{ErrorClass, StorageError, StorageResult};
 pub use fault::{FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, Injection};
 pub use format::{ChecksumMode, ChecksumPolicy, Encoding, EncodingPolicy};
@@ -64,3 +61,4 @@ pub use paced::PacedDisk;
 pub use pool::{AlignedBuf, BufferPool, PooledBuf, SharedBytes};
 pub use profile::{DeviceProfile, IoProfile, IoProfileSnapshot};
 pub use retry::RetryPolicy;
+pub use scratch::ScratchDir;

@@ -13,8 +13,8 @@
 //!   coarse slices (so tiny reads don't pay a syscall-sized sleep each).
 //! * **Seeks**: opening a file that is *behind* the previously opened one
 //!   in [`layout_key`] order charges `seek_latency` — sequential forward
-//!   scans are free, exactly the asymmetry that makes the engine's
-//!   layout-ordered I/O scheduler worth having on spinning media.
+//!   scans are free, exactly the asymmetry that makes the engines'
+//!   row/column streaming order matter on spinning media.
 //!
 //! Writes and metadata are delegated unpaced: the benchmarks measure the
 //! read-bound iteration loop, not preprocessing. The wrapper never alters

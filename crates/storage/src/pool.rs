@@ -84,13 +84,13 @@ impl AlignedBuf {
 }
 
 /// How many idle buffers a [`BufferPool`] retains. Streaming engines have
-/// at most the prefetch ring depth + one buffer in flight per consumer;
+/// at most the read-pipeline ring depth + one buffer in flight per consumer;
 /// a small cap bounds idle memory while still avoiding steady-state
 /// allocation.
 const MAX_POOLED: usize = 8;
 
 /// A free-list of [`AlignedBuf`]s shared between the engine thread and the
-/// prefetch worker.
+/// read pipeline's workers.
 #[derive(Default)]
 pub struct BufferPool {
     free: Mutex<Vec<AlignedBuf>>,

@@ -15,11 +15,11 @@
 //! *shape* of every device-dependent figure is preserved.
 //!
 //! Alongside the models lives [`IoProfile`]: the per-disk *measured* I/O
-//! statistics (syscalls, direct-read traffic, scheduler queue depth) that
+//! statistics (syscalls, direct-read traffic, retries, stalls) that
 //! the [`IoCounters`](crate::counter::IoCounters) byte totals deliberately
 //! do not carry. Counters answer "how many bytes moved"; the profile
-//! answers "through which path, in how many submissions, and how deep was
-//! the queue".
+//! answers "through which path, in how many submissions, and how often
+//! did it have to be asked twice".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,9 +29,7 @@ use crate::counter::IoSnapshot;
 
 /// Shared, atomically-updated I/O path statistics for one disk.
 ///
-/// All fields are monotonically increasing except `queue_depth`, a gauge
-/// maintained by the engine's I/O scheduler (`enqueue`/`dequeue`); its
-/// high-water mark is kept in `max_queue_depth`.
+/// All fields are monotonically increasing.
 #[derive(Debug, Default)]
 pub struct IoProfile {
     read_syscalls: AtomicU64,
@@ -41,10 +39,6 @@ pub struct IoProfile {
     direct_bytes: AtomicU64,
     direct_fallbacks: AtomicU64,
     cache_drops: AtomicU64,
-    sched_batches: AtomicU64,
-    sched_reads: AtomicU64,
-    queue_depth: AtomicU64,
-    max_queue_depth: AtomicU64,
     retries: AtomicU64,
     giveups: AtomicU64,
     injected_faults: AtomicU64,
@@ -89,23 +83,6 @@ impl IoProfile {
         self.cache_drops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The I/O scheduler issued one batch of `reads` reads.
-    pub fn record_sched_batch(&self, reads: u64) {
-        self.sched_batches.fetch_add(1, Ordering::Relaxed);
-        self.sched_reads.fetch_add(reads, Ordering::Relaxed);
-    }
-
-    /// A scheduled read entered the in-flight queue.
-    pub fn enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// A scheduled read left the in-flight queue (delivered to a consumer).
-    pub fn dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// A transient failure was re-issued by the retry layer.
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
@@ -136,10 +113,6 @@ impl IoProfile {
             direct_bytes: self.direct_bytes.load(Ordering::Relaxed),
             direct_fallbacks: self.direct_fallbacks.load(Ordering::Relaxed),
             cache_drops: self.cache_drops.load(Ordering::Relaxed),
-            sched_batches: self.sched_batches.load(Ordering::Relaxed),
-            sched_reads: self.sched_reads.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             giveups: self.giveups.load(Ordering::Relaxed),
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
@@ -165,14 +138,6 @@ pub struct IoProfileSnapshot {
     pub direct_fallbacks: u64,
     /// Files evicted from the page cache on request.
     pub cache_drops: u64,
-    /// Batches issued by the I/O scheduler.
-    pub sched_batches: u64,
-    /// Individual reads issued by the I/O scheduler.
-    pub sched_reads: u64,
-    /// Scheduled reads currently in flight (gauge).
-    pub queue_depth: u64,
-    /// High-water mark of the in-flight queue.
-    pub max_queue_depth: u64,
     /// Transient failures re-issued by the retry layer.
     pub retries: u64,
     /// Reads that exhausted their retry budget and surfaced an error.
@@ -184,9 +149,7 @@ pub struct IoProfileSnapshot {
 }
 
 impl IoProfileSnapshot {
-    /// Statistics accumulated since `earlier` (monotonic fields
-    /// subtracted; the `queue_depth` gauge and its high-water mark are
-    /// carried over from `self` as-is).
+    /// Statistics accumulated since `earlier`.
     pub fn delta(&self, earlier: &IoProfileSnapshot) -> IoProfileSnapshot {
         IoProfileSnapshot {
             read_syscalls: self.read_syscalls - earlier.read_syscalls,
@@ -196,10 +159,6 @@ impl IoProfileSnapshot {
             direct_bytes: self.direct_bytes - earlier.direct_bytes,
             direct_fallbacks: self.direct_fallbacks - earlier.direct_fallbacks,
             cache_drops: self.cache_drops - earlier.cache_drops,
-            sched_batches: self.sched_batches - earlier.sched_batches,
-            sched_reads: self.sched_reads - earlier.sched_reads,
-            queue_depth: self.queue_depth,
-            max_queue_depth: self.max_queue_depth,
             retries: self.retries - earlier.retries,
             giveups: self.giveups - earlier.giveups,
             injected_faults: self.injected_faults - earlier.injected_faults,
@@ -349,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn io_profile_counts_and_tracks_queue_high_water() {
+    fn io_profile_counts_and_deltas() {
         let p = IoProfile::new();
         p.record_open();
         p.record_read_syscall();
@@ -357,11 +316,6 @@ mod tests {
         p.record_direct_read(8192);
         p.record_direct_fallback();
         p.record_cache_drop();
-        p.record_sched_batch(3);
-        p.enqueue();
-        p.enqueue();
-        p.dequeue();
-        p.enqueue();
         let s = p.snapshot();
         assert_eq!(s.opens, 1);
         assert_eq!(s.read_syscalls, 1);
@@ -369,13 +323,10 @@ mod tests {
         assert_eq!(s.direct_bytes, 12288);
         assert_eq!(s.direct_fallbacks, 1);
         assert_eq!(s.cache_drops, 1);
-        assert_eq!(s.sched_batches, 1);
-        assert_eq!(s.sched_reads, 3);
-        assert_eq!(s.queue_depth, 2);
-        assert_eq!(s.max_queue_depth, 2);
+        p.record_open();
         let d = p.snapshot().delta(&s);
-        assert_eq!(d.opens, 0);
-        assert_eq!(d.queue_depth, 2, "gauge carries over in a delta");
+        assert_eq!(d.opens, 1);
+        assert_eq!(d.read_syscalls, 0);
     }
 
     #[test]

@@ -22,16 +22,16 @@ fn committed_bench() -> String {
 }
 
 #[test]
-fn committed_perf_baseline_is_schema_v5() {
+fn committed_perf_baseline_is_schema_v6() {
     let json = committed_bench();
     assert!(
-        json.contains("\"schema_version\": 5"),
-        "BENCH_pagerank.json must be regenerated with the v5 schema (nxbench perf --json)"
+        json.contains("\"schema_version\": 6"),
+        "BENCH_pagerank.json must be regenerated with the v6 schema (nxbench perf --json)"
     );
     assert!(json.contains("\"host_parallelism\""));
     assert!(
         json.contains("\"cold_cache\":"),
-        "v5 reports whether the run dropped the page cache between reps"
+        "the baseline reports whether the run dropped the page cache between reps"
     );
     // No JSON parser in-tree: key on the one-row-per-line layout the
     // renderer emits.
@@ -42,19 +42,27 @@ fn committed_perf_baseline_is_schema_v5() {
 #[test]
 fn every_committed_strategy_row_records_threads_and_io() {
     let json = committed_bench();
+    // Strategy-grid and thread-sweep rows alike are keyed by strategy +
+    // effective threads; the grid rows (one per encoding × strategy cell)
+    // also carry their I/O columns.
     let rows: Vec<&str> = json
         .lines()
-        .filter(|l| l.contains("\"strategy\":") && l.contains("\"prefetch\":"))
+        .filter(|l| l.contains("\"strategy\":") && l.contains("\"threads\":"))
         .collect();
-    assert!(!rows.is_empty(), "no strategy rows in BENCH_pagerank.json");
-    for row in rows {
+    let grid: Vec<&str> =
+        rows.iter().copied().filter(|l| l.contains("\"encoding\":")).collect();
+    assert!(!grid.is_empty(), "no strategy rows in BENCH_pagerank.json");
+    assert!(rows.len() > grid.len(), "no thread-sweep rows in BENCH_pagerank.json");
+    for row in grid {
         assert!(
-            row.contains("\"threads\":"),
-            "strategy row omits effective threads: {row}"
+            row.contains("\"read_bytes_per_iter\":") && row.contains("\"read_syscalls_per_iter\":"),
+            "strategy row omits its I/O columns: {row}"
         );
+    }
+    for key in ["prefetch", "io_sched"] {
         assert!(
-            row.contains("\"io_sched\":") && row.contains("\"read_syscalls_per_iter\":"),
-            "v5 strategy row omits its I/O-scheduler columns: {row}"
+            !json.contains(&format!("\"{key}\":")),
+            "v6 has one read pipeline: no `{key}` dimension"
         );
     }
 }
@@ -66,17 +74,12 @@ fn committed_baseline_carries_the_out_of_core_section() {
         json.contains("\"out_of_core\": {"),
         "BENCH_pagerank.json lost its out-of-core section"
     );
-    // The disk-backed workload runs raw vs compressed under the I/O
-    // scheduler; the wall-clock win of the compressed encoding is the
-    // ratio the trajectory tooling tracks.
+    // The disk-backed workload runs raw vs compressed; the wall-clock win
+    // of the compressed encoding is the ratio the trajectory tooling
+    // tracks.
     assert!(json.contains("\"compressed_iters_per_sec_ratio\":"));
-    assert!(json.contains("\"sched_batches\":"));
-    assert!(json.contains("\"max_queue_depth\":"));
     assert!(json.contains("\"direct_requested\":"));
-    assert!(
-        json.contains("\"io_queue_depth\":"),
-        "v5 out-of-core section records the configured scheduler window"
-    );
+    assert!(json.contains("\"read_syscalls\":"));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! them, so recovery to bit-identical output is the *required* outcome,
 //! not a lucky one.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use nxgraph::core::algo::{self, ppr::PersonalizedPageRank, sssp};
@@ -40,6 +40,43 @@ fn prepare(raw: &[(u64, u64)], p: u32) -> (Arc<dyn Disk>, PreparedGraph) {
     let cfg = PrepConfig::new("chaos", p).with_encoding(EncodingPolicy::Auto);
     let g = preprocess(raw, &cfg, Arc::clone(&disk)).unwrap();
     (disk, g)
+}
+
+/// Every route a read can take: zero-budget SPU streams every sub-shard,
+/// DPU streams by construction, half-resident MPU mixes shard and hub
+/// streams — each inline (threads 1) and on the worker ring (threads 3).
+fn six_configs(n: u64) -> Vec<EngineConfig> {
+    let mut out = Vec::new();
+    for (strategy, budget) in [
+        (Strategy::Spu, 0),
+        (Strategy::Dpu, 0),
+        (Strategy::Mpu, 4 * n + n * 8),
+    ] {
+        for threads in [1usize, 3] {
+            out.push(
+                EngineConfig::default()
+                    .with_strategy(strategy)
+                    .with_budget(budget)
+                    .with_sync(SyncMode::Callback)
+                    .with_threads(threads),
+            );
+        }
+    }
+    out
+}
+
+/// Run `f` on its own thread and fail — instead of wedging the suite — if
+/// it has not finished within `limit` (a hung read that no watchdog caught).
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(v) => v,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: hung"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the guarded body panicked"),
+    }
 }
 
 /// Run one algorithm and collapse its output to a bit-exact fingerprint
@@ -102,27 +139,18 @@ fn matrix_seeded_faults_with_retries_recover_bitwise_identical() {
         } else {
             (&clean, &g_fault)
         };
-        // Zero-budget SPU streams every sub-shard, DPU streams by
-        // construction, half-resident MPU exercises the mixed
-        // shard-miss + hub plan. The scheduler is on so the faulted
-        // reads also exercise the retry wiring inside the I/O scheduler.
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_sync(SyncMode::Callback)
-                .with_io_scheduler(true)
-                .with_prefetch(true);
-            let want = algo_fingerprint(algo_name, g_clean, &cfg);
-            let got = algo_fingerprint(algo_name, g_faulted, &cfg);
-            assert_eq!(
-                want, got,
-                "{algo_name}/{strategy:?}: faulted run diverged from fault-free"
-            );
+        // The clean reference runs once per strategy (on the ring); the
+        // faulted graph must reproduce it inline and on the ring alike.
+        for pair in six_configs(n).chunks(2) {
+            let want = algo_fingerprint(algo_name, g_clean, &pair[1]);
+            for cfg in pair {
+                let got = algo_fingerprint(algo_name, g_faulted, cfg);
+                assert_eq!(
+                    want, got,
+                    "{algo_name}/{:?}/threads {}: faulted run diverged from fault-free",
+                    cfg.strategy, cfg.threads
+                );
+            }
         }
     }
 
@@ -149,12 +177,12 @@ fn matrix_seeded_faults_with_retries_recover_bitwise_identical() {
     );
 }
 
-/// Retry exhaustion is a typed error — through the synchronous path, the
-/// prefetcher, and the I/O scheduler alike — and never wrong output.
+/// Retry exhaustion is a typed error — on every strategy, inline and on
+/// the ring alike — and never wrong output.
 #[test]
 fn persistent_fault_exhausts_retries_into_a_typed_error() {
     let raw = raw_edges(6, 42);
-    let (mem, _g) = prepare(&raw, 3);
+    let (mem, clean) = prepare(&raw, 3);
     let plan = FaultPlan::new().with_rule(FaultRule {
         name_contains: "ss_".into(),
         op: FaultOp::Read,
@@ -167,14 +195,13 @@ fn persistent_fault_exhausts_retries_into_a_typed_error() {
     // A tight retry budget keeps the test fast; exhaustion semantics are
     // identical at any attempt count.
     g.set_retry_policy(RetryPolicy::with_attempts(2).with_base_backoff(Duration::from_micros(100)));
-    for cfg in [
-        EngineConfig::default().with_prefetch(false),
-        EngineConfig::default(),
-        EngineConfig::default().with_strategy(Strategy::Spu).with_budget(0).with_io_scheduler(true),
-    ] {
+    for cfg in six_configs(clean.num_vertices() as u64) {
         match algo::pagerank(&g, 3, &cfg) {
             Err(EngineError::Storage(StorageError::Io(_))) => {}
-            other => panic!("expected the injected EIO to surface, got {other:?}"),
+            other => panic!(
+                "{:?}/threads {}: expected the injected EIO to surface, got {other:?}",
+                cfg.strategy, cfg.threads
+            ),
         }
     }
     let snap = fd.io_profile().unwrap().snapshot();
@@ -208,13 +235,14 @@ fn retry_layer_respects_the_error_taxonomy() {
     assert_eq!(snap.retries, 0, "fatal errors must not be retried");
 }
 
-/// The hung-I/O watchdog end to end: a device that stops answering under
-/// the I/O scheduler converts into a typed `Stalled` error within the
-/// configured deadline — the run cancels cleanly instead of hanging.
+/// The hung-I/O watchdog end to end: a device that stops answering
+/// converts into a typed `Stalled` error within the configured deadline —
+/// on every strategy, at threads 1 and threads 3 alike — and the run
+/// cancels cleanly instead of hanging.
 #[test]
 fn watchdog_converts_a_hung_read_into_a_typed_stall() {
     let raw = raw_edges(6, 44);
-    let (mem, _g) = prepare(&raw, 3);
+    let (mem, clean) = prepare(&raw, 3);
     let plan = FaultPlan::new().with_rule(FaultRule {
         name_contains: "ss_".into(),
         op: FaultOp::Read,
@@ -223,40 +251,33 @@ fn watchdog_converts_a_hung_read_into_a_typed_stall() {
         count: u64::MAX,
     });
     let fd = Arc::new(FaultDisk::new(mem, plan));
-    let g = PreparedGraph::open(Arc::clone(&fd) as Arc<dyn Disk>).unwrap();
-    let cfg = EngineConfig::default()
-        .with_strategy(Strategy::Spu)
-        .with_budget(0)
-        .with_io_scheduler(true)
-        .with_io_deadline(Some(Duration::from_millis(100)));
-    let t = std::time::Instant::now();
-    match algo::pagerank(&g, 3, &cfg) {
-        Err(EngineError::Storage(StorageError::Stalled { waited_ms, .. })) => {
-            assert!(waited_ms >= 100, "must have waited at least the deadline");
+    let g = Arc::new(PreparedGraph::open(Arc::clone(&fd) as Arc<dyn Disk>).unwrap());
+    for (k, cfg) in six_configs(clean.num_vertices() as u64).into_iter().enumerate() {
+        let cfg = cfg.with_io_deadline(Some(Duration::from_millis(100)));
+        let label = format!("{:?}/threads {}", cfg.strategy, cfg.threads);
+        let g = Arc::clone(&g);
+        // Were the deadline ignored on some route, the run would sit
+        // through every 1.5 s stall in turn; the outer limit turns that
+        // into a failure.
+        let res = within(Duration::from_secs(5), move || algo::pagerank(&g, 3, &cfg));
+        match res {
+            Err(EngineError::Storage(StorageError::Stalled { waited_ms, .. })) => {
+                assert!(waited_ms >= 100, "{label}: must have waited at least the deadline");
+            }
+            other => panic!("{label}: expected Stalled, got {other:?}"),
         }
-        other => panic!("expected Stalled, got {other:?}"),
+        let snap = fd.io_profile().unwrap().snapshot();
+        assert_eq!(snap.stalls, k as u64 + 1, "{label}: the tripped watchdog must be counted");
     }
-    assert!(
-        t.elapsed() < Duration::from_secs(10),
-        "stall must cancel promptly, not serialize every hung read"
-    );
-    let snap = fd.io_profile().unwrap().snapshot();
-    assert!(snap.stalls > 0, "the tripped watchdog must be counted");
 }
 
 /// A stall *shorter* than the deadline is invisible: the watchdog only
 /// fires on genuinely hung reads, and slow-but-alive devices still
-/// produce bit-identical output.
+/// produce bit-identical output on every route.
 #[test]
 fn watchdog_tolerates_slow_but_alive_reads() {
     let raw = raw_edges(6, 45);
     let (mem, clean) = prepare(&raw, 3);
-    let cfg = EngineConfig::default()
-        .with_strategy(Strategy::Spu)
-        .with_budget(0)
-        .with_io_scheduler(true)
-        .with_io_deadline(Some(Duration::from_secs(30)));
-    let want = algo_fingerprint("pagerank", &clean, &cfg);
     let plan = FaultPlan::new().with_rule(FaultRule {
         name_contains: "ss_".into(),
         op: FaultOp::Read,
@@ -265,8 +286,15 @@ fn watchdog_tolerates_slow_but_alive_reads() {
         count: 2,
     });
     let fd = Arc::new(FaultDisk::new(mem, plan));
-    let g = PreparedGraph::open(Arc::clone(&fd) as Arc<dyn Disk>).unwrap();
-    assert_eq!(algo_fingerprint("pagerank", &g, &cfg), want);
+    let g = Arc::new(PreparedGraph::open(Arc::clone(&fd) as Arc<dyn Disk>).unwrap());
+    for cfg in six_configs(clean.num_vertices() as u64) {
+        let cfg = cfg.with_io_deadline(Some(Duration::from_secs(30)));
+        let want = algo_fingerprint("pagerank", &clean, &cfg);
+        let (g, label) = (Arc::clone(&g), format!("{:?}/threads {}", cfg.strategy, cfg.threads));
+        let got = within(Duration::from_secs(60), move || algo_fingerprint("pagerank", &g, &cfg));
+        assert_eq!(got, want, "{label}");
+    }
+    assert!(fd.injections() > 0, "the slow reads must actually have happened");
     let snap = fd.io_profile().unwrap().snapshot();
     assert_eq!(snap.stalls, 0, "a met deadline is not a stall");
 }

@@ -13,12 +13,6 @@ fn cli() -> Command {
     Command::new(path)
 }
 
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nxgraph-cli-test-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn full_cli_pipeline() {
     // The binary must exist; build it if the test harness didn't.
@@ -28,9 +22,9 @@ fn full_cli_pipeline() {
         .expect("cargo build");
     assert!(status.success());
 
-    let dir = workdir("pipeline");
-    let edges = dir.join("edges.txt");
-    let graph = dir.join("graph");
+    let dir = nxgraph::storage::ScratchDir::new("cli-pipeline");
+    let edges = dir.path().join("edges.txt");
+    let graph = dir.path().join("graph");
 
     let out = cli()
         .args([
@@ -76,8 +70,6 @@ fn full_cli_pipeline() {
         );
         assert!(!out.stdout.is_empty(), "{sub:?} produced no output");
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -135,16 +135,16 @@ fn hits_is_deterministic_and_strategy_independent() {
 #[test]
 fn dynamic_delta_log_roundtrips_on_real_files() {
     use nxgraph::core::dynamic::{DynamicConfig, DynamicGraph};
-    use nxgraph::storage::OsDisk;
+    use nxgraph::storage::{OsDisk, ScratchDir};
 
     // Chains on a directory of real files: append, reopen cold, fold,
     // reopen again — results stay put across process-like boundaries.
-    let dir = std::env::temp_dir().join(format!("nxgraph-delta-os-{}", std::process::id()));
+    let dir = ScratchDir::new("delta-os");
     let raw: Vec<(u64, u64)> = rmat::generate(&rmat::RmatConfig::graph500(8, 4, 77))
         .into_iter()
         .map(|e| (e.src, e.dst))
         .collect();
-    let disk: Arc<dyn Disk> = Arc::new(OsDisk::new(&dir).unwrap());
+    let disk: Arc<dyn Disk> = Arc::new(OsDisk::new(dir.path()).unwrap());
     let g = preprocess(&raw, &PrepConfig::new("os-delta", 4), Arc::clone(&disk)).unwrap();
     let mut dg = DynamicGraph::with_config(g, DynamicConfig::never_compact()).unwrap();
     let known = dg.graph().load_reverse_mapping().unwrap();
@@ -172,7 +172,6 @@ fn dynamic_delta_log_roundtrips_on_real_files() {
         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

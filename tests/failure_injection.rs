@@ -11,7 +11,8 @@ use nxgraph::core::{EngineError, PreparedGraph};
 use nxgraph::storage::format::{self, Encoding, FileKind};
 use nxgraph::storage::manifest::GraphManifest;
 use nxgraph::storage::{
-    Disk, EncodingPolicy, FaultyDisk, MemDisk, SharedBytes, StorageError,
+    Disk, EncodingPolicy, FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, MemDisk,
+    SharedBytes, StorageError,
 };
 
 fn raw_edges() -> Vec<(u64, u64)> {
@@ -24,8 +25,9 @@ fn raw_edges() -> Vec<(u64, u64)> {
 #[test]
 fn preprocessing_fails_cleanly_on_exhausted_disk() {
     let inner: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    // Enough for a few files, then fail.
-    let disk: Arc<dyn Disk> = Arc::new(FaultyDisk::new(inner, 256));
+    // Enough for a few files, then every write fails with ENOSPC.
+    let plan = FaultPlan::new().with_enospc_after(256);
+    let disk: Arc<dyn Disk> = Arc::new(FaultDisk::new(inner, plan));
     let err = preprocess(&raw_edges(), &PrepConfig::new("faulty", 4), disk);
     assert!(err.is_err(), "must surface the injected fault");
 }
@@ -41,8 +43,17 @@ fn dpu_run_fails_cleanly_when_disk_dies_mid_run() {
     )
     .unwrap();
     drop(g);
-    // …then reopen through a fault injector that dies after 4 KiB.
-    let faulty: Arc<dyn Disk> = Arc::new(FaultyDisk::new(inner, 4096));
+    // …then reopen through a fault injector under which every sub-shard
+    // read fails from its third access on — for good, so no retry budget
+    // outlasts it: the disk dies in iteration three.
+    let plan = FaultPlan::new().with_rule(FaultRule {
+        name_contains: "ss_".into(),
+        op: FaultOp::Read,
+        kind: FaultKind::ReadError,
+        first: 2,
+        count: u64::MAX,
+    });
+    let faulty: Arc<dyn Disk> = Arc::new(FaultDisk::new(inner, plan));
     let g = PreparedGraph::open(faulty).unwrap();
     let cfg = EngineConfig::default().with_strategy(Strategy::Dpu);
     let res = algo::pagerank(&g, 10, &cfg);
@@ -128,16 +139,16 @@ fn short_read_is_a_distinct_error_with_lengths() {
         "unhelpful short-read message: {msg}"
     );
 
-    // End to end: whole runs fail with the same distinct error — through
-    // the synchronous path, the prefetcher, and the I/O scheduler alike.
+    // End to end: whole runs fail with the same distinct error — inline
+    // and on the read pipeline's ring alike.
     let g = PreparedGraph::open(disk).unwrap();
     for cfg in [
-        EngineConfig::default().with_strategy(Strategy::Dpu).with_prefetch(false),
-        EngineConfig::default().with_strategy(Strategy::Dpu),
+        EngineConfig::default().with_strategy(Strategy::Dpu).with_threads(1),
+        EngineConfig::default().with_strategy(Strategy::Dpu).with_threads(3),
         EngineConfig::default()
             .with_strategy(Strategy::Spu)
             .with_budget(0)
-            .with_io_scheduler(true),
+            .with_threads(3),
     ] {
         let res = algo::pagerank(&g, 3, &cfg);
         match res {

@@ -1,24 +1,16 @@
-//! Out-of-core equivalence tests: the I/O scheduler and `O_DIRECT` reads
+//! Out-of-core equivalence tests: `O_DIRECT` reads and page-cache drops
 //! change *how* bytes reach memory, never *which* bytes or what is
-//! computed from them. Every cell of the algorithm × strategy matrix must
-//! be bitwise-identical with the scheduler on and off, and a graph read
-//! back through `O_DIRECT` must be byte-for-byte the graph the buffered
-//! path sees.
+//! computed from them. A graph read back through `O_DIRECT` must be
+//! byte-for-byte the graph the buffered path sees.
 
 use std::sync::Arc;
 
-use nxgraph::core::algo::{self, ppr::PersonalizedPageRank, sssp};
-use nxgraph::core::engine::{self, EngineConfig, Strategy, SyncMode};
+use nxgraph::core::algo;
+use nxgraph::core::engine::{EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::PreparedGraph;
 use nxgraph::graphgen::rmat::{self, RmatConfig};
-use nxgraph::storage::{
-    BufferPool, Disk, DiskConfig, EncodingPolicy, MemDisk, OsDisk,
-};
-
-const ALGOS: [&str; 8] = [
-    "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
-];
+use nxgraph::storage::{BufferPool, Disk, DiskConfig, EncodingPolicy, OsDisk, ScratchDir};
 
 fn raw_edges(scale: u32, seed: u64) -> Vec<(u64, u64)> {
     rmat::generate(&RmatConfig::graph500(scale, 6, seed))
@@ -27,91 +19,25 @@ fn raw_edges(scale: u32, seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn prepare_mem(raw: &[(u64, u64)], p: u32, encoding: EncodingPolicy) -> PreparedGraph {
-    let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let cfg = PrepConfig::new("ooc", p).with_encoding(encoding);
-    preprocess(raw, &cfg, disk).unwrap()
-}
-
-/// Run one algorithm and collapse its output to a bit-exact fingerprint
-/// (same shape as the pipeline matrix helper).
-fn algo_fingerprint(algo_name: &str, g: &PreparedGraph, cfg: &EngineConfig) -> Vec<u64> {
-    let f64_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
-    let u32_words = |v: Vec<u32>| v.into_iter().map(u64::from).collect::<Vec<u64>>();
-    match algo_name {
-        "pagerank" => {
-            f64_bits(algo::pagerank(g, 6, &cfg.clone().with_max_iterations(6)).unwrap().0)
-        }
-        "bfs" => u32_words(algo::bfs(g, 0, cfg).unwrap().0),
-        "sssp" => {
-            let prog = algo::Sssp::new(0, sssp::hash_weights(0.5, 2.5));
-            let cfg = cfg.clone().with_max_iterations(g.num_vertices() as usize + 1);
-            f64_bits(engine::run(g, &prog, &cfg).unwrap().0)
-        }
-        "wcc" => u32_words(algo::wcc(g, cfg).unwrap().0),
-        "scc" => u32_words(algo::scc(g, cfg).unwrap().labels),
-        "kcore" => u32_words(algo::kcore(g, 3, cfg).unwrap().0),
-        "hits" => {
-            let out = algo::hits(g, 6, cfg).unwrap();
-            let mut bits = f64_bits(out.authorities);
-            bits.extend(f64_bits(out.hubs));
-            bits
-        }
-        "ppr" => {
-            let prog = PersonalizedPageRank::new([0u32, 3], Arc::clone(g.out_degrees()));
-            f64_bits(engine::run(g, &prog, &cfg.clone().with_max_iterations(8)).unwrap().0)
-        }
-        other => unreachable!("unknown algorithm {other}"),
-    }
-}
-
-#[test]
-fn matrix_io_scheduler_on_off_bitwise_identical() {
-    let raw = raw_edges(8, 41);
-    // k-core reads the graph as undirected; symmetrise for it only.
-    let sym: Vec<(u64, u64)> = raw.iter().flat_map(|&(s, d)| [(s, d), (d, s)]).collect();
-    let g = prepare_mem(&raw, 5, EncodingPolicy::Auto);
-    let g_sym = prepare_mem(&sym, 5, EncodingPolicy::Auto);
-    let n = g.num_vertices() as u64;
-    for algo_name in ALGOS {
-        let graph = if algo_name == "kcore" { &g_sym } else { &g };
-        // Zero-budget SPU streams every sub-shard, DPU streams by
-        // construction, half-resident MPU exercises the mixed
-        // shard-miss + hub plan — all three scheduled paths.
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let base = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_sync(SyncMode::Callback)
-                .with_threads(3)
-                .with_prefetch(true);
-            let on = algo_fingerprint(algo_name, graph, &base.clone().with_io_scheduler(true));
-            let off = algo_fingerprint(algo_name, graph, &base);
-            assert_eq!(
-                on, off,
-                "{algo_name}/{strategy:?}: scheduler on/off diverged"
-            );
-        }
-    }
+/// Six PageRank iterations collapsed to a bit-exact fingerprint.
+fn pagerank_bits(g: &PreparedGraph, cfg: &EngineConfig) -> Vec<u64> {
+    let (ranks, _) = algo::pagerank(g, 6, &cfg.clone().with_max_iterations(6)).unwrap();
+    ranks.into_iter().map(f64::to_bits).collect()
 }
 
 #[test]
 fn direct_and_buffered_reads_are_byte_identical() {
-    let dir = std::env::temp_dir().join(format!("nxgraph-ooc-direct-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("ooc-direct");
+    let dir = scratch.path();
     let raw = raw_edges(8, 43);
     {
-        let disk: Arc<dyn Disk> = Arc::new(OsDisk::new(&dir).unwrap());
+        let disk: Arc<dyn Disk> = Arc::new(OsDisk::new(dir).unwrap());
         let cfg = PrepConfig::new("direct", 4).with_encoding(EncodingPolicy::Compressed);
         preprocess(&raw, &cfg, disk).unwrap();
     }
-    let buffered = Arc::new(OsDisk::new(&dir).unwrap());
+    let buffered = Arc::new(OsDisk::new(dir).unwrap());
     let direct = Arc::new(
-        OsDisk::with_config(&dir, DiskConfig { direct_reads: true }).unwrap(),
+        OsDisk::with_config(dir, DiskConfig { direct_reads: true }).unwrap(),
     );
 
     // Every blob — manifests, degree tables, sub-shards of every length,
@@ -134,49 +60,39 @@ fn direct_and_buffered_reads_are_byte_identical() {
         "direct disk did neither direct reads nor fallbacks: {io:?}"
     );
 
-    // And a full scheduled run over the O_DIRECT disk lands on exactly
-    // the bits of the buffered, unscheduled run.
+    // And a full run over the O_DIRECT disk lands on exactly the bits of
+    // the buffered run.
     let g_buf = PreparedGraph::open(buffered as Arc<dyn Disk>).unwrap();
     let g_dir = PreparedGraph::open(direct as Arc<dyn Disk>).unwrap();
     let base = EngineConfig::default()
         .with_strategy(Strategy::Spu)
         .with_budget(0)
         .with_threads(3);
-    let want = algo_fingerprint("pagerank", &g_buf, &base);
-    let got = algo_fingerprint("pagerank", &g_dir, &base.clone().with_io_scheduler(true));
-    assert_eq!(want, got, "O_DIRECT + scheduler changed PageRank bits");
-
-    drop(g_buf);
-    drop(g_dir);
-    let _ = std::fs::remove_dir_all(&dir);
+    let want = pagerank_bits(&g_buf, &base);
+    let got = pagerank_bits(&g_dir, &base);
+    assert_eq!(want, got, "O_DIRECT changed PageRank bits");
 }
 
 #[test]
 fn cold_cache_drops_are_graceful_mid_run() {
     // Dropping the page cache between runs (the bench's cold-cache mode)
     // must never change results — only timings.
-    let dir = std::env::temp_dir().join(format!("nxgraph-ooc-cold-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("ooc-cold");
+    let dir = scratch.path();
     let raw = raw_edges(7, 47);
     let os = {
-        let os = Arc::new(OsDisk::new(&dir).unwrap());
+        let os = Arc::new(OsDisk::new(dir).unwrap());
         let disk: Arc<dyn Disk> = Arc::clone(&os) as Arc<dyn Disk>;
         let cfg = PrepConfig::new("cold", 4).with_encoding(EncodingPolicy::Auto);
         preprocess(&raw, &cfg, disk).unwrap();
         os
     };
     let g = PreparedGraph::open(Arc::clone(&os) as Arc<dyn Disk>).unwrap();
-    let cfg = EngineConfig::default()
-        .with_strategy(Strategy::Spu)
-        .with_budget(0)
-        .with_io_scheduler(true);
-    let want = algo_fingerprint("pagerank", &g, &cfg);
+    let cfg = EngineConfig::default().with_strategy(Strategy::Spu).with_budget(0);
+    let want = pagerank_bits(&g, &cfg);
     os.drop_all_page_cache();
-    let got = algo_fingerprint("pagerank", &g, &cfg);
+    let got = pagerank_bits(&g, &cfg);
     assert_eq!(want, got);
     let io = os.io_profile().unwrap().snapshot();
     assert!(io.cache_drops > 0, "drop_all_page_cache counted nothing");
-    assert!(io.sched_batches > 0, "scheduled run recorded no batches");
-    drop(g);
-    let _ = std::fs::remove_dir_all(&dir);
 }

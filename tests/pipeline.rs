@@ -352,10 +352,10 @@ fn matrix_ppr_matches_oracle() {
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch equivalence: the background prefetcher reorders *when* files are
+// Read-pipeline equivalence: the worker ring reorders *when* files are
 // read, never what is computed, so every algorithm of the oracle matrix
-// must produce bitwise-identical results with `prefetch` on and off (and
-// `prefetch=false` is exactly the pre-prefetch synchronous behaviour).
+// must produce bitwise-identical results inline (threads 1: each fetch runs
+// synchronously at the point of use) and on the ring (threads 3).
 // ---------------------------------------------------------------------------
 
 /// Run one algorithm and collapse its output to a bit-exact fingerprint.
@@ -393,7 +393,7 @@ fn algo_fingerprint(
 }
 
 #[test]
-fn matrix_prefetch_on_off_bitwise_identical() {
+fn matrix_inline_vs_ring_bitwise_identical() {
     const ALGOS: [&str; 8] = [
         "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
     ];
@@ -408,10 +408,11 @@ fn matrix_prefetch_on_off_bitwise_identical() {
         let n = g.num_vertices() as u64;
         for algo_name in ALGOS {
             let graph = if algo_name == "kcore" { &g_sym } else { &g };
-            // SPU with a zero budget streams every sub-shard (the prefetch
-            // path); DPU streams by construction; MPU half-resident mixes
-            // both. Callback keeps chunk accumulation order deterministic,
-            // making bitwise comparison meaningful under threads > 1.
+            // SPU with a zero budget streams every sub-shard; DPU streams
+            // by construction; MPU half-resident mixes cached-free shard
+            // and hub streams. Callback keeps chunk accumulation order
+            // deterministic, making bitwise comparison meaningful under
+            // threads > 1.
             for (strategy, budget) in [
                 (Strategy::Spu, 0),
                 (Strategy::Dpu, 0),
@@ -420,13 +421,12 @@ fn matrix_prefetch_on_off_bitwise_identical() {
                 let base = EngineConfig::default()
                     .with_strategy(strategy)
                     .with_budget(budget)
-                    .with_sync(SyncMode::Callback)
-                    .with_threads(3);
-                let on = algo_fingerprint(algo_name, graph, &base.clone().with_prefetch(true));
-                let off = algo_fingerprint(algo_name, graph, &base.with_prefetch(false));
+                    .with_sync(SyncMode::Callback);
+                let ring = algo_fingerprint(algo_name, graph, &base.clone().with_threads(3));
+                let inline = algo_fingerprint(algo_name, graph, &base.with_threads(1));
                 assert_eq!(
-                    on, off,
-                    "{gname}/{algo_name}/{strategy:?}: prefetch on/off diverged"
+                    ring, inline,
+                    "{gname}/{algo_name}/{strategy:?}: inline and ring diverged"
                 );
             }
         }
@@ -434,9 +434,9 @@ fn matrix_prefetch_on_off_bitwise_identical() {
 }
 
 #[test]
-fn prefetch_on_off_same_io_totals() {
-    // Prefetching must not change *what* is read, only when: I/O totals
-    // are byte-identical across the two settings, for DPU, the streaming
+fn inline_vs_ring_same_io_totals() {
+    // Running ahead must not change *what* is read, only when: I/O totals
+    // are byte-identical inline and on the ring, for DPU, the streaming
     // (zero-budget) SPU path, and MPU's half-resident phase B/C streams
     // (which exercise both the row sub-shard stream and the mixed
     // shard+hub column stream).
@@ -448,12 +448,12 @@ fn prefetch_on_off_same_io_totals() {
         (Strategy::Mpu, 4 * n + n * 8),
     ] {
         let mut totals = Vec::new();
-        for prefetch in [true, false] {
+        for threads in [3, 1] {
             let g = prepare(&raw, 4);
             let cfg = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_budget(budget)
-                .with_prefetch(prefetch);
+                .with_threads(threads);
             let (_, stats) = algo::pagerank(&g, 3, &cfg).unwrap();
             totals.push((stats.io.read_bytes, stats.io.written_bytes));
         }
@@ -483,8 +483,8 @@ fn matrix_thread_counts_bitwise_identical() {
     let n = g.num_vertices() as u64;
     for algo_name in ALGOS {
         let graph = if algo_name == "kcore" { &g_sym } else { &g };
-        // Zero-budget SPU streams every sub-shard (prefetch decode workers
-        // engage at threads > 1); DPU exercises the hub write/merge path;
+        // Zero-budget SPU streams every sub-shard (the read pipeline's
+        // workers engage at threads > 1); DPU exercises the hub write/merge path;
         // MPU half-resident mixes the resident and hub phases.
         for (strategy, budget) in [
             (Strategy::Spu, 0),

@@ -256,70 +256,6 @@ proptest! {
     }
 
     #[test]
-    fn io_plan_windows_are_a_layout_sorted_permutation(
-        cells in proptest::collection::vec(
-            proptest::collection::vec((0u32..40, 0u32..40, 0usize..4), 0..4),
-            0..50,
-        ),
-        depth in 0usize..24,
-    ) {
-        use nxgraph::core::engine::iosched::{
-            layout_key, plan_windows, PlannedRead, MIN_QUEUE_DEPTH,
-        };
-        // Arbitrary plans over realistic blob names: per seq, zero or more
-        // parts (base blobs, delta chains, hubs — including duplicates).
-        let plan: Vec<Vec<String>> = cells
-            .iter()
-            .map(|parts| {
-                parts
-                    .iter()
-                    .map(|&(i, j, kind)| match kind {
-                        0 => format!("ss_{i}_{j}.bin"),
-                        1 => format!("ss_{i}_{j}.g1.d{}.bin", (i + j) % 3 + 1),
-                        2 => format!("hub_{i}_{j}.bin"),
-                        _ => format!("rss_{i}_{j}.bin"),
-                    })
-                    .collect()
-            })
-            .collect();
-        let windows = plan_windows(&plan, depth);
-        let eff = depth.max(MIN_QUEUE_DEPTH);
-
-        // The windows cover exactly the plan's reads — a permutation:
-        // nothing dropped, nothing invented, nothing read twice extra.
-        let mut seen: Vec<PlannedRead> = windows.iter().flatten().cloned().collect();
-        seen.sort();
-        let mut want: Vec<PlannedRead> = plan
-            .iter()
-            .enumerate()
-            .flat_map(|(s, names)| {
-                names.iter().enumerate().map(move |(p, n)| (s, p, n.clone()))
-            })
-            .collect();
-        want.sort();
-        prop_assert_eq!(seen, want);
-
-        // Windows partition the seq space into consecutive depth-sized
-        // chunks (the look-ahead gate's accounting depends on this)…
-        prop_assert_eq!(windows.len(), plan.len().div_ceil(eff));
-        for (w, window) in windows.iter().enumerate() {
-            for &(seq, _, _) in window {
-                prop_assert_eq!(seq / eff, w, "seq {} escaped window {}", seq, w);
-            }
-            // …and each window is issued in on-disk layout order, with
-            // deterministic (seq, part) tie-breaks.
-            for pair in window.windows(2) {
-                let (a, b) = (&pair[0], &pair[1]);
-                let ord = layout_key(&a.2)
-                    .cmp(&layout_key(&b.2))
-                    .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)));
-                prop_assert!(ord != std::cmp::Ordering::Greater,
-                    "window {} not layout-sorted: {:?} before {:?}", w, a, b);
-            }
-        }
-    }
-
-    #[test]
     fn degreeing_is_a_dense_bijection(raw in arb_graph()) {
         let deg = prep::degree(&raw);
         // Ids are 0..n and every id maps back to a unique index.
