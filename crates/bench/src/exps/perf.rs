@@ -8,7 +8,7 @@
 //! on-disk blob ratio alongside iterations/sec and traversed edges/sec.
 //! Schema v4 adds the effective engine `threads` to every strategy row (so
 //! the committed JSON can distinguish "1-core host" from "configured 1
-//! thread") and embeds the [`scaling`](crate::exps::scaling) experiment's
+//! thread") and embeds the [`scaling`] experiment's
 //! thread-sweep + determinism section. Schema v5 adds
 //! `read_syscalls_per_iter` per strategy row, a `cold_cache` flag
 //! (`--cold-cache` drops the workload's page cache between reps) and an

@@ -1,7 +1,7 @@
 //! `serve` — the tracked concurrent-serving baseline.
 //!
 //! A fixed-seed R-MAT fixture is wrapped in a
-//! [`GraphService`](nxgraph_core::GraphService) and hit with a mixed
+//! [`GraphService`] and hit with a mixed
 //! read/update stream: reader threads run point queries (BFS, SSSP,
 //! PPR-from-seed, top-k PageRank) through admission control while the
 //! writer commits known-vertex edge batches and background maintenance

@@ -15,7 +15,7 @@
 //!
 //! A separate degradation pass replays the delta-log stream against a
 //! disk whose write budget runs out partway (injected ENOSPC via
-//! [`FaultDisk`](nxgraph_storage::FaultDisk)): every commit past the
+//! [`FaultDisk`]): every commit past the
 //! budget must abort cleanly — typed error, store parked on its last
 //! manifest — and the surviving prefix must still be bitwise-identical
 //! to a fresh preparation of exactly the applied edges. With `--json`

@@ -109,7 +109,7 @@ fn merge_csr<'a>(
     })
 }
 
-/// [`merge_csr`] over engine-facing views — the same order
+/// `merge_csr` over engine-facing views — the same order
 /// [`SubShardView::iter_edges`] walks a single shard.
 pub fn merge_edges<'a>(
     parts: &'a [SubShardView],

@@ -16,7 +16,7 @@
 //! default) folds a due chain inside the same `add_edges` commit;
 //! **background** ([`DynamicConfig::background`]) keeps `add_edges`
 //! append-only — a due cell is merely *signalled* to the
-//! [`MaintenanceThread`](crate::maintain::MaintenanceThread), which folds
+//! [`MaintenanceThread`], which folds
 //! it off the commit path while the owner keeps reading its pinned
 //! snapshot (picked up at the next [`DynamicGraph::refresh`]). Appends
 //! are never blocked behind a fold: the fold's merge runs lock-free and
@@ -203,7 +203,7 @@ pub struct CompactReport {
 /// A prepared graph accepting structural updates.
 ///
 /// Holds a *pinned* [`PreparedGraph`] snapshot for reading plus the
-/// [`StoreShared`] committed state it shares with an optional background
+/// `StoreShared` committed state it shares with an optional background
 /// [`MaintenanceThread`]. The snapshot never changes under a running
 /// engine; [`DynamicGraph::refresh`] (called automatically by every
 /// mutating method) catches it up to commits the thread made.

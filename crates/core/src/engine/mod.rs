@@ -1,16 +1,17 @@
-//! The NXgraph update engines.
+//! The NXgraph update engine.
 //!
 //! [`run`] is the single entry point: it resolves the update strategy from
 //! the memory budget (§III-B: SPU when two copies of every interval fit,
-//! DPU when none do, MPU in between), executes Algorithm 1 with the chosen
-//! engine, and reports wall time, iteration count and byte-exact I/O.
+//! DPU when none do, MPU in between), picks that strategy's residency —
+//! `Q` resident intervals and a sub-shard cache ([`select::residency`]) —
+//! and executes Algorithm 1 with the one driver in [`mpu`], of which SPU
+//! (`Q = P`) and DPU (`Q = 0`) are the endpoints. It reports wall time,
+//! iteration count and byte-exact I/O.
 
-pub mod dpu;
 pub mod kernel;
 pub mod mpu;
 pub mod pipeline;
 pub mod select;
-pub mod spu;
 pub mod state;
 pub mod store;
 
@@ -207,26 +208,16 @@ pub fn run<P: VertexProgram>(
     if cfg.max_iterations == 0 {
         return Err(EngineError::Invalid("max_iterations must be positive".into()));
     }
-    let strategy = match cfg.strategy {
-        Strategy::Auto => {
-            choose_strategy(
-                graph.num_vertices() as u64,
-                graph.num_intervals(),
-                P::Value::SIZE,
-                cfg.memory_budget,
-            )
-            .0
-        }
-        s => s,
-    };
+    let (strategy, q, cache_bytes) = select::residency(
+        cfg.strategy,
+        graph.num_vertices() as u64,
+        graph.num_intervals(),
+        P::Value::SIZE,
+        cfg.memory_budget,
+    );
     let start_io = graph.disk().counters().snapshot();
     let start = Instant::now();
-    let (values, iterations, edges) = match strategy {
-        Strategy::Spu => spu::run_spu(graph, prog, cfg)?,
-        Strategy::Dpu => dpu::run_dpu(graph, prog, cfg)?,
-        Strategy::Mpu => mpu::run_mpu(graph, prog, cfg)?,
-        Strategy::Auto => unreachable!("resolved above"),
-    };
+    let (values, iterations, edges) = mpu::run_mpu(graph, prog, cfg, q, cache_bytes)?;
     let elapsed = start.elapsed();
     let io = graph.disk().counters().snapshot().delta(&start_io);
     Ok((

@@ -1,9 +1,13 @@
-//! Mixed-Phase Update (§III-B3) — the default strategy.
+//! The update driver: Mixed-Phase Update (§III-B3), with Single-Phase and
+//! Double-Phase Update as its two endpoints.
 //!
-//! `Q` of the `P` intervals stay memory-resident as ping-pong pairs
-//! (`Q = ⌊B_M/(2·n·Ba)·P⌋`); the remaining `P−Q` live on disk. Of the `P²`
+//! `Q` of the `P` intervals stay memory-resident as **ping-pong pairs** (one
+//! copy holds the previous iteration's attributes, the other receives this
+//! iteration's results; they swap at the end of the iteration, so switching
+//! iterations costs nothing); the remaining `P−Q` live on disk. Of the `P²`
 //! sub-shards only the `(P−Q)²` whose source *and* destination are on disk
-//! need hubs; every other sub-shard updates SPU-style:
+//! need **hubs** — per-sub-shard files of (destination id, incremental
+//! value) pairs; every other sub-shard updates SPU-style:
 //!
 //! * **Phase A** — resident rows × resident columns, pure SPU order.
 //! * **Phase B** — each on-disk row `i` is loaded once: resident columns
@@ -12,8 +16,19 @@
 //!   absorb directly from the resident ping-pong values, on-disk rows fold
 //!   their hubs (FromHub); the interval is written back once.
 //!
-//! At `Q = P` this degenerates to SPU, at `Q = 0` to DPU; in between the
-//! I/O amount interpolates Table II's MPU row.
+//! The caller picks the residency `(Q, cache bytes)` per strategy
+//! ([`super::select::residency`]): at `Q = P` only phase A runs and this is
+//! SPU (§III-B1), whose per-iteration I/O of at most `m·Be + 2n·Ba − B_M` is
+//! the minimum of all strategies; at `Q = 0` only phases B and C run and
+//! this is DPU (§III-B2), whose `Bread ≤ m·Be + n·Ba + m·(Ba+Bv)/d` and
+//! `Bwrite ≤ n·Ba + m·(Ba+Bv)/d` are independent of `P` and the budget, so
+//! DPU "can scale to very large graphs or very small memory budget". In
+//! between the I/O amount interpolates Table II's MPU row.
+//!
+//! Both sync flavours (§IV preamble) traverse row-major: within one row a
+//! destination interval is touched by exactly one direction's sub-shard,
+//! so the fold order per accumulator is the fixed row order and results
+//! are bitwise-identical at any thread count under `Callback` and `Lock`.
 
 use std::sync::Arc;
 
@@ -22,26 +37,25 @@ use parking_lot::Mutex;
 use crate::dsss::{HubView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
-use crate::types::{Attr, VertexId};
+use crate::types::VertexId;
 
 use super::kernel::{absorb_row, absorb_single};
 use super::pipeline::{Fetch, Pipeline};
-use super::select::choose_strategy;
 use super::state::{finalize_interval_par, finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
-/// Run to convergence under MPU. Returns (values, iterations, edges
-/// traversed).
-pub fn run_mpu<P: VertexProgram>(
+/// Run to convergence with the first `q` intervals resident and
+/// `cache_bytes` of budget caching sub-shards. Returns (values,
+/// iterations, edges traversed).
+pub(super) fn run_mpu<P: VertexProgram>(
     g: &PreparedGraph,
     prog: &P,
     cfg: &EngineConfig,
+    q: u32,
+    cache_bytes: u64,
 ) -> EngineResult<(Vec<P::Value>, usize, u64)> {
-    let n = g.num_vertices();
     let p = g.num_intervals();
-    let (_, plan) = choose_strategy(n as u64, p, P::Value::SIZE, cfg.memory_budget);
-    let q = plan.resident_intervals as u32;
 
     // Resident vertex prefix [0, res_end).
     let res_end: VertexId = if q == 0 { 0 } else { g.interval_range(q - 1).end };
@@ -57,7 +71,7 @@ pub fn run_mpu<P: VertexProgram>(
 
     // Leftover budget caches sub-shards.
     let mut store = ShardStore::new(g);
-    store.plan_cache(plan.shard_cache_bytes, cfg.direction)?;
+    store.plan_cache(cache_bytes, cfg.direction)?;
 
     let mut activity = Activity::init(g, prog);
 
@@ -89,7 +103,14 @@ pub fn run_mpu<P: VertexProgram>(
         let mut changed = vec![false; p as usize];
 
         // ------------------------------------------------------------------
-        // Phase A: resident rows into resident columns (SPU order).
+        // Phase A: resident rows into resident columns (SPU order). All
+        // tasks of a row run concurrently and the pipeline decodes row
+        // i+1's streamed sub-shards while row i is absorbed. One row at a
+        // time also keeps the Lock flavour deterministic: each destination
+        // interval's fold order is the row order, not the lock-acquisition
+        // order of a whole-iteration sweep. Misses are fetched at single
+        // sub-shard granularity so the pipeline never holds more than its
+        // ring depth of decoded sub-shards beyond the row being absorbed.
         // ------------------------------------------------------------------
         let rows: Vec<(bool, u32)> = dirs
             .iter()
@@ -203,12 +224,17 @@ pub fn run_mpu<P: VertexProgram>(
         // Phase C: on-disk columns; resident rows absorb directly, on-disk
         // rows fold hubs. One mixed stream per column carries the
         // resident-row sub-shards followed by the column's hubs, so hub
-        // reads overlap the tail of the shard absorbs.
+        // reads overlap the tail of the shard absorbs. Hubs are stable
+        // within the phase: written in phase B, removed only after their
+        // column folds.
         // ------------------------------------------------------------------
         let mut any_changed = changed.iter().any(|&c| c);
         for j in q..p {
             let r_j = g.interval_range(j);
             let len = (r_j.end - r_j.start) as usize;
+            // PageRank-style programs never read the old value in apply, so
+            // FromHub skips the extra n·Ba read (matching Table II);
+            // monotone programs (BFS/WCC) need it.
             let old: Vec<P::Value> = if P::APPLY_NEEDS_OLD {
                 g.read_interval(j)?
             } else {
@@ -243,7 +269,9 @@ pub fn run_mpu<P: VertexProgram>(
             }
             // Collect the column's hubs in row order, then fold them as
             // one destination-range-parallel batch (bitwise-identical to
-            // the serial fold; see `merge_hub_views_par`).
+            // the serial fold; see `merge_hub_views_par`). Hubs are sparse
+            // (m·(Ba+Bv)/d per column in Table II terms), so holding one
+            // column's worth is cheap.
             let mut hubs: Vec<HubView<P::Accum>> = Vec::new();
             let mut hub_rows: Vec<u32> = Vec::new();
             for i in q..p {
@@ -270,7 +298,9 @@ pub fn run_mpu<P: VertexProgram>(
         let done = if P::ALWAYS_APPLY {
             // Resident intervals have real old values; disk intervals only
             // when APPLY_NEEDS_OLD. Early termination is sound only when
-            // every change flag is trustworthy.
+            // every change flag is trustworthy; otherwise run the
+            // configured iteration count (the paper also runs PageRank for
+            // a fixed 10 iterations).
             (q == p || P::APPLY_NEEDS_OLD) && !any_changed
         } else {
             all_inactive
@@ -292,9 +322,8 @@ pub fn run_mpu<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SyncMode;
     use crate::algo::pagerank::PageRank;
-    use crate::engine::spu::run_spu;
+    use crate::engine::{run, RunStats, Strategy, SyncMode};
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
 
@@ -307,6 +336,20 @@ mod tests {
         preprocess(&edges, &PrepConfig::new("fig1", p), disk).unwrap()
     }
 
+    /// PageRank on a fresh Fig 1 graph of `p` intervals under `cfg`.
+    fn pagerank(p: u32, cfg: &EngineConfig) -> (Vec<f64>, RunStats) {
+        let g = graph(p);
+        let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
+        run(&g, &prog, cfg).unwrap()
+    }
+
+    fn assert_close(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert!((x - y).abs() < 1e-12, "{what}: {x} vs {y}");
+        }
+    }
+
     /// Budget that yields Q resident intervals out of P for the Fig 1
     /// graph with f64 values.
     fn budget_for_q(g: &PreparedGraph, q: u32) -> u64 {
@@ -317,34 +360,122 @@ mod tests {
     }
 
     #[test]
-    fn mpu_equals_spu_at_every_q() {
-        let cfg0 = EngineConfig::default().with_max_iterations(6);
+    fn pagerank_matches_reference_on_fig1() {
+        let cfg = EngineConfig::default()
+            .with_max_iterations(10)
+            .with_threads(3)
+            .with_strategy(Strategy::Spu);
+        let (vals, stats) = pagerank(4, &cfg);
+        assert_eq!(stats.iterations, 10);
+        assert_eq!(stats.edges_traversed, 21 * 10);
+        let g = graph(4);
+        let expect = crate::reference::pagerank(
+            g.num_vertices(),
+            &crate::fig1_example_edges(),
+            g.out_degrees(),
+            10,
+        );
+        assert_close(&vals, &expect, "spu vs reference");
+    }
+
+    #[test]
+    fn callback_and_lock_agree() {
+        let cfg = EngineConfig::default()
+            .with_max_iterations(5)
+            .with_strategy(Strategy::Spu);
+        let (cb, _) = pagerank(3, &cfg);
+        let (lk, _) = pagerank(3, &cfg.with_sync(SyncMode::Lock));
+        assert_close(&cb, &lk, "callback vs lock");
+    }
+
+    #[test]
+    fn result_invariant_to_thread_count_and_p() {
+        let mut reference: Option<Vec<f64>> = None;
+        for p in [1u32, 2, 4, 7] {
+            for threads in [1usize, 4] {
+                let cfg = EngineConfig::default()
+                    .with_max_iterations(8)
+                    .with_threads(threads)
+                    .with_strategy(Strategy::Spu);
+                let (vals, _) = pagerank(p, &cfg);
+                match &reference {
+                    None => reference = Some(vals),
+                    Some(r) => assert_close(&vals, r, &format!("P={p} t={threads}")),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dpu_equals_spu_for_pagerank() {
+        for p in [1u32, 3, 4] {
+            let cfg = EngineConfig::default().with_max_iterations(6);
+            let (dpu_vals, dpu) = pagerank(p, &cfg.clone().with_strategy(Strategy::Dpu));
+            let (spu_vals, spu) = pagerank(p, &cfg.with_strategy(Strategy::Spu));
+            assert_eq!(dpu.iterations, spu.iterations);
+            assert_eq!(dpu.edges_traversed, spu.edges_traversed);
+            assert_close(&dpu_vals, &spu_vals, &format!("P={p}"));
+        }
+    }
+
+    #[test]
+    fn dpu_writes_and_consumes_hubs() {
         let g = graph(4);
         let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
-        let (want, _, want_edges) = run_spu(&g, &prog, &cfg0).unwrap();
-        for q in 0..=4u32 {
-            let g = graph(4);
-            let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
-            let cfg = cfg0.clone().with_budget(budget_for_q(&g, q));
-            let (vals, _, edges) = run_mpu(&g, &prog, &cfg).unwrap();
-            assert_eq!(edges, want_edges, "q={q}");
-            for (a, b) in vals.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-12, "q={q}: {a} vs {b}");
+        let cfg = EngineConfig::default()
+            .with_max_iterations(1)
+            .with_strategy(Strategy::Dpu);
+        let (_, stats) = run(&g, &prog, &cfg).unwrap();
+        // All hubs consumed and removed by FromHub.
+        for i in 0..4 {
+            for j in 0..4 {
+                assert!(g.read_hub::<f64>(i, j).unwrap().is_none());
             }
+        }
+        // Interval traffic happened.
+        assert!(stats.io.written_bytes > 0);
+        assert!(stats.io.read_bytes > 0);
+    }
+
+    #[test]
+    fn mpu_equals_spu_at_every_q() {
+        let g = graph(4);
+        let cfg0 = EngineConfig::default().with_max_iterations(6);
+        let (want, spu) = pagerank(4, &cfg0.clone().with_strategy(Strategy::Spu));
+        for q in 0..=4u32 {
+            let cfg = cfg0
+                .clone()
+                .with_strategy(Strategy::Mpu)
+                .with_budget(budget_for_q(&g, q));
+            let (vals, stats) = pagerank(4, &cfg);
+            assert_eq!(stats.edges_traversed, spu.edges_traversed, "q={q}");
+            assert_close(&vals, &want, &format!("q={q}"));
+        }
+        // The endpoints are the same run, bit for bit and byte for byte:
+        // forced SPU is MPU at an unlimited budget (Q = P), forced DPU is
+        // MPU at a budget of exactly the degree table (Q = 0, no cache).
+        let degree_table = 4 * g.num_vertices() as u64;
+        for (forced, budget) in [(Strategy::Spu, u64::MAX), (Strategy::Dpu, degree_table)] {
+            let cfg = cfg0.clone().with_budget(budget);
+            let (a, sa) = pagerank(4, &cfg.clone().with_strategy(forced));
+            let (b, sb) = pagerank(4, &cfg.with_strategy(Strategy::Mpu));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{forced:?} vs Mpu at budget {budget}");
+            assert_eq!(sa.io, sb.io, "{forced:?} vs Mpu at budget {budget}");
+            assert_eq!(sa.strategy, forced);
+            assert_eq!(sb.strategy, Strategy::Mpu);
         }
     }
 
     #[test]
     fn mpu_lock_mode_agrees() {
         let g = graph(4);
-        let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
         let cfg = EngineConfig::default()
             .with_max_iterations(5)
+            .with_strategy(Strategy::Mpu)
             .with_budget(budget_for_q(&g, 2));
-        let (cb, _, _) = run_mpu(&g, &prog, &cfg).unwrap();
-        let (lk, _, _) = run_mpu(&g, &prog, &cfg.clone().with_sync(SyncMode::Lock)).unwrap();
-        for (a, b) in cb.iter().zip(&lk) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
+        let (cb, _) = pagerank(4, &cfg);
+        let (lk, _) = pagerank(4, &cfg.with_sync(SyncMode::Lock));
+        assert_close(&cb, &lk, "callback vs lock");
     }
 }

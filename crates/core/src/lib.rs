@@ -11,16 +11,20 @@
 //! ownership of a destination range, so updates need no locks or atomics
 //! (§III-D), and lets edges be stored in a compressed sparse format.
 //!
-//! Three update strategies trade memory for I/O (§III-B):
+//! Three update strategies trade memory for I/O (§III-B), all executed by
+//! one driver ([`engine::mpu`]) that keeps `Q` of `P` intervals resident
+//! as ping-pong pairs and sends the rest through hubs:
 //!
-//! * [`engine::spu`] — **Single-Phase Update**: every interval lives in
-//!   memory as a ping-pong pair; sub-shards stream through; minimum I/O.
-//! * [`engine::dpu`] — **Double-Phase Update**: fully disk-resident; a
-//!   *ToHub* pass streams intervals row-by-row writing incremental hubs, a
+//! * **Single-Phase Update** (`Q = P`): every interval lives in memory;
+//!   sub-shards stream through; minimum I/O.
+//! * **Double-Phase Update** (`Q = 0`): fully disk-resident; a *ToHub*
+//!   pass streams intervals row-by-row writing incremental hubs, a
 //!   *FromHub* pass folds hubs column-by-column back into intervals.
-//! * [`engine::mpu`] — **Mixed-Phase Update**: `Q` of `P` intervals stay
-//!   resident (SPU-style); the rest use hubs (DPU-style). Chosen
-//!   automatically from the memory budget ([`engine::select`]).
+//! * **Mixed-Phase Update** (`0 < Q < P`): resident intervals update
+//!   SPU-style, the rest DPU-style.
+//!
+//! The strategy and its residency `(Q, sub-shard cache)` are chosen from
+//! the memory budget in one place ([`engine::select`]).
 //!
 //! Vertex computations (PageRank, BFS, WCC, SCC, …) implement
 //! [`program::VertexProgram`]; [`algo`] ships the paper's evaluation suite.

@@ -10,7 +10,7 @@
 //!
 //! ## Concurrency protocol
 //!
-//! The owner and the maintenance thread share a [`StoreShared`]: the disk,
+//! The owner and the maintenance thread share a `StoreShared`: the disk,
 //! a `state` mutex holding the committed manifest + degree table + an
 //! epoch counter, and a `gate` mutex. Lock order is **gate → state**,
 //! never the reverse. `add_edges` takes only `state` (for its whole
@@ -32,7 +32,7 @@
 //! whose manifest first stopped referencing them. Reclamation is
 //! generation-refcounted: `pins` counts live readers per epoch, and a
 //! queued file is removed only once every pin at an epoch older than its
-//! tag has dropped (see [`StoreState::drain_safe_sweeps`]).
+//! tag has dropped (see `StoreState::drain_safe_sweeps`).
 //!
 //! ## Scrubbing
 //!

@@ -14,7 +14,7 @@
 //!    resident.
 //! 2. **Row pass** — each spill is read back, bucketed by destination
 //!    interval, encoded sub-shard by sub-shard under the configured
-//!    [`EncodingPolicy`], written, and the spill deleted. Peak memory is
+//!    [`EncodingPolicy`](nxgraph_storage::EncodingPolicy), written, and the spill deleted. Peak memory is
 //!    one row (`≈ m/P` edges), the knob the paper turns with `P`.
 //!
 //! The stream must use dense ids `0..n` directly (the identity mapping) —

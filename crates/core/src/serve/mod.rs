@@ -6,7 +6,7 @@
 //! Each reader runs against a [`Snapshot`]: a pinned manifest generation
 //! with its own [`PreparedGraph`] handle, scratch-file namespace and
 //! zero-copy loaders. Pinning is refcounted per epoch in the store's
-//! [`StoreShared`] state, so a file superseded by a later commit is
+//! `StoreShared` state, so a file superseded by a later commit is
 //! reclaimed only once the last snapshot that could still read it drops
 //! — generation-refcounted reclamation instead of the old single-owner
 //! "refresh, then sweep".
@@ -25,7 +25,7 @@
 //! clobber chainless generation-0 bases *in place*, which no pin can
 //! protect against. Full rebuilds (batches introducing new vertices)
 //! remain possible but exclusive — they wait for every live snapshot to
-//! drop ([`StoreShared::begin_exclusive`]) before rewriting prep-time
+//! drop (`StoreShared::begin_exclusive`) before rewriting prep-time
 //! names.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -162,6 +162,12 @@ impl Disk for PacedDisk {
         Ok(())
     }
 
+    /// Unpaced, and to the inner disk's whole-buffer path rather than the
+    /// default `create` + buffered writer.
+    fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
+        self.inner.write_all_to(name, data)
+    }
+
     fn exists(&self, name: &str) -> bool {
         self.inner.exists(name)
     }
@@ -262,6 +268,99 @@ mod tests {
             t.elapsed()
         );
         assert_eq!(paced.seeks(), 1, "0_1 -> 0_0 via read_into is a seek");
+    }
+
+    /// A disk that records which of its own methods were entered, over a
+    /// [`MemDisk`] that does the work.
+    #[derive(Default)]
+    struct Spy {
+        mem: MemDisk,
+        entered: Mutex<Vec<&'static str>>,
+    }
+
+    impl Spy {
+        fn enter(&self, method: &'static str) -> &MemDisk {
+            self.entered.lock().push(method);
+            &self.mem
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.entered.lock())
+        }
+    }
+
+    impl Disk for Spy {
+        fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
+            self.enter("create").create(name)
+        }
+        fn open(&self, name: &str) -> StorageResult<Box<dyn DiskRead>> {
+            self.enter("open").open(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.mem.exists(name)
+        }
+        fn len_of(&self, name: &str) -> StorageResult<u64> {
+            self.mem.len_of(name)
+        }
+        fn remove(&self, name: &str) -> StorageResult<()> {
+            self.enter("remove").remove(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> StorageResult<()> {
+            self.enter("rename").rename(from, to)
+        }
+        fn list(&self) -> Vec<String> {
+            self.mem.list()
+        }
+        fn counters(&self) -> &Arc<IoCounters> {
+            self.mem.counters()
+        }
+        fn read_into(&self, name: &str, buf: &mut crate::pool::AlignedBuf) -> StorageResult<()> {
+            self.enter("read_into").read_into(name, buf)
+        }
+        fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
+            self.enter("write_all_to").write_all_to(name, data)
+        }
+    }
+
+    #[test]
+    fn wrappers_reach_the_inner_disks_own_methods() {
+        use crate::disk::CrashDisk;
+        use crate::fault::{FaultDisk, FaultPlan};
+        use crate::pool::AlignedBuf;
+        fn paced(d: Arc<dyn Disk>) -> Arc<dyn Disk> {
+            Arc::new(PacedDisk::new(d, DeviceProfile::RAM))
+        }
+        fn crash(d: Arc<dyn Disk>) -> Arc<dyn Disk> {
+            Arc::new(CrashDisk::new(d).unwrap())
+        }
+        fn fault(d: Arc<dyn Disk>) -> Arc<dyn Disk> {
+            Arc::new(FaultDisk::new(d, FaultPlan::new()))
+        }
+        fn stack(d: Arc<dyn Disk>) -> Arc<dyn Disk> {
+            paced(fault(crash(d)))
+        }
+        type Wrap = fn(Arc<dyn Disk>) -> Arc<dyn Disk>;
+        // FaultDisk injects write faults at `create`, so its whole-buffer
+        // writes go through the inner `create` by design.
+        let cases: [(&str, Wrap, &str); 4] = [
+            ("paced", paced, "write_all_to"),
+            ("crash", crash, "write_all_to"),
+            ("paced(fault(crash))", stack, "write_all_to"),
+            ("fault", fault, "create"),
+        ];
+        for (label, wrap, write_reaches) in cases {
+            let spy = Arc::new(Spy::default());
+            let top = wrap(Arc::clone(&spy) as Arc<dyn Disk>);
+            spy.take();
+            top.write_all_to("ss_0_0.bin", b"payload").unwrap();
+            assert!(spy.take().contains(&write_reaches), "{label}: write_all_to");
+            top.read_into("ss_0_0.bin", &mut AlignedBuf::with_capacity(0)).unwrap();
+            assert!(spy.take().contains(&"read_into"), "{label}: read_into");
+            top.rename("ss_0_0.bin", "ss_0_1.bin").unwrap();
+            assert!(spy.take().contains(&"rename"), "{label}: rename");
+            top.remove("ss_0_1.bin").unwrap();
+            assert!(spy.take().contains(&"remove"), "{label}: remove");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Classification lives on the error ([`crate::error::ErrorClass`]), not
 //! here: corruption is never retried (same wrong bytes), fatal errors
-//! ([`StorageError::NotFound`], budget, watchdog) surface immediately.
+//! ([`StorageError::NotFound`](crate::StorageError::NotFound), budget, watchdog) surface immediately.
 //! Every re-issue and every exhaustion is counted in the disk's
 //! [`IoProfile`] (`retries` / `giveups`), surfaced by `nxgraph-cli info`.
 
