@@ -2,8 +2,8 @@
 //! destination-sorted fine-grained absorb vs source-sorted coarse-grained
 //! absorb, plus hub compaction/merging, the scalar vs 4-way-unrolled
 //! flat-edge absorb, the task-dispatch slot comparison (mutex slots vs
-//! the pool's cursor-claimed lock-free slots), the byte-wise vs word-wise
-//! FNV-1a checksum, and owned `SubShard::decode` vs the zero-copy
+//! the pool's cursor-claimed lock-free slots), the word-wise FNV-1a blob
+//! checksum, and owned `SubShard::decode` vs the zero-copy
 //! `SubShardView::parse`.
 
 use std::cell::UnsafeCell;
@@ -167,8 +167,7 @@ fn bench_kernels(c: &mut Criterion) {
 
 /// The read-path codec comparisons behind the zero-copy refactor:
 ///
-/// * `fnv1a/{bytes,words}` — the byte-at-a-time checksum vs the
-///   8-bytes-per-step variant used as the blob checksum since format v2.
+/// * `fnv1a/words` — the 8-bytes-per-step blob checksum of format v2+.
 /// * `varint/{encode,decode}` — the LEB128 primitive behind format v3's
 ///   delta+varint payloads, over a realistic gap distribution.
 /// * `subshard_decode/{owned,view,view_checksummed,compressed}` — the
@@ -184,9 +183,6 @@ fn bench_codec(c: &mut Criterion) {
     let payload = &bytes[32..];
 
     let mut group = c.benchmark_group("fnv1a");
-    group.bench_function("bytes", |b| {
-        b.iter(|| black_box(format::fnv1a(black_box(payload))))
-    });
     group.bench_function("words", |b| {
         b.iter(|| black_box(format::fnv1a_words(black_box(payload))))
     });

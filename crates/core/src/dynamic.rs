@@ -1418,12 +1418,12 @@ mod tests {
         let base: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 0)];
         let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
         prep::preprocess(&base, &PrepConfig::new("dyn", 3), Arc::clone(&mem)).unwrap();
-        // The scrubber's first open of this blob fails; the worker re-runs
-        // the whole pass after backoff.
+        // The scrubber's first whole-file read of this blob fails; the
+        // worker re-runs the whole pass after backoff.
         let plan = FaultPlan::new().with_rule(FaultRule {
             name_contains: "ss_0_0.bin".into(),
-            op: FaultOp::Open,
-            kind: FaultKind::OpenError,
+            op: FaultOp::ReadAll,
+            kind: FaultKind::ReadError,
             first: 0,
             count: 1,
         });

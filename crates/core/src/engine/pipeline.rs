@@ -328,8 +328,8 @@ mod tests {
     use super::*;
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{
-        Disk, DiskRead, DiskWrite, FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, IoCounters,
-        MemDisk, StorageResult,
+        AlignedBuf, Disk, FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, MemDisk,
+        StorageResult,
     };
 
     /// The Fig 1 graph (P = 4) on a MemDisk, reopened through `wrap`.
@@ -470,27 +470,12 @@ mod tests {
     struct PanicDisk(Arc<dyn Disk>);
 
     impl Disk for PanicDisk {
-        fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
-            self.0.create(name)
+        fn inner(&self) -> Option<&dyn Disk> {
+            Some(&*self.0)
         }
-        fn open(&self, name: &str) -> StorageResult<Box<dyn DiskRead>> {
+        fn read_into(&self, name: &str, buf: &mut AlignedBuf) -> StorageResult<()> {
             assert!(!name.starts_with("ss_1_1"), "boom");
-            self.0.open(name)
-        }
-        fn exists(&self, name: &str) -> bool {
-            self.0.exists(name)
-        }
-        fn len_of(&self, name: &str) -> StorageResult<u64> {
-            self.0.len_of(name)
-        }
-        fn remove(&self, name: &str) -> StorageResult<()> {
-            self.0.remove(name)
-        }
-        fn list(&self) -> Vec<String> {
-            self.0.list()
-        }
-        fn counters(&self) -> &Arc<IoCounters> {
-            self.0.counters()
+            self.0.read_into(name, buf)
         }
     }
 

@@ -156,7 +156,7 @@ where
     for &reverse in dirs {
         for i in 0..p {
             let name = spill_name(reverse, i);
-            let records = disk.open(&name)?.read_to_vec()?;
+            let records = disk.read_all(&name)?;
             let mut buckets: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p as usize];
             for rec in records.chunks_exact(8) {
                 let s = u32::from_le_bytes(rec[..4].try_into().expect("4-byte src"));

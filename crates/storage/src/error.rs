@@ -28,8 +28,6 @@ pub enum StorageError {
     },
     /// A manifest line could not be parsed.
     Manifest { line: usize, reason: String },
-    /// An operation was rejected by injected fault (tests only).
-    InjectedFault(String),
     /// The requested operation would exceed the configured memory budget.
     BudgetExceeded { requested: u64, available: u64 },
     /// A read exceeded its watchdog deadline: the device (or a wrapper
@@ -53,7 +51,7 @@ pub enum ErrorClass {
     /// Retrying re-reads the same wrong bytes; scrub/quarantine territory.
     Corruption,
     /// Deterministic and permanent for this run: missing files, exhausted
-    /// budgets, tripped watchdogs, scripted test faults.
+    /// budgets, tripped watchdogs.
     Fatal,
 }
 
@@ -72,7 +70,6 @@ impl StorageError {
             StorageError::Manifest { .. } => ErrorClass::Corruption,
             StorageError::NotFound(_) => ErrorClass::Fatal,
             StorageError::BudgetExceeded { .. } => ErrorClass::Fatal,
-            StorageError::InjectedFault(_) => ErrorClass::Fatal,
             // Already waited a full deadline; the retry layer must not
             // multiply deadlines by attempt counts.
             StorageError::Stalled { .. } => ErrorClass::Fatal,
@@ -104,7 +101,6 @@ impl fmt::Display for StorageError {
             StorageError::Manifest { line, reason } => {
                 write!(f, "manifest parse error at line {line}: {reason}")
             }
-            StorageError::InjectedFault(what) => write!(f, "injected fault: {what}"),
             StorageError::BudgetExceeded {
                 requested,
                 available,
@@ -202,7 +198,6 @@ mod tests {
                 line: 1,
                 reason: "bad".into(),
             },
-            StorageError::InjectedFault("scripted".into()),
             StorageError::BudgetExceeded {
                 requested: 2,
                 available: 1,
@@ -233,7 +228,6 @@ mod tests {
             Corruption, // Corrupt
             Transient,  // ShortRead
             Corruption, // Manifest
-            Fatal,      // InjectedFault
             Fatal,      // BudgetExceeded
             Fatal,      // Stalled
         ];

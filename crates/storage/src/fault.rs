@@ -2,7 +2,7 @@
 //!
 //! [`FaultDisk`] wraps any [`Disk`] and injects the failure modes real
 //! disk-bound deployments see but the paper's fail-stop model ignores:
-//! EIO on read/write/open, short reads, EINTR-style interrupted syscalls,
+//! EIO on reads and writes, short reads, EINTR-style interrupted syscalls,
 //! per-operation latency stalls, and ENOSPC after a byte budget. Every
 //! decision comes from a replayable [`FaultPlan`] — a pure function of
 //! `(plan, file name, operation class, per-(name, op) access index)` — so
@@ -17,17 +17,18 @@
 //! default 4-attempt [`RetryPolicy`](crate::retry::RetryPolicy) always
 //! clears them — by construction, every seeded plan is survivable with
 //! retries on. Scripted rules ([`FaultRule`]) can express anything,
-//! including persistent faults that exhaust retries, open-time failures,
-//! and multi-second stalls for the watchdog.
+//! including persistent faults that exhaust retries, whole-file read
+//! failures, and multi-second stalls for the watchdog.
 //!
-//! Injection happens on the bulk paths the engines actually use:
-//! [`Disk::read_into`] (which the default `read_shared` routes through,
-//! so a stacked `Fault → Paced → Os` chain still reaches the inner
-//! `O_DIRECT` implementation) and the writer returned by [`Disk::create`]
-//! (which `write_all_to` routes through). Metadata operations pass
-//! through clean. Every injection is counted — on the disk's
-//! [`IoProfile`] (`injected_faults`) and in an ordered in-memory log for
-//! the determinism tests.
+//! Injection happens on the whole-file paths every caller uses:
+//! [`Disk::read_all`] ([`FaultOp::ReadAll`]), [`Disk::read_into`]
+//! ([`FaultOp::Read`]; the default `read_shared` routes through it, so a
+//! stacked `Fault → Paced → Os` chain still reaches the inner `O_DIRECT`
+//! implementation) and the writer returned by [`Disk::create`]
+//! ([`FaultOp::Write`]; `write_all_to` routes through it). Every other
+//! method is the inner disk's own, unfaulted. Every injection is counted
+//! — on the disk's [`IoProfile`] (`injected_faults`) and in an ordered
+//! in-memory log for the determinism tests.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -37,8 +38,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::counter::IoCounters;
-use crate::disk::{Disk, DiskRead, DiskWrite};
+use crate::disk::{Disk, DiskWrite};
 use crate::error::{StorageError, StorageResult};
 use crate::pool::AlignedBuf;
 use crate::profile::IoProfile;
@@ -49,8 +49,8 @@ pub const ENOSPC: i32 = 28;
 /// The operation classes a fault plan distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// `Disk::open` (stream reads).
-    Open,
+    /// `Disk::read_all` (buffered whole-file reads).
+    ReadAll,
     /// `Disk::read_into` / `read_shared` (bulk reads).
     Read,
     /// `Disk::create` / `write_all_to` (whole-file writes).
@@ -62,9 +62,7 @@ pub enum FaultOp {
 pub enum FaultKind {
     /// The operation fails with an EIO-class [`io::Error`] (transient).
     ReadError,
-    /// `open` fails with an EIO-class [`io::Error`] (transient).
-    OpenError,
-    /// A bulk read delivers only half its bytes and reports
+    /// A read delivers only half its bytes and reports
     /// [`StorageError::ShortRead`] (transient).
     ShortRead,
     /// The operation fails with [`io::ErrorKind::Interrupted`] (EINTR).
@@ -111,7 +109,7 @@ fn fnv(seed: u64, name: &str, op: FaultOp) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
     let tag = match op {
-        FaultOp::Open => 1u64,
+        FaultOp::ReadAll => 1u64,
         FaultOp::Read => 2,
         FaultOp::Write => 3,
     };
@@ -292,6 +290,30 @@ impl FaultDisk {
         )))
     }
 
+    /// Apply the planned fault, if any, of this access of a read op
+    /// before any bytes move; `Ok(true)` asks for a short read.
+    fn read_fault(&self, name: &str, op: FaultOp) -> StorageResult<bool> {
+        match self.decide(name, op) {
+            None => Ok(false),
+            Some(FaultKind::Stall(d)) => {
+                std::thread::sleep(d);
+                Ok(false)
+            }
+            Some(FaultKind::ShortRead) => Ok(true),
+            Some(FaultKind::Interrupt) => Err(Self::eintr(name)),
+            Some(_) => Err(Self::eio(name, "read")),
+        }
+    }
+
+    /// The error of a short read that delivered half of `len` bytes.
+    fn short_read(name: &str, len: usize) -> StorageError {
+        StorageError::ShortRead {
+            name: name.to_string(),
+            expected: len as u64,
+            actual: len as u64 / 2,
+        }
+    }
+
     fn eintr(name: &str) -> StorageError {
         StorageError::Io(io::Error::new(
             io::ErrorKind::Interrupted,
@@ -341,6 +363,10 @@ impl DiskWrite for FaultWrite {
 }
 
 impl Disk for FaultDisk {
+    fn inner(&self) -> Option<&dyn Disk> {
+        Some(&*self.inner)
+    }
+
     fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
         match self.decide(name, FaultOp::Write) {
             Some(FaultKind::Stall(d)) => std::thread::sleep(d),
@@ -358,64 +384,35 @@ impl Disk for FaultDisk {
         }))
     }
 
-    fn open(&self, name: &str) -> StorageResult<Box<dyn DiskRead>> {
-        match self.decide(name, FaultOp::Open) {
-            Some(FaultKind::Stall(d)) => std::thread::sleep(d),
-            Some(FaultKind::Interrupt) => return Err(Self::eintr(name)),
-            Some(_) => return Err(Self::eio(name, "open")),
-            None => {}
+    /// Through this disk's own `create`, so write rules and the ENOSPC
+    /// budget apply to whole-buffer writes too.
+    fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
+        let mut w = self.create(name)?;
+        w.write_all(data)?;
+        w.finish()
+    }
+
+    fn read_all(&self, name: &str) -> StorageResult<Vec<u8>> {
+        let short = self.read_fault(name, FaultOp::ReadAll)?;
+        let data = self.inner.read_all(name)?;
+        if short {
+            return Err(Self::short_read(name, data.len()));
         }
-        self.inner.open(name)
+        Ok(data)
     }
 
     /// The bulk-read injection point: forwards to the inner disk's
     /// (possibly `O_DIRECT`) implementation when no fault fires, so the
     /// default `read_shared` above this still takes the fast path.
     fn read_into(&self, name: &str, buf: &mut AlignedBuf) -> StorageResult<()> {
-        match self.decide(name, FaultOp::Read) {
-            None => self.inner.read_into(name, buf),
-            Some(FaultKind::Stall(d)) => {
-                std::thread::sleep(d);
-                self.inner.read_into(name, buf)
-            }
-            Some(FaultKind::Interrupt) => Err(Self::eintr(name)),
-            Some(FaultKind::ShortRead) => {
-                self.inner.read_into(name, buf)?;
-                let expected = buf.len() as u64;
-                let actual = expected / 2;
-                buf.resize(actual as usize);
-                Err(StorageError::ShortRead {
-                    name: name.to_string(),
-                    expected,
-                    actual,
-                })
-            }
-            Some(_) => Err(Self::eio(name, "read")),
+        let short = self.read_fault(name, FaultOp::Read)?;
+        self.inner.read_into(name, buf)?;
+        if short {
+            let e = Self::short_read(name, buf.len());
+            buf.resize(buf.len() / 2);
+            return Err(e);
         }
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn len_of(&self, name: &str) -> StorageResult<u64> {
-        self.inner.len_of(name)
-    }
-
-    fn remove(&self, name: &str) -> StorageResult<()> {
-        self.inner.remove(name)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> StorageResult<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn counters(&self) -> &Arc<IoCounters> {
-        self.inner.counters()
+        Ok(())
     }
 
     fn io_profile(&self) -> Option<&Arc<IoProfile>> {
@@ -524,18 +521,31 @@ mod tests {
     }
 
     #[test]
-    fn open_fault_hits_the_stream_path() {
+    fn read_all_fault_hits_the_whole_file_path() {
         let inner = mem_with(&[("a.bin", 8)]);
-        let plan = FaultPlan::new().with_rule(FaultRule {
-            name_contains: String::new(),
-            op: FaultOp::Open,
-            kind: FaultKind::OpenError,
-            first: 0,
-            count: 1,
-        });
-        let fd = FaultDisk::new(inner, plan);
-        assert!(matches!(fd.open("a.bin"), Err(StorageError::Io(_))));
-        assert!(fd.open("a.bin").is_ok(), "only the first open faults");
+        let plan = |kind| {
+            FaultPlan::new().with_rule(FaultRule {
+                name_contains: String::new(),
+                op: FaultOp::ReadAll,
+                kind,
+                first: 0,
+                count: 1,
+            })
+        };
+        let fd = FaultDisk::new(Arc::clone(&inner), plan(FaultKind::ReadError));
+        assert!(matches!(fd.read_all("a.bin"), Err(StorageError::Io(_))));
+        // Only the first read faults.
+        assert_eq!(fd.read_all("a.bin").unwrap(), [0x5a; 8]);
+        let mut buf = AlignedBuf::with_capacity(0);
+        fd.read_into("a.bin", &mut buf).unwrap();
+        assert_eq!(fd.injections(), 1, "bulk reads count under their own op");
+        let fd = FaultDisk::new(inner, plan(FaultKind::ShortRead));
+        match fd.read_all("a.bin") {
+            Err(StorageError::ShortRead {
+                expected, actual, ..
+            }) => assert_eq!((expected, actual), (8, 4)),
+            other => panic!("expected ShortRead, got {other:?}"),
+        }
     }
 
     #[test]
@@ -599,7 +609,7 @@ mod tests {
             let mut any = false;
             for i in 0..32 {
                 let name = format!("ss_{}_{}.bin", i / 8, i % 8);
-                assert!(plan.fault_for(&name, FaultOp::Open, 0).is_none());
+                assert!(plan.fault_for(&name, FaultOp::ReadAll, 0).is_none());
                 assert!(plan.fault_for(&name, FaultOp::Write, 0).is_none());
                 let mut run = 0u32;
                 let mut max_run = 0u32;

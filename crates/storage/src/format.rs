@@ -18,7 +18,7 @@ use crate::error::{StorageError, StorageResult};
 pub const MAGIC: [u8; 8] = *b"NXGRAPH\0";
 
 /// Version tag of raw (uncompressed) blobs. Version 2 switched the payload
-/// checksum from byte-at-a-time [`fnv1a`] to the 8-bytes-per-step
+/// checksum from byte-at-a-time FNV-1a to the 8-bytes-per-step
 /// [`fnv1a_words`]; raw blobs are still written as version 2 bytes, so
 /// every pre-v3 file loads unchanged.
 pub const VERSION: u32 = 2;
@@ -136,28 +136,17 @@ impl FileKind {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash, byte at a time — the textbook definition.
-///
-/// Kept for reference and for the `fnv1a/{bytes,words}` micro-bench; the
-/// blob checksum itself uses [`fnv1a_words`] since format version 2.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a-style 64-bit hash consuming 8 bytes per step.
+/// FNV-1a-style 64-bit hash consuming 8 bytes per step: the blob checksum
+/// since format version 2.
 ///
 /// Each full little-endian `u64` word is folded with one xor + one
-/// multiply (8× fewer multiplies than [`fnv1a`]); the sub-word tail falls
-/// back to byte steps, so inputs shorter than 8 bytes hash identically to
-/// [`fnv1a`]. Any single-byte change still always changes the hash: xor is
-/// injective in the word and multiplication by the odd FNV prime is
-/// injective mod 2⁶⁴. This is *not* the same function as byte-wise FNV-1a
-/// for inputs ≥ 8 bytes, which is why switching to it bumped [`VERSION`].
+/// multiply (8× fewer multiplies than textbook byte-wise FNV-1a); the
+/// sub-word tail falls back to byte steps, so inputs shorter than 8 bytes
+/// hash identically to FNV-1a. Any single-byte change still always changes
+/// the hash: xor is injective in the word and multiplication by the odd
+/// FNV prime is injective mod 2⁶⁴. This is *not* the same function as
+/// byte-wise FNV-1a for inputs ≥ 8 bytes, which is why switching to it
+/// bumped [`VERSION`].
 pub fn fnv1a_words(data: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut chunks = data.chunks_exact(8);
@@ -655,20 +644,26 @@ mod tests {
 
     #[test]
     fn fnv_known_values() {
-        // FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        // FNV-1a test vectors, all shorter than a word.
+        assert_eq!(fnv1a_words(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a_words(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a_words(b"foobar"), 0x85944171f73967e8);
+        // One word plus a byte: the checksum every v2+ blob carries.
+        assert_eq!(fnv1a_words(b"foobarbaz"), 0x62ee3743058643f9);
     }
 
     #[test]
     fn fnv_words_matches_bytes_below_a_word() {
+        let bytewise = |data: &[u8]| {
+            data.iter()
+                .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+        };
         for len in 0..8usize {
             let data: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
-            assert_eq!(fnv1a_words(&data), fnv1a(&data), "len {len}");
+            assert_eq!(fnv1a_words(&data), bytewise(&data), "len {len}");
         }
         // At and past a full word the functions intentionally diverge.
-        assert_ne!(fnv1a_words(b"12345678"), fnv1a(b"12345678"));
+        assert_ne!(fnv1a_words(b"12345678"), bytewise(b"12345678"));
     }
 
     #[test]

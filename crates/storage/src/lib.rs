@@ -5,11 +5,17 @@
 //! how many bytes it moves between memory and disk and whether those moves
 //! are sequential. This crate provides the substrate those engines run on:
 //!
-//! * [`disk`] — a [`Disk`] abstraction with byte-exact I/O
-//!   accounting. Implementations: [`OsDisk`] (real files),
-//!   [`MemDisk`] (in-memory, for tests and RAM-disk runs) and
+//! * [`disk`] — a [`Disk`] abstraction over whole-file operations with
+//!   byte-exact I/O accounting. Backing stores: [`OsDisk`] (real files)
+//!   and [`MemDisk`] (in-memory, for tests and RAM-disk runs). Wrappers
+//!   return their inner disk from [`Disk::inner`] and override only what
+//!   they intercept — [`PacedDisk`] `read_all`/`read_into`; [`FaultDisk`]
+//!   `read_all`/`read_into`/`create`/`write_all_to`/`io_profile`;
 //!   [`CrashDisk`] (a power-loss simulator that replays any prefix of the
-//!   recorded write/remove/rename stream, torn final writes included).
+//!   recorded write/remove/rename stream, torn final writes included)
+//!   `create`/`write_all_to`/`remove`/`rename` — so adding a primitive
+//!   touches only the trait, `OsDisk`, `MemDisk` and the wrappers that
+//!   intercept it.
 //! * [`counter`] — atomic [`IoCounters`] shared by all
 //!   files of a disk; engines never bypass them, so the Table II / Fig 6
 //!   byte formulas of the paper can be checked *empirically*.
@@ -51,7 +57,7 @@ pub mod varint;
 
 pub use budget::{global_over_releases, BudgetLease, MemoryBudget};
 pub use counter::{IoCounters, IoSnapshot};
-pub use disk::{CrashDisk, CrashOp, CutPoint, Disk, DiskConfig, DiskRead, DiskWrite, MemDisk, OsDisk};
+pub use disk::{CrashDisk, CrashOp, CutPoint, Disk, DiskConfig, DiskWrite, MemDisk, OsDisk};
 pub use error::{ErrorClass, StorageError, StorageResult};
 pub use fault::{FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, Injection};
 pub use format::{ChecksumMode, ChecksumPolicy, Encoding, EncodingPolicy};

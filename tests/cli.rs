@@ -1,27 +1,40 @@
 //! End-to-end test of the `nxgraph-cli` binary: generate → prep → analyse
 //! on a real directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
+/// The `nxgraph-cli` binary of this build, built once on first use. It
+/// lands in the profile directory that holds this test executable's
+/// `deps/`, so `CARGO_TARGET_DIR`, `--target-dir` and `--release` are all
+/// followed.
 fn cli() -> Command {
-    // Integration tests share the target dir with the binaries.
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.push("target");
-    path.push(if cfg!(debug_assertions) { "debug" } else { "release" });
-    path.push("nxgraph-cli");
-    Command::new(path)
+    static BIN: OnceLock<PathBuf> = OnceLock::new();
+    let bin = BIN.get_or_init(|| {
+        let exe = std::env::current_exe().expect("test executable path");
+        let profile_dir = exe
+            .parent()
+            .and_then(Path::parent)
+            .expect("test executable lives in <target>/<profile>/deps");
+        let target_dir = profile_dir.parent().expect("<target>/<profile>");
+        let mut build = Command::new(env!("CARGO"));
+        build
+            .args(["build", "-p", "nxgraph-cli", "--target-dir"])
+            .arg(target_dir);
+        if !cfg!(debug_assertions) {
+            build.arg("--release");
+        }
+        assert!(build.status().expect("cargo build").success());
+        let bin = profile_dir.join(format!("nxgraph-cli{}", std::env::consts::EXE_SUFFIX));
+        assert!(bin.exists(), "no binary at {}", bin.display());
+        bin
+    });
+    Command::new(bin)
 }
 
 #[test]
 fn full_cli_pipeline() {
-    // The binary must exist; build it if the test harness didn't.
-    let status = Command::new(env!("CARGO"))
-        .args(["build", "-p", "nxgraph-cli"])
-        .status()
-        .expect("cargo build");
-    assert!(status.success());
-
     let dir = nxgraph::storage::ScratchDir::new("cli-pipeline");
     let edges = dir.path().join("edges.txt");
     let graph = dir.path().join("graph");
@@ -74,12 +87,8 @@ fn full_cli_pipeline() {
 
 #[test]
 fn cli_reports_errors_cleanly() {
-    let out = cli().arg("frobnicate").output();
-    // Binary may not be built in some test orders; build_cli test covers
-    // the success path. If present, bad subcommands must fail with usage.
-    if let Ok(out) = out {
-        assert!(!out.status.success());
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("usage"), "{err}");
-    }
+    let out = cli().arg("frobnicate").output().expect("run nxgraph-cli");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage"), "{err}");
 }

@@ -63,59 +63,22 @@ fn dpu_run_fails_cleanly_when_disk_dies_mid_run() {
     }
 }
 
-/// A disk whose sub-shard readers advertise more bytes than they deliver
-/// — the canonical short-read / early-EOF fault (a file truncated behind
-/// the reader's back, a device returning less than its metadata claims).
-struct TruncatingDisk(Arc<dyn Disk>);
-
-struct TruncatingRead(Box<dyn nxgraph::storage::DiskRead>);
-
-impl std::io::Read for TruncatingRead {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.0.read(buf)
-    }
-}
-
-impl nxgraph::storage::DiskRead for TruncatingRead {
-    fn len(&self) -> u64 {
-        self.0.len() + 7
-    }
-}
-
-impl Disk for TruncatingDisk {
-    fn create(&self, name: &str) -> nxgraph::storage::StorageResult<Box<dyn nxgraph::storage::DiskWrite>> {
-        self.0.create(name)
-    }
-    fn open(&self, name: &str) -> nxgraph::storage::StorageResult<Box<dyn nxgraph::storage::DiskRead>> {
-        let r = self.0.open(name)?;
-        if name.starts_with("ss_") {
-            Ok(Box::new(TruncatingRead(r)))
-        } else {
-            Ok(r)
-        }
-    }
-    fn exists(&self, name: &str) -> bool {
-        self.0.exists(name)
-    }
-    fn len_of(&self, name: &str) -> nxgraph::storage::StorageResult<u64> {
-        self.0.len_of(name)
-    }
-    fn remove(&self, name: &str) -> nxgraph::storage::StorageResult<()> {
-        self.0.remove(name)
-    }
-    fn list(&self) -> Vec<String> {
-        self.0.list()
-    }
-    fn counters(&self) -> &Arc<nxgraph::storage::IoCounters> {
-        self.0.counters()
-    }
-}
-
 #[test]
 fn short_read_is_a_distinct_error_with_lengths() {
     let inner: Arc<dyn Disk> = Arc::new(MemDisk::new());
     preprocess(&raw_edges(), &PrepConfig::new("sr", 2), Arc::clone(&inner)).unwrap();
-    let disk: Arc<dyn Disk> = Arc::new(TruncatingDisk(inner));
+    // Every sub-shard read delivers half its bytes, for good — the
+    // canonical short-read / early-EOF fault (a file truncated behind the
+    // reader's back, a device returning less than its metadata claims),
+    // which no retry budget outlasts.
+    let plan = FaultPlan::new().with_rule(FaultRule {
+        name_contains: "ss_".into(),
+        op: FaultOp::Read,
+        kind: FaultKind::ShortRead,
+        first: 0,
+        count: u64::MAX,
+    });
+    let disk: Arc<dyn Disk> = Arc::new(FaultDisk::new(inner, plan));
 
     // The raw read primitive names the file and both byte counts.
     let name = GraphManifest::subshard_file(1, 0);
@@ -128,8 +91,8 @@ fn short_read_is_a_distinct_error_with_lengths() {
             actual,
         }) => {
             assert_eq!(n, name);
-            assert_eq!(expected, full + 7);
-            assert_eq!(actual, full);
+            assert_eq!(expected, full);
+            assert_eq!(actual, full / 2);
         }
         other => panic!("expected ShortRead, got {other:?}"),
     }

@@ -405,7 +405,7 @@ proptest! {
         let a = FaultPlan::seeded(seed);
         let b = FaultPlan::seeded(seed);
         for name in &names {
-            for op in [FaultOp::Open, FaultOp::Read, FaultOp::Write] {
+            for op in [FaultOp::ReadAll, FaultOp::Read, FaultOp::Write] {
                 for n in 0..accesses {
                     let fa = a.fault_for(name, op, n);
                     prop_assert_eq!(fa, b.fault_for(name, op, n));
