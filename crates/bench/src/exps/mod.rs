@@ -12,9 +12,7 @@ pub mod exp9_best;
 pub mod fig6;
 pub mod perf;
 pub mod scaling;
-pub mod serve;
 pub mod table2;
-pub mod updates;
 
 use nxgraph_core::engine::EngineConfig;
 use nxgraph_graphgen::datasets::{self, Dataset};

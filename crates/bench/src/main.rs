@@ -3,7 +3,7 @@
 //! ```text
 //! nxbench <experiment> [--scale-shift N] [--seed N] [--threads N] [--iters N]
 //!                      [--json] [--out PATH] [--encoding raw|auto|compressed]
-//!                      [--background] [--cold-cache] [--ooc-scale N]
+//!                      [--cold-cache] [--ooc-scale N]
 //!                      [--ooc-device ssd-raid0|ssd|hdd]
 //!
 //! experiments:
@@ -32,29 +32,13 @@
 //!            {SPU,DPU,MPU} × {Callback,Lock} identical at every thread
 //!            count — divergence fails the run). `--json` writes
 //!            BENCH_scaling.json (`--out` overrides).
-//!   updates  repo streaming-update baseline — edges-applied/sec, disk
-//!            write bytes/batch and per-commit add_edges latency
-//!            (p50/p99) for DynamicGraph's delta-log commit path vs the
-//!            legacy whole-cell rewrite, on a fixed-seed R-MAT stream;
-//!            `--background` adds a third mode that folds chains on the
-//!            maintenance thread instead of inline. Fails unless every
-//!            mode lands bitwise on a from-scratch prep. `--json` writes
-//!            BENCH_updates.json (`--out` overrides).
-//!   serve    repo concurrent-serving baseline — reader threads run
-//!            point queries (BFS/SSSP/PPR/top-k PageRank) through the
-//!            GraphService's admission control while the writer commits
-//!            edge batches and background maintenance folds chains.
-//!            Reports queries/sec, p50/p99 latency, admission
-//!            rejections and max snapshot lag; fails on any query error
-//!            or if a snapshot pinned before the stream is not
-//!            bitwise-identical after compaction supersedes its
-//!            generation. `--json` writes BENCH_serve.json (`--out`
-//!            overrides).
 //!   all                — run everything
 //! ```
 //!
 //! Default scales keep each experiment in seconds; raise `--scale-shift`
 //! toward 0 to approach the paper's dataset sizes (see DESIGN.md §2).
+//! Streaming updates and concurrent serving are measured by nxmark's
+//! `updates-delta` and `serve-mixed` workloads (`benchmark/`), not here.
 
 mod exps;
 
@@ -71,16 +55,14 @@ pub struct Opts {
     pub threads: usize,
     /// PageRank iterations (the paper uses 10).
     pub iters: usize,
-    /// Whether `perf`/`updates` should write their JSON reports.
+    /// Whether `perf`/`scaling` should write their JSON reports.
     pub json: bool,
     /// Output path override for the JSON report; each experiment has its
-    /// own default (`BENCH_pagerank.json`, `BENCH_updates.json`).
+    /// own default (`BENCH_pagerank.json`, `BENCH_scaling.json`).
     pub out: Option<String>,
     /// On-disk blob encoding for `perf`: `None` measures raw *and* auto
     /// side by side; `Some` pins a single policy (the CI per-path runs).
     pub encoding: Option<nxgraph_storage::EncodingPolicy>,
-    /// Whether `updates` also measures the background-compaction mode.
-    pub background: bool,
     /// Cold-cache mode for `perf`: drop the workload's page cache (and
     /// read via `O_DIRECT` where the platform allows) between measured
     /// reps, so every run pays real disk reads instead of page-cache
@@ -113,7 +95,6 @@ impl Default for Opts {
             json: false,
             out: None,
             encoding: None,
-            background: false,
             cold_cache: false,
             ooc_scale: None,
             ooc_device: None,
@@ -155,7 +136,6 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
                     .map_err(|e| format!("bad --iters: {e}"))?
             }
             "--json" => opts.json = true,
-            "--background" => opts.background = true,
             "--cold-cache" => opts.cold_cache = true,
             "--ooc-scale" => {
                 opts.ooc_scale = Some(
@@ -192,7 +172,7 @@ fn main() -> ExitCode {
     let (exp, opts) = match parse(&args) {
         Ok(x) => x,
         Err(e) => {
-            eprintln!("nxbench: {e}\nusage: nxbench <table2|fig6|exp1..exp9|perf|scaling|updates|serve|all> [--scale-shift N] [--seed N] [--threads N] [--iters N] [--json] [--out PATH] [--encoding raw|auto|compressed] [--background] [--cold-cache] [--ooc-scale N] [--ooc-device ssd-raid0|ssd|hdd]");
+            eprintln!("nxbench: {e}\nusage: nxbench <table2|fig6|exp1..exp9|perf|scaling|all> [--scale-shift N] [--seed N] [--threads N] [--iters N] [--json] [--out PATH] [--encoding raw|auto|compressed] [--cold-cache] [--ooc-scale N] [--ooc-device ssd-raid0|ssd|hdd]");
             return ExitCode::FAILURE;
         }
     };
@@ -221,8 +201,6 @@ fn main() -> ExitCode {
         "exp9" => exps::exp9_best::run(&opts),
         "perf" => exps::perf::run(&opts, json_out("BENCH_pagerank.json").as_deref()),
         "scaling" => exps::scaling::run(&opts, json_out("BENCH_scaling.json").as_deref()),
-        "updates" => exps::updates::run(&opts, json_out("BENCH_updates.json").as_deref()),
-        "serve" => exps::serve::run(&opts, json_out("BENCH_serve.json").as_deref()),
         other => {
             eprintln!("unknown experiment {other:?}");
             false
@@ -231,7 +209,7 @@ fn main() -> ExitCode {
     let ok = if exp == "all" {
         [
             "table2", "fig6", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8",
-            "exp9", "perf", "scaling", "updates", "serve",
+            "exp9", "perf", "scaling",
         ]
         .iter()
         .all(|e| run_one(e))

@@ -406,8 +406,7 @@ fn serve(args: &Args) -> Result<(), String> {
         threads: args.get_or("query-threads", 1usize)?,
         ..ServeConfig::default()
     };
-    // Delta-log + background folds: the serving configuration (rewrite
-    // mode is rejected by the service).
+    // Background folds: the serving configuration.
     let dg = nxgraph_core::dynamic::DynamicGraph::with_config(g, DynamicConfig::background())
         .map_err(|e| e.to_string())?;
     let svc = GraphService::new(dg, cfg).map_err(|e| e.to_string())?;

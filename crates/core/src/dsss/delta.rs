@@ -18,8 +18,8 @@ use crate::types::VertexId;
 use super::{SubShard, SubShardView};
 
 /// Borrowed CSR columns of one chain part — the common denominator of
-/// [`SubShardView`] (engine path) and owned [`SubShard`]s (the
-/// rewrite/compaction path), so one merge serves both.
+/// [`SubShardView`] (engine path) and owned [`SubShard`]s (the fold), so
+/// one merge serves both.
 #[derive(Clone, Copy)]
 pub(crate) struct CsrCols<'a> {
     dsts: &'a [VertexId],

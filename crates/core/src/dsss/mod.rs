@@ -129,9 +129,10 @@ pub fn load_subshard_from(
 }
 
 /// Load every part of a cell's chain — the base blob first, then each
-/// delta in append order — as owned [`SubShard`]s. The rewrite and
-/// compaction paths need the parts individually (their raw sizes feed the
-/// manifest's byte totals); plain readers use [`load_subshard_from`].
+/// delta in append order — as owned [`SubShard`]s. The fold
+/// (`dynamic::fold_chain`) needs the parts individually (their raw sizes
+/// feed the manifest's byte totals); plain readers use
+/// [`load_subshard_from`].
 pub(crate) fn load_chain_parts(
     disk: &dyn Disk,
     i: u32,
@@ -526,7 +527,7 @@ impl PreparedGraph {
     }
 
     /// The encoding policy applied to blobs written during runs (hubs,
-    /// dynamic sub-shard rewrites). Defaults to what the graph was
+    /// dynamic delta blobs and folds). Defaults to what the graph was
     /// prepped with, via the manifest.
     pub fn encoding_policy(&self) -> EncodingPolicy {
         self.encoding

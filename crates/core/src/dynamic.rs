@@ -2,10 +2,10 @@
 //! be extended to support dynamic change on graph structure").
 //!
 //! [`DynamicGraph`] wraps a [`PreparedGraph`] and accepts batches of new
-//! edges. Under the default [`UpdateMode::DeltaLog`], a batch touching
-//! existing vertices is committed by *appending*: each touched `(i, j)`
-//! cell gets one small destination-sorted delta blob written next to its
-//! base blob (same checksummed sub-shard format, compressed under the
+//! edges. A batch touching existing vertices is committed by
+//! *appending*: each touched `(i, j)` cell gets one small
+//! destination-sorted delta blob written next to its base blob (same
+//! checksummed sub-shard format, compressed under the
 //! graph's [`EncodingPolicy`](nxgraph_storage::EncodingPolicy)), and the
 //! manifest records the chain. Readers merge-iterate base + deltas behind
 //! the ordinary view API, so the engines are untouched; a configurable
@@ -22,10 +22,6 @@
 //! are never blocked behind a fold: the fold's merge runs lock-free and
 //! its commit re-validates the chain, retrying if an append won the race
 //! (see [`crate::maintain`] for the protocol).
-//!
-//! [`UpdateMode::Rewrite`] keeps the pre-delta-log behaviour — every
-//! touched cell is read, merged and rewritten whole — as the baseline the
-//! `nxbench updates` workload measures the log against.
 //!
 //! A batch that introduces previously unseen vertex indices changes the
 //! dense id space, so it still triggers a full re-preprocessing —
@@ -55,13 +51,10 @@
 //! A crash before step 2 leaves new blobs unreferenced; after step 2 it
 //! leaves old blobs unreferenced. Either way the manifest on disk
 //! describes a complete, consistent graph, and the leftovers are orphans
-//! that [`DynamicGraph::compact`]'s sweep reclaims. Two documented
-//! exceptions write in place: [`UpdateMode::Rewrite`] rewrites a bare
-//! (chainless) generation-0 base under its own name — the legacy baseline
-//! behaviour, excluded from the crash-sim contract — and a full
-//! re-preprocessing rewrites the prep-time layout wholesale (mid-prep
-//! crash atomicity is out of scope; the fold-before-rebuild below keeps
-//! *chained* state safe across it).
+//! that [`DynamicGraph::compact`]'s sweep reclaims. One documented
+//! exception writes in place: a full re-preprocessing rewrites the
+//! prep-time layout wholesale (mid-prep crash atomicity is out of scope;
+//! the fold-before-rebuild below keeps *chained* state safe across it).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,18 +67,6 @@ use crate::error::EngineResult;
 use crate::maintain::{self, MaintenanceThread, ScrubReport, StoreShared, StoreState};
 use crate::prep::{self, PrepConfig};
 use crate::types::VertexId;
-
-/// How [`DynamicGraph::add_edges`] commits a batch of known-vertex edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateMode {
-    /// Append a delta blob per touched cell and let compaction fold the
-    /// chains — O(batch) write traffic per commit.
-    #[default]
-    DeltaLog,
-    /// Read-merge-rewrite every touched cell whole (the pre-delta-log
-    /// behaviour) — O(touched sub-shard bytes) per commit.
-    Rewrite,
-}
 
 /// Where chain folding runs when the [`DynamicConfig`] thresholds trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,11 +81,9 @@ pub enum Compaction {
     Background,
 }
 
-/// Update-mode and compaction-policy knobs for a [`DynamicGraph`].
+/// Compaction-policy knobs for a [`DynamicGraph`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicConfig {
-    /// How batches are committed.
-    pub mode: UpdateMode,
     /// Fold a cell's chain once it holds this many delta blobs.
     pub max_deltas: u32,
     /// …or once the chain's on-disk delta bytes exceed this fraction of
@@ -124,7 +103,6 @@ impl Default for DynamicConfig {
         // at 2× the base bytes); the count is a cap on merge width, which
         // costs O(parts) per edge on chained reads.
         Self {
-            mode: UpdateMode::DeltaLog,
             max_deltas: 32,
             max_delta_ratio: 1.0,
             compaction: Compaction::Inline,
@@ -134,20 +112,11 @@ impl Default for DynamicConfig {
 }
 
 impl DynamicConfig {
-    /// The pre-delta-log whole-cell rewrite behaviour.
-    pub fn rewrite() -> Self {
-        Self {
-            mode: UpdateMode::Rewrite,
-            ..Self::default()
-        }
-    }
-
     /// Delta logging with automatic compaction disabled — chains only fold
     /// on an explicit [`DynamicGraph::compact`] (tests and benchmarks that
     /// want to observe raw chains).
     pub fn never_compact() -> Self {
         Self {
-            mode: UpdateMode::DeltaLog,
             max_deltas: u32::MAX,
             max_delta_ratio: f64::INFINITY,
             ..Self::default()
@@ -173,12 +142,8 @@ pub struct CommitStats {
     pub edges_added: usize,
     /// Whether the whole graph had to be re-preprocessed (new vertices).
     pub rebuilt: bool,
-    /// Sub-shard cells rewritten whole (forward + reverse counted
-    /// separately); only under [`UpdateMode::Rewrite`], zero when
-    /// `rebuilt`.
-    pub cells_rewritten: usize,
     /// Delta blobs appended (one per touched cell; forward + reverse
-    /// counted separately); only under [`UpdateMode::DeltaLog`].
+    /// counted separately).
     pub deltas_appended: usize,
     /// Cells whose chains this commit folded inline.
     pub cells_compacted: usize,
@@ -278,7 +243,7 @@ impl DynamicGraph {
         &self.graph
     }
 
-    /// The update-mode and compaction configuration.
+    /// The compaction configuration.
     pub fn config(&self) -> &DynamicConfig {
         &self.config
     }
@@ -484,114 +449,53 @@ impl DynamicGraph {
 
         for ((i, j, reverse), extra) in buckets {
             let chain = manifest.chain_info(i, j, reverse)?;
-            match self.config.mode {
-                UpdateMode::DeltaLog => {
-                    let d = SubShard::from_edges(i, j, extra);
-                    let blob = d.encode_with(encoding);
-                    let base_name = GraphManifest::subshard_base_file(i, j, reverse, chain.gen);
-                    // Fold-before-append check, O(1) in the chain length:
-                    // accumulated delta bytes ride in the ChainInfo, and
-                    // the base is stat'ed only when the ratio can trip.
-                    let due = chain.deltas + 1 >= self.config.max_deltas
-                        || (self.config.max_delta_ratio.is_finite()
-                            && (chain.delta_bytes + blob.len() as u64) as f64
-                                > disk.len_of(&base_name)? as f64
-                                    * self.config.max_delta_ratio);
-                    if due && self.config.compaction == Compaction::Inline {
-                        // The chain would cross a threshold: fold it and
-                        // this batch's edges into a fresh base in the same
-                        // commit, instead of appending a delta only to
-                        // read it straight back.
-                        let mut parts =
-                            dsss::load_chain_parts(disk.as_ref(), i, j, reverse, chain)?;
-                        let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
-                        let old_disk = disk.len_of(&base_name)? + chain.delta_bytes;
-                        parts.push(d); // the new batch, already dst-sorted
-                        let merged = dsss::merge_subshards(i, j, &parts);
-                        let blob = merged.encode_with(encoding);
-                        let new_gen = chain.gen + 1;
-                        let name = GraphManifest::subshard_base_file(i, j, reverse, new_gen);
-                        disk.write_all_to(&name, &blob)?;
-                        raw_delta += merged.encoded_len() as i64 - old_raw as i64;
-                        disk_delta += blob.len() as i64 - old_disk as i64;
-                        manifest.set_chain_info(
-                            i,
-                            j,
-                            reverse,
-                            ChainInfo { gen: new_gen, ..ChainInfo::default() },
-                        );
-                        stale.extend(chain_files(i, j, reverse, chain));
-                        stats.cells_compacted += 1;
-                    } else {
-                        // Append one destination-sorted delta blob; the
-                        // base and earlier deltas are not even read. Under
-                        // background compaction a due cell is signalled,
-                        // never folded here — the append commits at append
-                        // cost no matter what the maintenance thread is
-                        // doing.
-                        let name = GraphManifest::subshard_delta_file(
-                            i,
-                            j,
-                            reverse,
-                            chain.gen,
-                            chain.deltas + 1,
-                        );
-                        raw_delta += d.encoded_len() as i64;
-                        disk_delta += blob.len() as i64;
-                        disk.write_all_to(&name, &blob)?;
-                        manifest.set_chain_info(
-                            i,
-                            j,
-                            reverse,
-                            ChainInfo {
-                                gen: chain.gen,
-                                deltas: chain.deltas + 1,
-                                delta_bytes: chain.delta_bytes + blob.len() as u64,
-                            },
-                        );
-                        stats.deltas_appended += 1;
-                        if due {
-                            due_cells.push((i, j, reverse));
-                            stats.cells_signalled += 1;
-                        }
-                    }
-                }
-                UpdateMode::Rewrite => {
-                    // Read-merge-rewrite the whole cell (chain included, so
-                    // mixing modes folds any pending deltas in passing).
-                    let parts = dsss::load_chain_parts(disk.as_ref(), i, j, reverse, chain)?;
-                    let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
-                    let old_disk = chain_len_of(disk.as_ref(), i, j, reverse, chain)?;
-                    let mut edges: Vec<(VertexId, VertexId)> =
-                        parts.iter().flat_map(|p| p.iter_edges()).collect();
-                    edges.extend(extra);
-                    let merged = SubShard::from_edges(i, j, edges);
-                    let blob = merged.encode_with(encoding);
-                    raw_delta += merged.encoded_len() as i64 - old_raw as i64;
-                    disk_delta += blob.len() as i64 - old_disk as i64;
-                    if chain.deltas == 0 {
-                        // Bare base: rewrite in place under its own name,
-                        // exactly like the pre-delta-log path. The name
-                        // keeps its bytes changed underneath it, so the
-                        // verify-once cache must forget it.
-                        let name = GraphManifest::subshard_base_file(i, j, reverse, chain.gen);
-                        disk.write_all_to(&name, &blob)?;
-                        self.graph.checksum_policy().note_invalidated(&name);
-                    } else {
-                        // A chain is folded into the next generation so the
-                        // still-referenced old base is never clobbered.
-                        let new_gen = chain.gen + 1;
-                        let name = GraphManifest::subshard_base_file(i, j, reverse, new_gen);
-                        disk.write_all_to(&name, &blob)?;
-                        manifest.set_chain_info(
-                            i,
-                            j,
-                            reverse,
-                            ChainInfo { gen: new_gen, ..ChainInfo::default() },
-                        );
-                        stale.extend(chain_files(i, j, reverse, chain));
-                    }
-                    stats.cells_rewritten += 1;
+            let d = SubShard::from_edges(i, j, extra);
+            let blob = d.encode_with(encoding);
+            // Fold-before-append check, O(1) in the chain length:
+            // accumulated delta bytes ride in the ChainInfo, and the base
+            // is stat'ed only when the ratio can trip.
+            let base_name = GraphManifest::subshard_base_file(i, j, reverse, chain.gen);
+            let due = chain.deltas + 1 >= self.config.max_deltas
+                || (self.config.max_delta_ratio.is_finite()
+                    && (chain.delta_bytes + blob.len() as u64) as f64
+                        > disk.len_of(&base_name)? as f64 * self.config.max_delta_ratio);
+            if due && self.config.compaction == Compaction::Inline {
+                // The chain would cross a threshold: fold it and this
+                // batch's edges into a fresh base in the same commit,
+                // instead of appending a delta only to read it straight
+                // back.
+                let fold = fold_chain(disk.as_ref(), (i, j, reverse), chain, Some(d), encoding)?;
+                disk.write_all_to(&fold.name, &fold.blob)?;
+                raw_delta += fold.raw_delta;
+                disk_delta += fold.disk_delta;
+                manifest.set_chain_info(i, j, reverse, fold.next);
+                stale.extend(fold.superseded);
+                stats.cells_compacted += 1;
+            } else {
+                // Append one destination-sorted delta blob; the base and
+                // earlier deltas are not even read. Under background
+                // compaction a due cell is signalled, never folded here —
+                // the append commits at append cost no matter what the
+                // maintenance thread is doing.
+                let name =
+                    GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, chain.deltas + 1);
+                raw_delta += d.encoded_len() as i64;
+                disk_delta += blob.len() as i64;
+                disk.write_all_to(&name, &blob)?;
+                manifest.set_chain_info(
+                    i,
+                    j,
+                    reverse,
+                    ChainInfo {
+                        gen: chain.gen,
+                        deltas: chain.deltas + 1,
+                        delta_bytes: chain.delta_bytes + blob.len() as u64,
+                    },
+                );
+                stats.deltas_appended += 1;
+                if due {
+                    due_cells.push((i, j, reverse));
+                    stats.cells_signalled += 1;
                 }
             }
         }
@@ -671,26 +575,12 @@ impl DynamicGraph {
             let (mut raw_delta, mut disk_delta) = (0i64, 0i64);
             let mut stale: Vec<String> = Vec::new();
             for &(i, j, reverse, chain) in &chained {
-                let parts = dsss::load_chain_parts(disk, i, j, reverse, chain)?;
-                let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
-                let old_disk = chain_len_of(disk, i, j, reverse, chain)?;
-                let merged = dsss::merge_subshards(i, j, &parts);
-                let blob = merged.encode_with(encoding);
-                let new_gen = chain.gen + 1;
-                let name = GraphManifest::subshard_base_file(i, j, reverse, new_gen);
-                disk.write_all_to(&name, &blob)?;
-                raw_delta += merged.encoded_len() as i64 - old_raw as i64;
-                disk_delta += blob.len() as i64 - old_disk as i64;
-                manifest.set_chain_info(
-                    i,
-                    j,
-                    reverse,
-                    ChainInfo {
-                        gen: new_gen,
-                        ..ChainInfo::default()
-                    },
-                );
-                stale.extend(chain_files(i, j, reverse, chain));
+                let fold = fold_chain(disk, (i, j, reverse), chain, None, encoding)?;
+                disk.write_all_to(&fold.name, &fold.blob)?;
+                raw_delta += fold.raw_delta;
+                disk_delta += fold.disk_delta;
+                manifest.set_chain_info(i, j, reverse, fold.next);
+                stale.extend(fold.superseded);
             }
             if !chained.is_empty() {
                 apply_byte_totals(&mut manifest, raw_delta, disk_delta);
@@ -884,18 +774,6 @@ impl Drop for DynamicGraph {
     }
 }
 
-/// On-disk bytes a chain currently occupies (base + all deltas).
-fn chain_len_of(
-    disk: &dyn nxgraph_storage::Disk,
-    i: u32,
-    j: u32,
-    reverse: bool,
-    chain: ChainInfo,
-) -> EngineResult<u64> {
-    let base = disk.len_of(&GraphManifest::subshard_base_file(i, j, reverse, chain.gen))?;
-    Ok(base + chain.delta_bytes)
-}
-
 /// Keep the recorded blob-size totals (and hence the reported compression
 /// ratio) in step with what a commit wrote.
 pub(crate) fn apply_byte_totals(manifest: &mut GraphManifest, raw_delta: i64, disk_delta: i64) {
@@ -915,13 +793,62 @@ pub(crate) fn apply_byte_totals(manifest: &mut GraphManifest, raw_delta: i64, di
 /// the next generation (the generation-0 base included: a fold is the
 /// only thing that ever supersedes it, and leaving it would leak the
 /// original cell's bytes forever).
-pub(crate) fn chain_files(i: u32, j: u32, reverse: bool, chain: ChainInfo) -> Vec<String> {
+fn chain_files(i: u32, j: u32, reverse: bool, chain: ChainInfo) -> Vec<String> {
     let mut out = Vec::with_capacity(chain.deltas as usize + 1);
     out.push(GraphManifest::subshard_base_file(i, j, reverse, chain.gen));
     for k in 1..=chain.deltas {
         out.push(GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, k));
     }
     out
+}
+
+/// One cell's chain merged into the blob of its next base generation —
+/// computed by [`fold_chain`], not yet written.
+pub(crate) struct Fold {
+    /// The next generation's base name, where `blob` goes.
+    pub(crate) name: String,
+    pub(crate) blob: Vec<u8>,
+    /// What the fold changes in the manifest's raw and on-disk sub-shard
+    /// byte totals.
+    pub(crate) raw_delta: i64,
+    pub(crate) disk_delta: i64,
+    /// The chain the manifest records once the blob is written.
+    pub(crate) next: ChainInfo,
+    /// Every file the folded chain occupied, swept after the commit.
+    pub(crate) superseded: Vec<String>,
+}
+
+/// The one fold: read a cell's chain (base first, then each delta),
+/// k-way merge it together with `batch` — appended last, already
+/// destination-sorted — and encode the result. Every caller (inline
+/// commit, [`DynamicGraph::compact`], the maintenance thread) keeps only
+/// its own commit protocol around this.
+pub(crate) fn fold_chain(
+    disk: &dyn nxgraph_storage::Disk,
+    (i, j, reverse): (u32, u32, bool),
+    chain: ChainInfo,
+    batch: Option<SubShard>,
+    encoding: nxgraph_storage::EncodingPolicy,
+) -> EngineResult<Fold> {
+    let mut parts = dsss::load_chain_parts(disk, i, j, reverse, chain)?;
+    let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
+    let old_disk = disk.len_of(&GraphManifest::subshard_base_file(i, j, reverse, chain.gen))?
+        + chain.delta_bytes;
+    parts.extend(batch);
+    let merged = dsss::merge_subshards(i, j, &parts);
+    let blob = merged.encode_with(encoding);
+    let next = ChainInfo {
+        gen: chain.gen + 1,
+        ..ChainInfo::default()
+    };
+    Ok(Fold {
+        name: GraphManifest::subshard_base_file(i, j, reverse, next.gen),
+        raw_delta: merged.encoded_len() as i64 - old_raw as i64,
+        disk_delta: blob.len() as i64 - old_disk as i64,
+        blob,
+        next,
+        superseded: chain_files(i, j, reverse, chain),
+    })
 }
 
 /// Parse a generation-tagged chain file name —
@@ -985,7 +912,6 @@ mod tests {
         let stats = dg.add_edges(&extra).unwrap();
         assert!(!stats.rebuilt);
         assert_eq!(stats.edges_added, 2);
-        assert_eq!(stats.cells_rewritten, 0);
         assert!(stats.deltas_appended > 0);
         assert_eq!(dg.graph().num_edges(), 6);
         // The chain is visible in the manifest until compaction.
@@ -1052,25 +978,6 @@ mod tests {
             "compact wrote {wrote} B for {chained} folds \
              (bases {bases} B, manifest {manifest_len} B): more than one manifest save?"
         );
-        assert_equivalent(&dg, &full);
-    }
-
-    #[test]
-    fn rewrite_mode_commit_for_known_vertices() {
-        let base: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 3), (3, 0)];
-        let mut dg =
-            DynamicGraph::with_config(prepare(&base), DynamicConfig::rewrite()).unwrap();
-        let extra = vec![(0u64, 2u64), (3, 1)];
-        let stats = dg.add_edges(&extra).unwrap();
-        assert!(!stats.rebuilt);
-        assert_eq!(stats.edges_added, 2);
-        assert!(stats.cells_rewritten > 0);
-        assert_eq!(stats.deltas_appended, 0);
-        assert_eq!(dg.graph().num_edges(), 6);
-        assert!(dg.graph().manifest().chains().unwrap().is_empty());
-
-        let mut full = base.clone();
-        full.extend(extra);
         assert_equivalent(&dg, &full);
     }
 
@@ -1248,7 +1155,6 @@ mod tests {
         for config in [
             DynamicConfig::never_compact(),
             DynamicConfig::default(),
-            DynamicConfig::rewrite(),
             DynamicConfig::background(),
         ] {
             let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
@@ -1371,6 +1277,46 @@ mod tests {
         let (a, _) = algo::pagerank(&reopened, 6, &cfg).unwrap();
         let (b, _) = algo::pagerank(&prepare(&base), 6, &cfg).unwrap();
         assert_eq!(a, b);
+
+        // Mid-stream: a budget of half the bytes an unbudgeted replay
+        // writes lets the first commits land and aborts the rest.
+        let base: Vec<(u64, u64)> = (0..200u64).map(|k| (k % 9, (k + 1) % 9)).collect();
+        let stream: Vec<Vec<(u64, u64)>> = (0..16u64)
+            .map(|k| vec![(k % 9, (k * 4 + 2) % 9), ((k + 5) % 9, k % 9)])
+            .collect();
+        let replay = |budget: Option<u64>| {
+            let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
+            prep::preprocess(&base, &PrepConfig::new("dyn", 3), Arc::clone(&mem)).unwrap();
+            let plan =
+                budget.map_or_else(FaultPlan::new, |b| FaultPlan::new().with_enospc_after(b));
+            let disk: Arc<dyn Disk> = Arc::new(FaultDisk::new(Arc::clone(&mem), plan));
+            let before = disk.counters().written_bytes();
+            let mut dg =
+                DynamicGraph::new(PreparedGraph::open(Arc::clone(&disk)).unwrap()).unwrap();
+            let mut applied = base.clone();
+            let mut commits = 0u64;
+            for batch in &stream {
+                if dg.add_edges(batch).is_ok() {
+                    commits += 1;
+                    applied.extend(batch);
+                }
+            }
+            let aborted = dg.commit_aborts();
+            drop(dg);
+            let written = disk.counters().written_bytes() - before;
+            (mem, written, applied, commits, aborted)
+        };
+        let (_, unbudgeted, ..) = replay(None);
+        let (mem, _, applied, commits, aborted) = replay(Some(unbudgeted / 2));
+        assert!(commits >= 1, "a half budget must land some commits");
+        assert!(aborted >= 1, "a half budget must abort some commits");
+        assert_eq!(commits + aborted, stream.len() as u64);
+        // Reopened through the raw disk, the store is exactly the applied
+        // prefix: aborted attempts left only unreferenced blobs.
+        let reopened = PreparedGraph::open(mem).unwrap();
+        let (a, _) = algo::pagerank(&reopened, 6, &cfg).unwrap();
+        let (b, _) = algo::pagerank(&prepare(&applied), 6, &cfg).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1438,24 +1384,40 @@ mod tests {
     }
 
     #[test]
-    fn delta_log_writes_less_than_rewrite() {
+    fn delta_log_commit_writes_o_batch_bytes() {
         // The whole point: committing a small batch must cost O(batch)
         // writes, not O(touched sub-shards).
         let base: Vec<(u64, u64)> = (0..4000u64).map(|k| (k % 61, (k * 7 + 1) % 61)).collect();
         let batch: Vec<(u64, u64)> = (0..10u64).map(|k| (k % 61, (k + 13) % 61)).collect();
-        let written = |config: DynamicConfig| {
-            let g = prepare(&base);
-            let disk = Arc::clone(g.disk());
-            let mut dg = DynamicGraph::with_config(g, config).unwrap();
-            let before = disk.counters().written_bytes();
-            dg.add_edges(&batch).unwrap();
-            disk.counters().written_bytes() - before
-        };
-        let delta = written(DynamicConfig::never_compact());
-        let rewrite = written(DynamicConfig::rewrite());
+        let g = prepare(&base);
+        let disk = Arc::clone(g.disk());
+        let mut dg = DynamicGraph::with_config(g, DynamicConfig::never_compact()).unwrap();
+        let p = dg.graph().num_intervals();
+        let mut cell_len = BTreeMap::new();
+        for i in 0..p {
+            for j in 0..p {
+                for reverse in [false, true] {
+                    let len = dg.graph().subshard_len(i, j, reverse).unwrap();
+                    cell_len.insert((i, j, reverse), len);
+                }
+            }
+        }
+        let before = disk.counters().written_bytes();
+        dg.add_edges(&batch).unwrap();
+        let written = disk.counters().written_bytes() - before;
+        // The cells the batch touched are exactly the ones now chained;
+        // rewriting them whole would write their summed bytes.
+        let touched: u64 = dg
+            .graph()
+            .manifest()
+            .chains()
+            .unwrap()
+            .into_iter()
+            .map(|(i, j, reverse, _)| cell_len[&(i, j, reverse)])
+            .sum();
         assert!(
-            delta * 2 < rewrite,
-            "delta log wrote {delta} bytes, rewrite {rewrite}"
+            written * 2 < touched,
+            "commit wrote {written} bytes; the touched cells hold {touched}"
         );
     }
 }

@@ -47,7 +47,7 @@ pub mod serve;
 pub mod types;
 
 pub use dsss::PreparedGraph;
-pub use dynamic::{CommitStats, CompactReport, Compaction, DynamicConfig, DynamicGraph, UpdateMode};
+pub use dynamic::{CommitStats, CompactReport, Compaction, DynamicConfig, DynamicGraph};
 pub use engine::{EngineConfig, RunStats, Strategy, SyncMode};
 pub use error::{EngineError, EngineResult};
 pub use maintain::{MaintStats, MaintenanceThread, ScrubReport};

@@ -18,7 +18,8 @@
 //! fold/scrub pass but takes `state` only for snapshots and the final
 //! commit — the expensive merge runs with *no* lock held, so an append is
 //! never blocked behind a fold. If an append lands between a fold's
-//! snapshot and its commit, the fold detects the changed [`ChainInfo`],
+//! snapshot and its commit, the fold detects the changed
+//! [`ChainInfo`](nxgraph_storage::manifest::ChainInfo),
 //! discards its output and retries. The owner quiesces maintenance
 //! entirely (rebuilds, explicit compaction) by holding `gate`.
 //!
@@ -57,12 +58,12 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use nxgraph_storage::format::{self, Encoding, FileKind};
-use nxgraph_storage::manifest::{ChainInfo, MANIFEST_FILE, MANIFEST_TMP_FILE};
+use nxgraph_storage::manifest::{MANIFEST_FILE, MANIFEST_TMP_FILE};
 use nxgraph_storage::{
     ChecksumPolicy, Disk, EncodingPolicy, GraphManifest, RetryPolicy, StorageError,
 };
 
-use crate::dsss::{self, SubShard};
+use crate::dsss::SubShard;
 use crate::error::{EngineError, EngineResult};
 
 /// Name prefix under which the scrubber parks corrupt referenced blobs.
@@ -575,60 +576,37 @@ pub(crate) fn fold_cell(
         // Merge with no lock held. A concurrent owner-side fold (explicit
         // compact) may sweep these files under us — treat NotFound as a
         // race, not corruption.
-        let base_name = GraphManifest::subshard_base_file(i, j, reverse, chain.gen);
-        let loaded = (|| -> EngineResult<(Vec<SubShard>, u64)> {
-            let parts = dsss::load_chain_parts(disk, i, j, reverse, chain)?;
-            let old_disk = disk.len_of(&base_name)? + chain.delta_bytes;
-            Ok((parts, old_disk))
-        })();
-        let (parts, old_disk) = match loaded {
-            Ok(x) => x,
+        let fold = match crate::dynamic::fold_chain(disk, (i, j, reverse), chain, None, encoding) {
+            Ok(fold) => fold,
             Err(EngineError::Storage(StorageError::NotFound(_))) => {
                 races += 1;
                 continue;
             }
             Err(e) => return Err(e),
         };
-        let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
-        let merged = dsss::merge_subshards(i, j, &parts);
-        let blob = merged.encode_with(encoding);
         // Fire once per fold job: a retry after a lost race must not park
         // again, or a reusable barrier on the other side would deadlock.
         if let Some(hook) = pause.take() {
             hook();
         }
-        let new_gen = chain.gen + 1;
-        let new_name = GraphManifest::subshard_base_file(i, j, reverse, new_gen);
-        disk.write_all_to(&new_name, &blob)?;
+        disk.write_all_to(&fold.name, &fold.blob)?;
         let mut st = shared.state.lock();
         if st.manifest.chain_info(i, j, reverse)? != chain {
             // An append (or owner fold) committed since the snapshot; the
             // merge is stale. Discard and retry from the new chain state.
             drop(st);
-            let _ = disk.remove(&new_name);
-            checksums.note_invalidated(&new_name);
+            let _ = disk.remove(&fold.name);
+            checksums.note_invalidated(&fold.name);
             races += 1;
             continue;
         }
         let mut manifest = st.manifest.clone();
-        manifest.set_chain_info(
-            i,
-            j,
-            reverse,
-            ChainInfo {
-                gen: new_gen,
-                ..ChainInfo::default()
-            },
-        );
-        crate::dynamic::apply_byte_totals(
-            &mut manifest,
-            merged.encoded_len() as i64 - old_raw as i64,
-            blob.len() as i64 - old_disk as i64,
-        );
+        manifest.set_chain_info(i, j, reverse, fold.next);
+        crate::dynamic::apply_byte_totals(&mut manifest, fold.raw_delta, fold.disk_delta);
         manifest.save(disk)?;
         st.manifest = manifest;
         st.epoch += 1;
-        st.queue_superseded(crate::dynamic::chain_files(i, j, reverse, chain));
+        st.queue_superseded(fold.superseded);
         return Ok(FoldOutcome {
             folded: true,
             races,

@@ -21,12 +21,10 @@
 //! strategy selection (SPU/DPU/MPU) sees exactly the bytes the query was
 //! granted.
 //!
-//! The service requires [`UpdateMode::DeltaLog`]: rewrite-mode commits
-//! clobber chainless generation-0 bases *in place*, which no pin can
-//! protect against. Full rebuilds (batches introducing new vertices)
-//! remain possible but exclusive — they wait for every live snapshot to
-//! drop (`StoreShared::begin_exclusive`) before rewriting prep-time
-//! names.
+//! Full rebuilds (batches introducing new vertices) are the one commit
+//! that rewrites files in place, so they are exclusive — they wait for
+//! every live snapshot to drop (`StoreShared::begin_exclusive`) before
+//! rewriting prep-time names.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,7 +33,7 @@ use nxgraph_storage::{BufferPool, MemoryBudget, StorageError};
 
 use crate::algo::{self, PersonalizedPageRank, Sssp};
 use crate::dsss::{PreparedGraph, ScratchTag};
-use crate::dynamic::{CommitStats, DynamicGraph, UpdateMode};
+use crate::dynamic::{CommitStats, DynamicGraph};
 use crate::engine::{self, EngineConfig, Strategy};
 use crate::error::{EngineError, EngineResult};
 use crate::maintain::StoreShared;
@@ -350,18 +348,7 @@ pub struct GraphService {
 
 impl GraphService {
     /// Serve `graph` under `config`.
-    ///
-    /// Fails with [`EngineError::Invalid`] when the graph commits in
-    /// [`UpdateMode::Rewrite`] — rewrite clobbers generation-0 bases in
-    /// place, which breaks every pinned reader by construction.
     pub fn new(graph: DynamicGraph, config: ServeConfig) -> EngineResult<Self> {
-        if graph.config().mode == UpdateMode::Rewrite {
-            return Err(EngineError::Invalid(
-                "serving requires delta-log mode: rewrite commits replace \
-                 generation-0 blobs in place, defeating snapshot pins"
-                    .into(),
-            ));
-        }
         let shared = Arc::clone(graph.shared());
         let budget = Arc::new(MemoryBudget::new(config.total_budget));
         Ok(Self {
@@ -596,7 +583,6 @@ fn top_k(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::DynamicConfig;
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
 
@@ -609,18 +595,6 @@ mod tests {
         let g = preprocess(&edges, &PrepConfig::new("fig1", 4), disk).unwrap();
         let dg = DynamicGraph::new(g).unwrap();
         GraphService::new(dg, cfg).unwrap()
-    }
-
-    #[test]
-    fn rewrite_mode_is_rejected() {
-        let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-        let edges: Vec<(u64, u64)> = crate::fig1_example_edges()
-            .into_iter()
-            .map(|(s, d)| (s as u64, d as u64))
-            .collect();
-        let g = preprocess(&edges, &PrepConfig::new("fig1", 4), disk).unwrap();
-        let dg = DynamicGraph::with_config(g, DynamicConfig::rewrite()).unwrap();
-        assert!(GraphService::new(dg, ServeConfig::default()).is_err());
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! NXgraph paper's stated future work: "support dynamic change on graph
 //! structure").
 //!
-//! Simulates a social network receiving follow events in batches, twice
-//! over: once through the legacy whole-cell **rewrite** path and once
-//! through the **delta log** (the default), counting disk write bytes for
-//! both. Follows between existing users commit incrementally — the delta
-//! log appends one small blob per touched sub-shard instead of rewriting
-//! it, and periodic compaction folds the chains. Day 4 brings brand-new
-//! users, whose dense ids don't exist yet: both modes must fall back to a
-//! full re-preprocessing, which the commit stats report.
+//! Simulates a social network receiving follow events in batches through
+//! the **delta log**, counting disk write bytes per day. Follows between
+//! existing users commit incrementally — one small blob appended per
+//! touched sub-shard instead of rewriting it, and periodic compaction
+//! folds the chains. Day 4 brings brand-new users, whose dense ids don't
+//! exist yet: the commit falls back to a full re-preprocessing, which the
+//! commit stats report. The final ranks must equal a from-scratch
+//! preparation of base ∪ stream, bit for bit.
 //!
 //! ```sh
 //! cargo run --release --example streaming_updates
@@ -50,8 +50,6 @@ fn event_stream(known: &[u64], id_space: u64) -> Vec<Vec<(u64, u64)>> {
 fn describe(stats: &CommitStats) -> String {
     if stats.rebuilt {
         "full rebuild — new users appeared".to_string()
-    } else if stats.cells_rewritten > 0 {
-        format!("incremental, {} sub-shards rewritten", stats.cells_rewritten)
     } else {
         format!(
             "incremental, {} deltas appended, {} chains folded",
@@ -60,24 +58,25 @@ fn describe(stats: &CommitStats) -> String {
     }
 }
 
-/// Replay the stream under one commit mode; returns total write bytes and
-/// the final PageRank bits.
-fn replay(
-    raw: &[(u64, u64)],
-    stream: &[Vec<(u64, u64)>],
-    config: DynamicConfig,
-    label: &str,
-) -> Result<(u64, Vec<u64>), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Day 0: an initial snapshot.
+    let base = rmat::generate(&RmatConfig::graph500(12, 8, 1));
+    let raw: Vec<(u64, u64)> = base.iter().map(|e| (e.src, e.dst)).collect();
+    let mut known: Vec<u64> = raw.iter().flat_map(|&(s, d)| [s, d]).collect();
+    known.sort_unstable();
+    known.dedup();
+    let stream = event_stream(&known, 1u64 << 12);
+
     let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let graph = preprocess(raw, &PrepConfig::new("stream", 12), Arc::clone(&disk))?;
+    let prep = PrepConfig::new("stream", 12);
+    let graph = preprocess(&raw, &prep, Arc::clone(&disk))?;
     println!(
-        "[{label}] day 0: {} users, {} follows",
+        "day 0: {} users, {} follows",
         graph.num_vertices(),
         graph.num_edges()
     );
-    let mut dynamic = DynamicGraph::with_config(graph, config)?;
+    let mut dynamic = DynamicGraph::with_config(graph, DynamicConfig::default())?;
     let cfg = EngineConfig::default();
-    let write_base = disk.counters().written_bytes();
     for (day, batch) in stream.iter().enumerate() {
         let before = disk.counters().written_bytes();
         let stats = dynamic.add_edges(batch)?;
@@ -90,7 +89,7 @@ fn replay(
             .map(|(v, r)| (v, *r))
             .unwrap();
         println!(
-            "[{label}] day {}: +{} edges ({}), wrote {wrote} B; now {} users / {} edges; pagerank in {:?}, top vertex {} at {:.5}",
+            "day {}: +{} edges ({}), wrote {wrote} B; now {} users / {} edges; pagerank in {:?}, top vertex {} at {:.5}",
             day + 1,
             stats.edges_added,
             describe(&stats),
@@ -101,38 +100,20 @@ fn replay(
             top.1,
         );
     }
-    let written = disk.counters().written_bytes() - write_base;
-    let (ranks, _) = algo::pagerank(dynamic.graph(), 5, &cfg)?;
-    Ok((written, ranks.into_iter().map(f64::to_bits).collect()))
-}
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Day 0: an initial snapshot.
-    let base = rmat::generate(&RmatConfig::graph500(12, 8, 1));
-    let raw: Vec<(u64, u64)> = base.iter().map(|e| (e.src, e.dst)).collect();
-    let mut known: Vec<u64> = raw.iter().flat_map(|&(s, d)| [s, d]).collect();
-    known.sort_unstable();
-    known.dedup();
-    let stream = event_stream(&known, 1u64 << 12);
-
-    let (rewrite_bytes, rewrite_ranks) =
-        replay(&raw, &stream, DynamicConfig::rewrite(), "rewrite")?;
-    let (delta_bytes, delta_ranks) =
-        replay(&raw, &stream, DynamicConfig::default(), "delta-log")?;
-
-    println!(
-        "\nstream write traffic: rewrite {rewrite_bytes} B, delta log {delta_bytes} B ({:.1}x less)",
-        rewrite_bytes as f64 / delta_bytes.max(1) as f64
-    );
-    // The log must actually be cheaper, and both paths must agree bit for
-    // bit — these double as runnable assertions when CI executes examples.
-    assert!(
-        delta_bytes < rewrite_bytes,
-        "delta log wrote {delta_bytes} B, rewrite {rewrite_bytes} B"
-    );
+    // The streamed graph must rank exactly like a one-shot preparation of
+    // the same edges — a runnable assertion, since CI executes this example.
+    let mut full = raw;
+    full.extend(stream.iter().flatten());
+    let fresh = preprocess(&full, &prep, Arc::new(MemDisk::new()))?;
+    let bits = |ranks: Vec<f64>| ranks.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let (streamed, _) = algo::pagerank(dynamic.graph(), 5, &cfg)?;
+    let (oneshot, _) = algo::pagerank(&fresh, 5, &cfg)?;
     assert_eq!(
-        delta_ranks, rewrite_ranks,
-        "commit modes must produce identical PageRank"
+        bits(streamed),
+        bits(oneshot),
+        "streamed updates must rank like a fresh preparation"
     );
+    println!("final ranks bitwise-identical to a fresh preparation of base + stream");
     Ok(())
 }

@@ -1,24 +1,18 @@
-//! Schema guard for the committed benchmark baselines.
+//! Schema guard for the committed benchmark baseline.
 //!
 //! `BENCH_pagerank.json` is regenerated by `nxbench perf --json` and
-//! `BENCH_updates.json` by `nxbench updates --json --background`; both are
-//! diffed across PRs, and these checks fail CI if a regeneration (or a
-//! manual edit) drops the fields the trajectory tooling keys on — most
+//! diffed across PRs; these checks fail CI if a regeneration (or a manual
+//! edit) drops the fields the trajectory tooling keys on — most
 //! importantly the schema-v4 per-row `threads` (without it a committed
 //! "1" is ambiguous between a 1-core host and a configured single-thread
-//! run), the thread-scaling section, and the schema-v2 per-mode
-//! `add_edges` latency percentiles.
+//! run) and the thread-scaling section.
 
 use std::path::Path;
 
-fn committed(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+fn committed_bench() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_pagerank.json");
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("committed {} must exist: {e}", path.display()))
-}
-
-fn committed_bench() -> String {
-    committed("BENCH_pagerank.json")
 }
 
 #[test]
@@ -95,87 +89,4 @@ fn committed_baseline_carries_the_scaling_section() {
         json.contains("\"bitwise_identical\": true"),
         "committed baseline must come from a run whose determinism matrix held"
     );
-}
-
-#[test]
-fn committed_updates_baseline_is_schema_v3_with_latency_rows() {
-    let json = committed("BENCH_updates.json");
-    assert!(
-        json.contains("\"schema_version\": 3"),
-        "BENCH_updates.json must be regenerated with the v3 schema (nxbench updates --json --background)"
-    );
-    // One row per commit mode, background included.
-    for mode in ["delta", "rewrite", "background"] {
-        assert!(
-            json.contains(&format!("\"mode\": \"{mode}\"")),
-            "BENCH_updates.json lost its {mode} mode row"
-        );
-    }
-    let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"mode\":")).collect();
-    assert_eq!(rows.len(), 3);
-    for row in rows {
-        assert!(
-            row.contains("\"add_latency_p50_us\":") && row.contains("\"add_latency_p99_us\":"),
-            "mode row omits add_edges latency percentiles: {row}"
-        );
-    }
-    assert!(
-        json.contains("\"identical_to_fresh_prep\": true"),
-        "committed baseline must come from a bitwise-identical run"
-    );
-    // v3: the ENOSPC degradation pass — commits past an injected write
-    // budget abort cleanly and the surviving prefix stays bit-identical.
-    assert!(
-        json.contains("\"enospc\": {") && json.contains("\"commits_aborted\":"),
-        "BENCH_updates.json lost its ENOSPC degradation section"
-    );
-    assert!(
-        json.contains("\"post_abort_identical\": true"),
-        "committed baseline must come from a run whose aborted commits never tore the store"
-    );
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
-}
-
-#[test]
-fn committed_serve_baseline_is_schema_v1_with_zero_errors() {
-    let json = committed("BENCH_serve.json");
-    assert!(
-        json.contains("\"bench\": \"serve\"") && json.contains("\"schema_version\": 1"),
-        "BENCH_serve.json must be regenerated with the v1 schema (nxbench serve --json)"
-    );
-    for key in [
-        "\"queries_per_sec\":",
-        "\"latency_p50_us\":",
-        "\"latency_p99_us\":",
-        "\"admitted\":",
-        "\"max_snapshot_lag\":",
-    ] {
-        assert!(json.contains(key), "BENCH_serve.json lost {key}");
-    }
-    assert!(
-        json.contains("\"rejections\": {") && json.contains("\"busy\":"),
-        "BENCH_serve.json lost its typed admission-rejection breakdown"
-    );
-    assert!(
-        json.contains("\"errors\": 0"),
-        "committed baseline must come from a zero-query-error serve stream"
-    );
-    // The burst fires against a service whose slots are all held, so the
-    // committed baseline must show every arrival rejected — admission
-    // control rejects rather than queueing.
-    assert!(
-        json.contains("\"burst\": {\"arrivals\": 12, \"rejected\": 12}"),
-        "committed baseline must show the saturated burst fully rejected"
-    );
-    assert!(
-        json.contains("\"snapshot_isolated\": true"),
-        "committed baseline must come from a run whose pinned snapshot stayed bitwise-identical"
-    );
-    assert!(
-        json.contains("\"sweeps_drained\": true"),
-        "committed baseline must show the sweep queue drained once the last pin dropped"
-    );
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
 }
