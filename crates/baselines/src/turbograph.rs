@@ -17,9 +17,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use nxgraph_core::dsss::PreparedGraph;
+use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
 use nxgraph_core::engine::{AccBuf, finalize_interval};
 use nxgraph_core::error::EngineResult;
 use nxgraph_core::program::VertexProgram;
@@ -33,8 +32,6 @@ pub struct TurboGraphConfig {
     pub threads: usize,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// Fine-grained chunk size (edges per task).
-    pub edges_per_task: usize,
 }
 
 impl Default for TurboGraphConfig {
@@ -42,7 +39,6 @@ impl Default for TurboGraphConfig {
         Self {
             threads: 4,
             max_iterations: 50,
-            edges_per_task: 8192,
         }
     }
 }
@@ -86,7 +82,7 @@ pub fn run<P: VertexProgram>(
             } else {
                 r_j.clone().map(|v| prog.init(v)).collect()
             };
-            let mut buf: Mutex<AccBuf<P>> = Mutex::new(AccBuf::new(prog, r_j.start, len));
+            let mut buf: AccBuf<P> = AccBuf::new(prog, r_j.start, len);
             for i in 0..p {
                 // The slide: every source interval is re-read from disk for
                 // every pinned destination — the n·P·Ba term.
@@ -94,18 +90,17 @@ pub fn run<P: VertexProgram>(
                 let r_i = g.interval_range(i);
                 let ss = Arc::new(g.load_subshard_view(i, j, false)?);
                 edges_traversed += ss.num_edges() as u64;
-                nxgraph_core::engine::kernel::absorb_single(
+                absorb(
                     prog,
-                    &ss,
+                    [(&ss, &mut buf)],
                     &src_vals,
                     r_i.start,
-                    buf.get_mut(),
                     cfg.threads,
-                    cfg.edges_per_task,
+                    EDGES_PER_TASK,
                 );
             }
             let mut new_vals = old.clone();
-            let ch = finalize_interval(prog, buf.get_mut(), &old, &mut new_vals);
+            let ch = finalize_interval(prog, &buf, &old, &mut new_vals);
             any_changed |= ch;
             staged.push(new_vals);
         }

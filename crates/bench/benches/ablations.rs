@@ -4,7 +4,8 @@
 //!   the §III-A claim that sorting sources within a destination improves
 //!   cache behaviour of the source-interval reads.
 //! * **task granularity** — edges-per-task sweep for the fine-grained
-//!   kernel ("several thousands of edges", §III-D).
+//!   kernel ("several thousands of edges", §III-D), ending at one task per
+//!   whole sub-shard: the granularity of the paper's interval-lock flavour.
 //! * **hub indirection** — direct in-memory accumulation vs the
 //!   compact→write→read→merge hub path (the DPU overhead SPU avoids).
 
@@ -15,7 +16,7 @@ use std::hint::black_box;
 
 use nxgraph_core::algo::pagerank::PageRank;
 use nxgraph_core::dsss::{SubShard, SubShardView};
-use nxgraph_core::engine::kernel::absorb_single;
+use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::prep;
 use nxgraph_core::prep::PrepConfig;
@@ -74,7 +75,7 @@ fn bench_edge_ordering(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb_single(&prog, ss, &vals, 0, &mut buf, 4, 8192);
+                absorb(&prog, [(ss, &mut buf)], &vals, 0, 4, EDGES_PER_TASK);
                 black_box(buf.acc[0]);
             })
         });
@@ -89,11 +90,12 @@ fn bench_task_granularity(c: &mut Criterion) {
     let ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges)));
 
     let mut group = c.benchmark_group("edges_per_task");
-    for ept in [256usize, 1024, 8192, 65536] {
-        group.bench_function(format!("ept_{ept}"), |b| {
+    let sweep = [256usize, 1024, 8192, 65536].map(|ept| (format!("ept_{ept}"), ept));
+    for (name, ept) in sweep.into_iter().chain([("whole_subshard".into(), usize::MAX)]) {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb_single(&prog, &ss, &vals, 0, &mut buf, 8, ept);
+                absorb(&prog, [(&ss, &mut buf)], &vals, 0, 8, ept);
                 black_box(buf.acc[0]);
             })
         });

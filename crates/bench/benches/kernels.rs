@@ -16,7 +16,7 @@ use std::hint::black_box;
 use nxgraph_baselines::common::coarse_absorb;
 use nxgraph_core::algo::pagerank::PageRank;
 use nxgraph_core::dsss::{SubShard, SubShardView};
-use nxgraph_core::engine::kernel::absorb_single;
+use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::parallel::run_tasks;
 use nxgraph_core::program::VertexProgram;
@@ -90,7 +90,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("dst_sorted_fine_grained", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-            absorb_single(&prog, &ss, &vals, 0, &mut buf, threads, 8192);
+            absorb(&prog, [(&ss, &mut buf)], &vals, 0, threads, EDGES_PER_TASK);
             black_box(buf.acc[0]);
         })
     });
@@ -135,14 +135,14 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("scalar", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<ScalarPageRank>::new(&scalar_prog, 0, dn as usize);
-            absorb_single(&scalar_prog, &dense_ss, &dense_vals, 0, &mut buf, 1, usize::MAX);
+            absorb(&scalar_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
     group.bench_function("unrolled4", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&dense_prog, 0, dn as usize);
-            absorb_single(&dense_prog, &dense_ss, &dense_vals, 0, &mut buf, 1, usize::MAX);
+            absorb(&dense_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
@@ -150,7 +150,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("hub");
     let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-    absorb_single(&prog, &ss, &vals, 0, &mut buf, threads, 8192);
+    absorb(&prog, [(&ss, &mut buf)], &vals, 0, threads, EDGES_PER_TASK);
     group.bench_function("compact", |b| {
         b.iter(|| black_box(buf.compact()))
     });

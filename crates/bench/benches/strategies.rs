@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use nxgraph_core::algo;
-use nxgraph_core::engine::{EngineConfig, Strategy, SyncMode};
+use nxgraph_core::engine::{EngineConfig, Strategy};
 use nxgraph_core::prep::{preprocess, PrepConfig};
 use nxgraph_core::PreparedGraph;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
@@ -44,12 +44,6 @@ fn bench_strategies(c: &mut Criterion) {
             EngineConfig::default()
                 .with_strategy(Strategy::Mpu)
                 .with_budget(mpu_budget),
-        ),
-        (
-            "spu_lock",
-            EngineConfig::default()
-                .with_strategy(Strategy::Spu)
-                .with_sync(SyncMode::Lock),
         ),
     ] {
         let cfg = cfg.with_threads(4);

@@ -1,6 +1,6 @@
 //! Exp 4 / Fig 9 — elapsed time vs memory budget for 10-iteration
-//! PageRank on the three graphs; NXgraph (callback & lock) vs
-//! GraphChi-like vs TurboGraph-like.
+//! PageRank on the three graphs; NXgraph vs GraphChi-like vs
+//! TurboGraph-like.
 //!
 //! The budget knob is modelled explicitly (DESIGN.md §2): it selects
 //! SPU/MPU/DPU and the shard cache, and the modeled-SSD column converts
@@ -15,7 +15,6 @@ use nxgraph_baselines::turbograph::{self, TurboGraphConfig};
 use nxgraph_bench::report::Table;
 use nxgraph_bench::workloads::prepare_mem;
 use nxgraph_core::algo::{self, pagerank::PageRank};
-use nxgraph_core::engine::SyncMode;
 use nxgraph_storage::DeviceProfile;
 
 use crate::exps::{modeled_secs, nx_cfg, real_world};
@@ -30,26 +29,14 @@ pub fn run(opts: &Opts) -> bool {
         let full = 2 * n * 8 + 4 * n + g.total_subshard_bytes().expect("sizes");
         let mut t = Table::new(
             format!("Fig 9 — PageRank on {} vs memory budget (modeled SSD seconds)", d.name),
-            &[
-                "budget frac",
-                "nxgraph-callback",
-                "nxgraph-lock",
-                "graphchi-like",
-                "turbograph-like",
-            ],
+            &["budget frac", "nxgraph", "graphchi-like", "turbograph-like"],
         );
         let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
         let gc = GraphChiEngine::prepare(&g).expect("gc prep");
         for frac in [0.2f64, 0.4, 0.6, 0.8, 1.0] {
             let budget = (full as f64 * frac) as u64;
             let base = nx_cfg(opts).with_budget(budget);
-            let (_, cb) = algo::pagerank(&g, opts.iters, &base).expect("cb");
-            let (_, lk) = algo::pagerank(
-                &g,
-                opts.iters,
-                &base.clone().with_sync(SyncMode::Lock),
-            )
-            .expect("lk");
+            let (_, nx) = algo::pagerank(&g, opts.iters, &base).expect("nx");
 
             let (_, gcs) = gc
                 .run(
@@ -66,15 +53,13 @@ pub fn run(opts: &Opts) -> bool {
                 &TurboGraphConfig {
                     threads: opts.threads,
                     max_iterations: opts.iters,
-                    ..Default::default()
                 },
             )
             .expect("tg run");
 
             t.row(vec![
                 format!("{frac:.1}"),
-                format!("{:.3}", modeled_secs(cb.elapsed, &cb.io, &ssd)),
-                format!("{:.3}", modeled_secs(lk.elapsed, &lk.io, &ssd)),
+                format!("{:.3}", modeled_secs(nx.elapsed, &nx.io, &ssd)),
                 format!("{:.3}", modeled_secs(gcs.elapsed, &gcs.io, &ssd)),
                 format!("{:.3}", modeled_secs(tgs.elapsed, &tgs.io, &ssd)),
             ]);

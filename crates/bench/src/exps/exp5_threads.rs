@@ -8,7 +8,6 @@ use nxgraph_baselines::turbograph::{self, TurboGraphConfig};
 use nxgraph_bench::report::{fmt_secs, Table};
 use nxgraph_bench::workloads::prepare_mem;
 use nxgraph_core::algo::{self, pagerank::PageRank};
-use nxgraph_core::engine::SyncMode;
 
 use crate::exps::{nx_cfg, real_world};
 use crate::Opts;
@@ -20,20 +19,11 @@ pub fn run(opts: &Opts) -> bool {
         let gc = GraphChiEngine::prepare(&g).expect("gc prep");
         let mut t = Table::new(
             format!("Fig 10 — PageRank on {} vs thread count (wall seconds)", d.name),
-            &[
-                "threads",
-                "nxgraph-callback",
-                "nxgraph-lock",
-                "graphchi-like",
-                "turbograph-like",
-            ],
+            &["threads", "nxgraph", "graphchi-like", "turbograph-like"],
         );
         for threads in [1usize, 2, 4, 6, 8, 12] {
             let base = nx_cfg(opts).with_threads(threads);
-            let (_, cb) = algo::pagerank(&g, opts.iters, &base).expect("cb");
-            let (_, lk) =
-                algo::pagerank(&g, opts.iters, &base.clone().with_sync(SyncMode::Lock))
-                    .expect("lk");
+            let (_, nx) = algo::pagerank(&g, opts.iters, &base).expect("nx");
             let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
             let (_, gcs) = gc
                 .run(
@@ -50,14 +40,12 @@ pub fn run(opts: &Opts) -> bool {
                 &TurboGraphConfig {
                     threads,
                     max_iterations: opts.iters,
-                    ..Default::default()
                 },
             )
             .expect("tg run");
             t.row(vec![
                 threads.to_string(),
-                fmt_secs(cb.elapsed),
-                fmt_secs(lk.elapsed),
+                fmt_secs(nx.elapsed),
                 fmt_secs(gcs.elapsed),
                 fmt_secs(tgs.elapsed),
             ]);

@@ -8,7 +8,6 @@ use nxgraph_baselines::turbograph::{self, TurboGraphConfig};
 use nxgraph_bench::report::Table;
 use nxgraph_bench::workloads::prepare_mem;
 use nxgraph_core::algo::{self, pagerank::PageRank};
-use nxgraph_core::engine::SyncMode;
 use nxgraph_graphgen::datasets;
 
 use crate::exps::nx_cfg;
@@ -22,8 +21,7 @@ pub fn run(opts: &Opts) -> bool {
         "Fig 11 — scalability in MTEPS (10-iter PageRank on mesh graphs)",
         &[
             "vertices (×2^20 in paper; here 2^scale)",
-            "nxgraph-callback",
-            "nxgraph-lock",
+            "nxgraph",
             "graphchi-like",
             "turbograph-like",
         ],
@@ -32,9 +30,7 @@ pub fn run(opts: &Opts) -> bool {
         let d = datasets::delaunay_like(scale);
         let g = prepare_mem(&d, 12, false);
         let cfg = nx_cfg(opts);
-        let (_, cb) = algo::pagerank(&g, opts.iters, &cfg).expect("cb");
-        let (_, lk) =
-            algo::pagerank(&g, opts.iters, &cfg.clone().with_sync(SyncMode::Lock)).expect("lk");
+        let (_, nx) = algo::pagerank(&g, opts.iters, &cfg).expect("nx");
         let prog = PageRank::new(g.num_vertices(), Arc::clone(g.out_degrees()));
         let gc = GraphChiEngine::prepare(&g).expect("gc prep");
         let (_, gcs) = gc
@@ -52,14 +48,12 @@ pub fn run(opts: &Opts) -> bool {
             &TurboGraphConfig {
                 threads: opts.threads,
                 max_iterations: opts.iters,
-                ..Default::default()
             },
         )
         .expect("tg run");
         t.row(vec![
             format!("2^{scale}"),
-            format!("{:.1}", cb.mteps()),
-            format!("{:.1}", lk.mteps()),
+            format!("{:.1}", nx.mteps()),
             format!("{:.1}", gcs.mteps()),
             format!("{:.1}", tgs.mteps()),
         ]);

@@ -13,7 +13,6 @@ use nxgraph_baselines::turbograph::{self, TurboGraphConfig};
 use nxgraph_bench::report::{fmt_secs, Table};
 use nxgraph_bench::workloads::prepare_mem;
 use nxgraph_core::algo::{self, bfs::Bfs, wcc::Wcc};
-use nxgraph_core::engine::SyncMode;
 use nxgraph_graphgen::datasets::Dataset;
 
 use crate::exps::{nx_cfg, real_world};
@@ -39,12 +38,11 @@ pub fn run(opts: &Opts) -> bool {
 
         let mut t = Table::new(
             format!("Fig 12 — more tasks on {} (seconds)", d.name),
-            &["task", "nxgraph-callback", "nxgraph-lock", "graphchi-like", "turbograph-like"],
+            &["task", "nxgraph", "graphchi-like", "turbograph-like"],
         );
 
         // BFS.
-        let (_, cb) = algo::bfs(&g, 0, &cfg).expect("bfs cb");
-        let (_, lk) = algo::bfs(&g, 0, &cfg.clone().with_sync(SyncMode::Lock)).expect("bfs lk");
+        let (_, nx) = algo::bfs(&g, 0, &cfg).expect("bfs nx");
         let (_, gcs) = gc
             .run(
                 &Bfs::new(0),
@@ -60,33 +58,28 @@ pub fn run(opts: &Opts) -> bool {
             &TurboGraphConfig {
                 threads: opts.threads,
                 max_iterations: g.num_vertices() as usize + 1,
-                ..Default::default()
             },
         )
         .expect("bfs tg");
         t.row(vec![
             "BFS".into(),
-            fmt_secs(cb.elapsed),
-            fmt_secs(lk.elapsed),
+            fmt_secs(nx.elapsed),
             fmt_secs(gcs.elapsed),
             fmt_secs(tgs.elapsed),
         ]);
 
         // SCC (NXgraph only; the paper could not obtain SCC numbers for
         // TurboGraph either).
-        let cb = algo::scc(&g, &cfg).expect("scc cb");
-        let lk = algo::scc(&g, &cfg.clone().with_sync(SyncMode::Lock)).expect("scc lk");
+        let nx = algo::scc(&g, &cfg).expect("scc nx");
         t.row(vec![
             "SCC".into(),
-            fmt_secs(cb.elapsed),
-            fmt_secs(lk.elapsed),
+            fmt_secs(nx.elapsed),
             "n/a".into(),
             "n/a".into(),
         ]);
 
         // WCC.
-        let (_, cb) = algo::wcc(&g, &cfg).expect("wcc cb");
-        let (_, lk) = algo::wcc(&g, &cfg.clone().with_sync(SyncMode::Lock)).expect("wcc lk");
+        let (_, nx) = algo::wcc(&g, &cfg).expect("wcc nx");
         let (_, gcs) = gc_sym
             .run(
                 &Wcc,
@@ -102,14 +95,12 @@ pub fn run(opts: &Opts) -> bool {
             &TurboGraphConfig {
                 threads: opts.threads,
                 max_iterations: gsym.num_vertices() as usize + 1,
-                ..Default::default()
             },
         )
         .expect("wcc tg");
         t.row(vec![
             "WCC".into(),
-            fmt_secs(cb.elapsed),
-            fmt_secs(lk.elapsed),
+            fmt_secs(nx.elapsed),
             fmt_secs(gcs.elapsed),
             fmt_secs(tgs.elapsed),
         ]);

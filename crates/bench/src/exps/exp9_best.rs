@@ -47,7 +47,6 @@ pub fn run(opts: &Opts) -> bool {
         &TurboGraphConfig {
             threads,
             max_iterations: 1,
-            ..Default::default()
         },
     )
     .expect("tg run");

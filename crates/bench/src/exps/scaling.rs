@@ -8,9 +8,9 @@
 //!   speedup over the 1-thread run. `host_parallelism` is recorded
 //!   because the sweep is only meaningful on a multi-core host: on one
 //!   core the extra workers just time-slice.
-//! * **Determinism matrix** — every algorithm × {SPU, DPU, MPU} ×
-//!   {Callback, Lock} on a tiny fixed fixture, asserted bitwise-identical
-//!   at 1, 2, 4 and 8 threads. The run *fails* (non-zero exit) if any
+//! * **Determinism matrix** — every algorithm × {SPU, DPU, MPU} on a
+//!   tiny fixed fixture, asserted bitwise-identical at 1, 2, 4 and 8
+//!   threads. The run *fails* (non-zero exit) if any
 //!   cell diverges, so the CI artifact doubles as a gate: speedups are
 //!   host-dependent, bit-equality is not.
 //!
@@ -25,7 +25,7 @@ use nxgraph_bench::report::Table;
 use nxgraph_bench::workloads::prepare_os_enc;
 use nxgraph_core::algo::{self, sssp, PersonalizedPageRank};
 use nxgraph_core::dsss::PreparedGraph;
-use nxgraph_core::engine::{self, EngineConfig, Strategy, SyncMode};
+use nxgraph_core::engine::{self, EngineConfig, Strategy};
 use nxgraph_core::prep::{preprocess, PrepConfig};
 use nxgraph_graphgen::datasets::Dataset;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
@@ -76,7 +76,7 @@ struct Determinism {
     algos: usize,
     cells: usize,
     identical: bool,
-    /// `algo/strategy/sync@threads` labels of any diverging cells.
+    /// `algo/strategy@threads` labels of any diverging cells.
     failures: Vec<String>,
 }
 
@@ -129,8 +129,8 @@ fn tiny_graph(raw: &[(u64, u64)]) -> PreparedGraph {
 }
 
 /// The bitwise matrix: fixed tiny fixture (independent of `--scale-shift`
-/// so the gate is the same everywhere), every algorithm × strategy × sync
-/// mode, 2/4/8 threads against the 1-thread fingerprint.
+/// so the gate is the same everywhere), every algorithm × strategy, 2/4/8
+/// threads against the 1-thread fingerprint.
 fn determinism_matrix() -> Determinism {
     let raw: Vec<(u64, u64)> = rmat::generate(&RmatConfig::graph500(8, 6, 41))
         .into_iter()
@@ -151,23 +151,15 @@ fn determinism_matrix() -> Determinism {
             ("dpu", Strategy::Dpu, 0),
             ("mpu", Strategy::Mpu, half_resident_budget(n, value_size)),
         ] {
-            for sync in [SyncMode::Callback, SyncMode::Lock] {
-                let base = EngineConfig::default()
-                    .with_strategy(strategy)
-                    .with_budget(budget)
-                    .with_sync(sync);
-                let mut reference: Option<Vec<u64>> = None;
-                for threads in DET_THREADS {
-                    let fp =
-                        algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
-                    cells += 1;
-                    match &reference {
-                        None => reference = Some(fp),
-                        Some(r) if *r == fp => {}
-                        Some(_) => failures.push(format!(
-                            "{algo_name}/{sname}/{sync:?}@{threads}"
-                        )),
-                    }
+            let base = EngineConfig::default().with_strategy(strategy).with_budget(budget);
+            let mut reference: Option<Vec<u64>> = None;
+            for threads in DET_THREADS {
+                let fp = algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
+                cells += 1;
+                match &reference {
+                    None => reference = Some(fp),
+                    Some(r) if *r == fp => {}
+                    Some(_) => failures.push(format!("{algo_name}/{sname}@{threads}")),
                 }
             }
         }
@@ -314,7 +306,7 @@ pub(crate) fn stub_report() -> ScalingReport {
         }],
         det: Determinism {
             algos: 8,
-            cells: 192,
+            cells: 96,
             identical: true,
             failures: Vec::new(),
         },

@@ -26,7 +26,7 @@ impl Table {
 
     /// Append a row (cells already formatted).
     pub fn row(&mut self, cells: Vec<String>) {
-        debug_assert_eq!(cells.len(), self.headers.len());
+        assert_eq!(cells.len(), self.headers.len(), "row width must match the headers");
         self.rows.push(cells);
     }
 

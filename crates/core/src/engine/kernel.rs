@@ -4,14 +4,14 @@
 //! Within a sub-shard, edges of one destination are contiguous, so slicing
 //! the destination axis hands each worker an exclusive accumulator range —
 //! "no thread locks or atomic operations are required to maintain
-//! consistency". [`absorb_row`] builds those slices and runs them on the
-//! worker pool ([`SyncMode::Callback`]); the coarse alternative locks whole
-//! destination intervals ([`SyncMode::Lock`]).
+//! consistency". [`absorb`] is the one way the engine computes: it carves
+//! those slices for a batch of (sub-shard, accumulator) pairs and runs
+//! them on the worker pool. The paper's interval-lock flavour (§IV
+//! preamble) is this path with one chunk per whole sub-shard
+//! (`edges_per_task = usize::MAX`), so it is not a separate mode.
 
 use std::ops::Range;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::dsss::SubShardView;
 use crate::parallel::run_tasks;
@@ -19,7 +19,11 @@ use crate::program::VertexProgram;
 use crate::types::VertexId;
 
 use super::state::AccBuf;
-use super::SyncMode;
+
+/// Target edges per destination-chunk task: "several thousands of edges"
+/// (§III-D), fine enough to balance a row across workers, coarse enough
+/// to amortise the per-task dispatch.
+pub const EDGES_PER_TASK: usize = 8192;
 
 /// Fold the edges of `ss` whose destination slots lie in `pos_range` into
 /// the accumulator slice `acc`/`has`, which covers global destination ids
@@ -102,103 +106,32 @@ fn carve_tasks<'a, P: VertexProgram>(
     tasks
 }
 
-/// Process one source row's sub-shards against a set of destination
-/// accumulators.
+/// Fold each sub-shard into its paired accumulator, as one pool batch of
+/// destination-chunk tasks of about `edges_per_task` edges.
 ///
-/// `shards[j]` (when present) is the sub-shard from the current source
-/// interval into destination interval `j`; `accs[j]` (when present) is that
-/// interval's accumulator. Only pairs where both are present are processed.
-#[allow(clippy::too_many_arguments)] // mirrors absorb_chunk's explicit data-path signature
-pub fn absorb_row<P: VertexProgram>(
-    prog: &P,
-    shards: &[Option<Arc<SubShardView>>],
-    src_vals: &[P::Value],
-    src_base: VertexId,
-    accs: &mut [Option<Mutex<AccBuf<P>>>],
-    threads: usize,
-    edges_per_task: usize,
-    sync: SyncMode,
-) {
-    match sync {
-        SyncMode::Callback => {
-            // Fine-grained: chunk every sub-shard by destination ranges and
-            // run all chunks of the row concurrently.
-            let mut tasks = Vec::new();
-            for (buf_opt, ss_opt) in accs.iter_mut().zip(shards.iter()) {
-                let (Some(ss), Some(buf)) = (ss_opt, buf_opt.as_mut()) else {
-                    continue;
-                };
-                if ss.is_empty() {
-                    continue;
-                }
-                let chunks = ss.chunk_by_edges(edges_per_task);
-                tasks.extend(carve_tasks(ss, chunks, buf.get_mut()));
-            }
-            run_tasks(threads, tasks, |t: ChunkTask<'_, P>| {
-                absorb_chunk(
-                    prog,
-                    &t.ss,
-                    t.pos_range,
-                    src_vals,
-                    src_base,
-                    t.acc,
-                    t.has,
-                    t.slice_base,
-                );
-            });
-        }
-        SyncMode::Lock => {
-            // Coarse-grained: one task per sub-shard, locking the whole
-            // destination interval for its duration.
-            let mut tasks = Vec::new();
-            for (j, ss) in shards.iter().enumerate() {
-                if let (Some(ss), Some(_)) = (ss, accs.get(j).and_then(|b| b.as_ref())) {
-                    if !ss.is_empty() {
-                        tasks.push((j, Arc::clone(ss)));
-                    }
-                }
-            }
-            let accs = &*accs;
-            run_tasks(threads, tasks, |(j, ss): (usize, Arc<SubShardView>)| {
-                let mut guard = accs[j].as_ref().expect("checked above").lock();
-                let buf = &mut *guard;
-                let base = buf.base;
-                absorb_chunk(
-                    prog,
-                    &ss,
-                    0..ss.num_dsts(),
-                    src_vals,
-                    src_base,
-                    &mut buf.acc,
-                    &mut buf.has,
-                    base,
-                );
-            });
-        }
-    }
-}
-
-/// Fold one sub-shard into one accumulator with chunk-level parallelism.
-///
-/// Used by the hub-producing passes (DPU ToHub, MPU phase B/C) where a
-/// single `(i, j)` pair is updated at a time; hub targets never conflict,
-/// so fine-grained chunking applies under either sync mode ("DPU can
-/// overlap the four sub-shards … since their write destinations, i.e.
+/// A row call (phase A, and phase B's resident columns) passes one pair
+/// per destination interval; a hub or column call passes one pair. The
+/// pairs hold distinct `&mut` accumulators and every task owns a disjoint
+/// slice of one of them, so no locks are taken. Per destination the fold
+/// order is the sub-shard's own source order, so the result is
+/// bitwise-equal to a serial [`absorb_chunk`] over each whole sub-shard at
+/// any thread count and task size. Hub targets never conflict either ("DPU
+/// can overlap the four sub-shards … since their write destinations, i.e.
 /// their hubs, do not overlap", §III-B2).
-pub fn absorb_single<P: VertexProgram>(
+pub fn absorb<'a, P: VertexProgram + 'a>(
     prog: &P,
-    ss: &Arc<SubShardView>,
+    pairs: impl IntoIterator<Item = (&'a Arc<SubShardView>, &'a mut AccBuf<P>)>,
     src_vals: &[P::Value],
     src_base: VertexId,
-    buf: &mut AccBuf<P>,
     threads: usize,
     edges_per_task: usize,
 ) {
-    if ss.is_empty() {
-        return;
+    let mut tasks = Vec::new();
+    for (ss, buf) in pairs {
+        if !ss.is_empty() {
+            tasks.extend(carve_tasks(ss, ss.chunk_by_edges(edges_per_task), buf));
+        }
     }
-    let chunks = ss.chunk_by_edges(edges_per_task);
-    let tasks = carve_tasks(ss, chunks, buf);
     run_tasks(threads, tasks, |t: ChunkTask<'_, P>| {
         absorb_chunk(
             prog,
@@ -259,29 +192,42 @@ mod tests {
         Arc::new(SubShardView::from(&SubShard::from_edges(0, 1, edges)))
     }
 
-    fn run_mode(sync: SyncMode, threads: usize, edges_per_task: usize) -> Vec<f64> {
-        let prog = Sum;
-        let ss = dense_shard();
-        let src_vals = vec![1.0, 2.0, 3.0, 4.0];
-        let mut accs: Vec<Option<Mutex<AccBuf<Sum>>>> = vec![
-            None,
-            Some(Mutex::new(AccBuf::new(&prog, 4, 4))),
-        ];
-        let shards = vec![None, Some(ss)];
-        absorb_row(
-            &prog, &shards, &src_vals, 0, &mut accs, threads, edges_per_task, sync,
-        );
-        accs[1].take().unwrap().into_inner().acc
+    /// Sub-shard from interval [0,4) into [4,8): src s → dst d when
+    /// `(s + d) % 3 != 0`, so destinations receive uneven runs.
+    fn sparse_shard() -> Arc<SubShardView> {
+        let edges = (0..4u32)
+            .flat_map(|s| (4..8u32).map(move |d| (s, d)))
+            .filter(|&(s, d)| (s + d) % 3 != 0)
+            .collect();
+        Arc::new(SubShardView::from(&SubShard::from_edges(0, 1, edges)))
     }
 
     #[test]
-    fn callback_and_lock_agree() {
-        // Every dst receives 1+2+3+4 = 10.
+    fn absorb_matches_serial_whole_subshard_bitwise() {
+        let prog = Sum;
+        let shards = [dense_shard(), sparse_shard()];
+        let src_vals = vec![0.1, 0.2, 0.3, 0.4];
+        let serial: Vec<AccBuf<Sum>> = shards
+            .iter()
+            .map(|ss| {
+                let mut buf = AccBuf::new(&prog, 4, 4);
+                absorb_chunk(
+                    &prog, ss, 0..ss.num_dsts(), &src_vals, 0, &mut buf.acc, &mut buf.has, 4,
+                );
+                buf
+            })
+            .collect();
+        let bits = |b: &AccBuf<Sum>| b.acc.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for threads in [1, 4] {
-            for ept in [1, 2, 100] {
-                assert_eq!(run_mode(SyncMode::Callback, threads, ept), vec![10.0; 4]);
+            for ept in [1, 2, 100, usize::MAX] {
+                let mut bufs: Vec<AccBuf<Sum>> =
+                    (0..2).map(|_| AccBuf::new(&prog, 4, 4)).collect();
+                absorb(&prog, shards.iter().zip(bufs.iter_mut()), &src_vals, 0, threads, ept);
+                for (got, want) in bufs.iter().zip(&serial) {
+                    assert_eq!(bits(got), bits(want), "threads={threads} ept={ept}");
+                    assert_eq!(got.has, want.has, "threads={threads} ept={ept}");
+                }
             }
-            assert_eq!(run_mode(SyncMode::Lock, threads, 8), vec![10.0; 4]);
         }
     }
 

@@ -7,6 +7,11 @@
 //! and executes Algorithm 1 with the one driver in [`mpu`], of which SPU
 //! (`Q = P`) and DPU (`Q = 0`) are the endpoints. It reports wall time,
 //! iteration count and byte-exact I/O.
+//!
+//! Every phase computes through one kernel, [`kernel::absorb`]: sub-shards
+//! are cut into destination chunks of about [`kernel::EDGES_PER_TASK`]
+//! edges, each owning a disjoint accumulator slice, so worker threads
+//! never take a lock (§III-D).
 
 pub mod kernel;
 pub mod mpu;
@@ -43,18 +48,6 @@ pub enum Strategy {
     Mpu,
 }
 
-/// Synchronisation mechanism between worker threads (§IV preamble: the
-/// callback-signal and interval-lock implementations; "either one can
-/// always outperform the other" depending on workload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Fine-grained destination-chunk tasks, completion via the pool —
-    /// lock-free on the data path.
-    Callback,
-    /// One task per sub-shard guarded by a per-interval lock.
-    Lock,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -65,15 +58,10 @@ pub struct EngineConfig {
     pub memory_budget: u64,
     /// Update strategy; `Auto` derives SPU/MPU/DPU from the budget.
     pub strategy: Strategy,
-    /// Thread synchronisation flavour.
-    pub sync: SyncMode,
     /// Hard iteration cap (PageRank in the paper runs a fixed 10).
     pub max_iterations: usize,
     /// Edge direction the program consumes.
     pub direction: Direction,
-    /// Fine-grained task granularity: target edges per chunk task
-    /// ("several thousands of edges", §III-D).
-    pub edges_per_task: usize,
     /// Hung-I/O watchdog: how long the engine waits for the read
     /// [`pipeline`] to deliver the next sub-shard or hub before the wait
     /// converts into a typed `StorageError::Stalled` and the run cancels
@@ -106,10 +94,8 @@ impl Default for EngineConfig {
             threads,
             memory_budget: u64::MAX,
             strategy: Strategy::Auto,
-            sync: SyncMode::Callback,
             max_iterations: 50,
             direction: Direction::Forward,
-            edges_per_task: 8192,
             io_deadline: None,
         }
     }
@@ -139,12 +125,6 @@ impl EngineConfig {
     /// Builder-style strategy override.
     pub fn with_strategy(mut self, s: Strategy) -> Self {
         self.strategy = s;
-        self
-    }
-
-    /// Builder-style sync override.
-    pub fn with_sync(mut self, s: SyncMode) -> Self {
-        self.sync = s;
         self
     }
 
@@ -282,8 +262,6 @@ mod tests {
         let cfg = EngineConfig::default();
         assert!(cfg.threads >= 1);
         assert_eq!(cfg.strategy, Strategy::Auto);
-        assert_eq!(cfg.sync, SyncMode::Callback);
-        assert!(cfg.edges_per_task > 0);
         assert_eq!(cfg.threads, env_threads().unwrap_or_else(host_threads));
         assert_eq!(cfg.io_deadline, None);
     }
@@ -302,14 +280,12 @@ mod tests {
             .with_threads(2)
             .with_budget(1024)
             .with_strategy(Strategy::Dpu)
-            .with_sync(SyncMode::Lock)
             .with_max_iterations(7)
             .with_direction(Direction::Both)
             .with_io_deadline(Some(Duration::from_millis(250)));
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.memory_budget, 1024);
         assert_eq!(cfg.strategy, Strategy::Dpu);
-        assert_eq!(cfg.sync, SyncMode::Lock);
         assert_eq!(cfg.max_iterations, 7);
         assert_eq!(cfg.direction, Direction::Both);
         assert_eq!(cfg.io_deadline, Some(Duration::from_millis(250)));

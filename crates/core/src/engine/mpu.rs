@@ -25,23 +25,22 @@
 //! DPU "can scale to very large graphs or very small memory budget". In
 //! between the I/O amount interpolates Table II's MPU row.
 //!
-//! Both sync flavours (§IV preamble) traverse row-major: within one row a
-//! destination interval is touched by exactly one direction's sub-shard,
-//! so the fold order per accumulator is the fixed row order and results
-//! are bitwise-identical at any thread count under `Callback` and `Lock`.
+//! Every phase computes through [`absorb`] and traverses row-major: within
+//! one row a destination interval is touched by exactly one direction's
+//! sub-shard, and each destination chunk is folded by one task, so the
+//! fold order per accumulator is the fixed row order and results are
+//! bitwise-identical at any thread count.
 
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::dsss::{HubView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
 use crate::types::VertexId;
 
-use super::kernel::{absorb_row, absorb_single};
+use super::kernel::{absorb, EDGES_PER_TASK};
 use super::pipeline::{Fetch, Pipeline};
-use super::state::{finalize_interval_par, finalize_intervals_par, AccBuf};
+use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
@@ -81,14 +80,10 @@ pub(super) fn run_mpu<P: VertexProgram>(
     let dirs = ShardStore::dirs(cfg.direction);
 
     // Accumulators for resident destination intervals (reused).
-    let mut accs_res: Vec<Option<Mutex<AccBuf<P>>>> = (0..p)
+    let mut accs_res: Vec<AccBuf<P>> = (0..q)
         .map(|j| {
-            if j < q {
-                let r = g.interval_range(j);
-                Some(Mutex::new(AccBuf::new(prog, r.start, (r.end - r.start) as usize)))
-            } else {
-                None
-            }
+            let r = g.interval_range(j);
+            AccBuf::new(prog, r.start, (r.end - r.start) as usize)
         })
         .collect();
 
@@ -97,20 +92,18 @@ pub(super) fn run_mpu<P: VertexProgram>(
 
     for _ in 0..cfg.max_iterations {
         iterations += 1;
-        for a in accs_res.iter_mut().flatten() {
-            a.get_mut().reset(prog);
+        for a in &mut accs_res {
+            a.reset(prog);
         }
         let mut changed = vec![false; p as usize];
 
         // ------------------------------------------------------------------
         // Phase A: resident rows into resident columns (SPU order). All
         // tasks of a row run concurrently and the pipeline decodes row
-        // i+1's streamed sub-shards while row i is absorbed. One row at a
-        // time also keeps the Lock flavour deterministic: each destination
-        // interval's fold order is the row order, not the lock-acquisition
-        // order of a whole-iteration sweep. Misses are fetched at single
-        // sub-shard granularity so the pipeline never holds more than its
-        // ring depth of decoded sub-shards beyond the row being absorbed.
+        // i+1's streamed sub-shards while row i is absorbed. Misses are
+        // fetched at single sub-shard granularity so the pipeline never
+        // holds more than its ring depth of decoded sub-shards beyond the
+        // row being absorbed.
         // ------------------------------------------------------------------
         let rows: Vec<(bool, u32)> = dirs
             .iter()
@@ -123,22 +116,20 @@ pub(super) fn run_mpu<P: VertexProgram>(
         );
         let mut stream = pipe.stream(misses);
         for &(_, i) in &rows {
-            let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
-            for (j, hit) in hits.drain(..q as usize).enumerate() {
+            let mut shards: Vec<Arc<SubShardView>> = Vec::with_capacity(q as usize);
+            for hit in hits.drain(..q as usize) {
                 let ss = stream.shard_or(hit)?;
                 edges_traversed += ss.num_edges() as u64;
-                shards[j] = Some(ss);
+                shards.push(ss);
             }
             let r = g.interval_range(i);
-            absorb_row(
+            absorb(
                 prog,
-                &shards,
+                shards.iter().zip(&mut accs_res),
                 &prev_res[r.start as usize..r.end as usize],
                 r.start,
-                &mut accs_res,
                 cfg.threads,
-                cfg.edges_per_task,
-                cfg.sync,
+                EDGES_PER_TASK,
             );
         }
         drop(stream);
@@ -167,21 +158,19 @@ pub(super) fn run_mpu<P: VertexProgram>(
             let mut stream = pipe.stream(misses);
             // Resident destinations: SPU-like, straight into accs_res.
             for _ in dirs {
-                let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
-                for (j, hit) in hits.drain(..q as usize).enumerate() {
+                let mut shards: Vec<Arc<SubShardView>> = Vec::with_capacity(q as usize);
+                for hit in hits.drain(..q as usize) {
                     let ss = stream.shard_or(hit)?;
                     edges_traversed += ss.num_edges() as u64;
-                    shards[j] = Some(ss);
+                    shards.push(ss);
                 }
-                absorb_row(
+                absorb(
                     prog,
-                    &shards,
+                    shards.iter().zip(&mut accs_res),
                     &src_vals,
                     r_i.start,
-                    &mut accs_res,
                     cfg.threads,
-                    cfg.edges_per_task,
-                    cfg.sync,
+                    EDGES_PER_TASK,
                 );
             }
             // On-disk destinations: ToHub. Both directions fold into the
@@ -193,14 +182,13 @@ pub(super) fn run_mpu<P: VertexProgram>(
                 for hit in hits.drain(..dirs.len()) {
                     let ss = stream.shard_or(hit)?;
                     edges_traversed += ss.num_edges() as u64;
-                    absorb_single(
+                    absorb(
                         prog,
-                        &ss,
+                        [(&ss, &mut buf)],
                         &src_vals,
                         r_i.start,
-                        &mut buf,
                         cfg.threads,
-                        cfg.edges_per_task,
+                        EDGES_PER_TASK,
                     );
                 }
                 let (dsts, accs) = buf.compact();
@@ -213,10 +201,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
         // Finalise resident intervals (all their contributions arrived in
         // phases A and B) as one flat batch. Keep prev_res intact — phase C
         // reads it.
-        let bufs: Vec<&AccBuf<P>> = accs_res[..q as usize]
-            .iter_mut()
-            .map(|a| &*a.as_mut().expect("resident").get_mut())
-            .collect();
+        let bufs: Vec<&AccBuf<P>> = accs_res.iter().collect();
         let flags = finalize_intervals_par(prog, &bufs, &prev_res, &mut next_res, cfg.threads);
         changed[..q as usize].copy_from_slice(&flags);
 
@@ -257,14 +242,13 @@ pub(super) fn run_mpu<P: VertexProgram>(
                 let ss = stream.shard_or(hit)?;
                 edges_traversed += ss.num_edges() as u64;
                 let r_i = g.interval_range(i);
-                absorb_single(
+                absorb(
                     prog,
-                    &ss,
+                    [(&ss, &mut buf)],
                     &prev_res[r_i.start as usize..r_i.end as usize],
                     r_i.start,
-                    &mut buf,
                     cfg.threads,
-                    cfg.edges_per_task,
+                    EDGES_PER_TASK,
                 );
             }
             // Collect the column's hubs in row order, then fold them as
@@ -286,7 +270,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
                 g.remove_hub(i, j);
             }
             let mut new_vals = old.clone();
-            let ch = finalize_interval_par(prog, &buf, &old, &mut new_vals, cfg.threads);
+            let ch = finalize_intervals_par(prog, &[&buf], &old, &mut new_vals, cfg.threads)[0];
             g.write_interval(j, &new_vals)?;
             changed[j as usize] = ch;
             any_changed |= ch;
@@ -323,7 +307,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::algo::pagerank::PageRank;
-    use crate::engine::{run, RunStats, Strategy, SyncMode};
+    use crate::engine::{run, RunStats, Strategy};
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
 
@@ -376,16 +360,6 @@ mod tests {
             10,
         );
         assert_close(&vals, &expect, "spu vs reference");
-    }
-
-    #[test]
-    fn callback_and_lock_agree() {
-        let cfg = EngineConfig::default()
-            .with_max_iterations(5)
-            .with_strategy(Strategy::Spu);
-        let (cb, _) = pagerank(3, &cfg);
-        let (lk, _) = pagerank(3, &cfg.with_sync(SyncMode::Lock));
-        assert_close(&cb, &lk, "callback vs lock");
     }
 
     #[test]
@@ -465,17 +439,5 @@ mod tests {
             assert_eq!(sa.strategy, forced);
             assert_eq!(sb.strategy, Strategy::Mpu);
         }
-    }
-
-    #[test]
-    fn mpu_lock_mode_agrees() {
-        let g = graph(4);
-        let cfg = EngineConfig::default()
-            .with_max_iterations(5)
-            .with_strategy(Strategy::Mpu)
-            .with_budget(budget_for_q(&g, 2));
-        let (cb, _) = pagerank(4, &cfg);
-        let (lk, _) = pagerank(4, &cfg.with_sync(SyncMode::Lock));
-        assert_close(&cb, &lk, "callback vs lock");
     }
 }

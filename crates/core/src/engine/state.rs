@@ -173,7 +173,7 @@ pub fn finalize_interval<P: VertexProgram>(
 /// Finalise the sub-range of an interval starting `offset` vertices in:
 /// `old`/`out` cover positions `offset .. offset + out.len()` of `buf`.
 ///
-/// This is the chunk body behind the parallel finalizers — `apply` is
+/// This is the chunk body behind [`finalize_intervals_par`] — `apply` is
 /// elementwise, so any chunking of the interval produces bitwise-identical
 /// values to the serial sweep.
 pub fn finalize_range<P: VertexProgram>(
@@ -202,44 +202,6 @@ pub fn finalize_range<P: VertexProgram>(
     any
 }
 
-/// Parallel [`finalize_interval`]: slices the interval into per-thread
-/// chunks and applies them as one pool batch. Bitwise-identical to the
-/// serial version (elementwise apply over disjoint ranges). Must be called
-/// from outside the worker pool.
-pub fn finalize_interval_par<P: VertexProgram>(
-    prog: &P,
-    buf: &AccBuf<P>,
-    old: &[P::Value],
-    out: &mut [P::Value],
-    threads: usize,
-) -> bool {
-    debug_assert_eq!(old.len(), buf.len());
-    debug_assert_eq!(out.len(), buf.len());
-    if threads <= 1 || buf.len() <= 1 {
-        return finalize_interval(prog, buf, old, out);
-    }
-    let any = AtomicBool::new(false);
-    #[allow(clippy::type_complexity)]
-    let mut tasks: Vec<(usize, &[P::Value], &mut [P::Value])> = Vec::new();
-    let mut old_rest = old;
-    let mut out_rest = out;
-    let mut offset = 0usize;
-    for range in split_ranges(buf.len(), threads) {
-        let (o, orest) = old_rest.split_at(range.len());
-        let (w, wrest) = std::mem::take(&mut out_rest).split_at_mut(range.len());
-        old_rest = orest;
-        out_rest = wrest;
-        tasks.push((offset, o, w));
-        offset = range.end;
-    }
-    run_tasks(threads, tasks, |(off, o, w)| {
-        if finalize_range(prog, buf, off, o, w) {
-            any.store(true, Ordering::Relaxed);
-        }
-    });
-    any.load(Ordering::Relaxed)
-}
-
 /// Finalise several consecutive intervals as one flat pool batch of
 /// destination-range chunks, returning each interval's changed flag.
 ///
@@ -247,8 +209,9 @@ pub fn finalize_interval_par<P: VertexProgram>(
 /// the ping-pong arrays covering exactly those intervals, starting at
 /// `bufs[0].base`. One batch — not one per interval — so a handful of
 /// large intervals still spreads across all workers (apply is
-/// elementwise, so chunking does not affect the values). Must be called
-/// from outside the worker pool.
+/// elementwise, so chunking does not affect the values). A single
+/// interval is a one-buffer batch. Must be called from outside the worker
+/// pool.
 pub fn finalize_intervals_par<P: VertexProgram>(
     prog: &P,
     bufs: &[&AccBuf<P>],
@@ -408,31 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_finalize_matches_serial_bitwise() {
-        let p = Sum;
-        let len = 103;
-        let mut buf = AccBuf::<Sum>::new(&p, 5, len);
-        for k in 0..len {
-            if k % 3 != 0 {
-                buf.acc[k] = k as f64 * 0.1;
-                buf.has[k] = 1;
-            }
-        }
-        let old: Vec<f64> = (0..len).map(|k| k as f64 * 0.01).collect();
-        let mut serial = vec![0.0f64; len];
-        let s_ch = finalize_interval(&p, &buf, &old, &mut serial);
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = vec![0.0f64; len];
-            let p_ch = finalize_interval_par(&p, &buf, &old, &mut par, threads);
-            assert_eq!(s_ch, p_ch, "threads={threads}");
-            assert!(
-                serial.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn flat_batch_finalize_matches_per_interval_serial() {
         let p = Sum;
         let lens = [5usize, 0, 17, 1];
@@ -467,6 +405,27 @@ mod tests {
             let got = finalize_intervals_par(&p, &refs, &prev, &mut next, threads);
             assert_eq!(got, want, "threads={threads}");
             assert!(serial.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+
+        // A one-buffer batch (how phase C finalises an on-disk column):
+        // 103 vertices not starting at 0, every third without a message.
+        let len = 103;
+        let mut buf = AccBuf::<Sum>::new(&p, 5, len);
+        for k in (0..len).filter(|k| k % 3 != 0) {
+            buf.acc[k] = k as f64 * 0.1;
+            buf.has[k] = 1;
+        }
+        let old: Vec<f64> = (0..len).map(|k| k as f64 * 0.01).collect();
+        let mut serial = vec![0.0f64; len];
+        let want = finalize_interval(&p, &buf, &old, &mut serial);
+        for threads in [1usize, 2, 4, 8] {
+            let mut next = vec![0.0f64; len];
+            let got = finalize_intervals_par(&p, &[&buf], &old, &mut next, threads);
+            assert_eq!(got, vec![want], "threads={threads}");
+            assert!(
+                serial.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "threads={threads}"
+            );
         }
     }
 

@@ -48,7 +48,7 @@ pub mod types;
 
 pub use dsss::PreparedGraph;
 pub use dynamic::{CommitStats, CompactReport, Compaction, DynamicConfig, DynamicGraph};
-pub use engine::{EngineConfig, RunStats, Strategy, SyncMode};
+pub use engine::{EngineConfig, RunStats, Strategy};
 pub use error::{EngineError, EngineResult};
 pub use maintain::{MaintStats, MaintenanceThread, ScrubReport};
 pub use prep::{preprocess, PrepConfig};

@@ -63,7 +63,6 @@ fn pagerank_identical_across_all_engines() {
         &TurboGraphConfig {
             threads: 4,
             max_iterations: 8,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -117,7 +116,6 @@ fn bfs_identical_across_engines() {
         &TurboGraphConfig {
             threads: 2,
             max_iterations: cap,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -157,7 +155,6 @@ fn io_profiles_are_ordered_as_the_paper_argues() {
         &TurboGraphConfig {
             threads: 2,
             max_iterations: 1,
-            ..Default::default()
         },
     )
     .unwrap();

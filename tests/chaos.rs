@@ -13,7 +13,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use nxgraph::core::algo::{self, ppr::PersonalizedPageRank, sssp};
-use nxgraph::core::engine::{self, EngineConfig, Strategy, SyncMode};
+use nxgraph::core::engine::{self, EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::{EngineError, PreparedGraph};
 use nxgraph::graphgen::rmat::{self, RmatConfig};
@@ -57,7 +57,6 @@ fn six_configs(n: u64) -> Vec<EngineConfig> {
                 EngineConfig::default()
                     .with_strategy(strategy)
                     .with_budget(budget)
-                    .with_sync(SyncMode::Callback)
                     .with_threads(threads),
             );
         }

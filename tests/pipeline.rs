@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use nxgraph::core::algo::{self, pagerank::PageRank, ppr::PersonalizedPageRank, sssp};
-use nxgraph::core::engine::{self, choose_strategy, EngineConfig, Strategy, SyncMode};
+use nxgraph::core::engine::{self, choose_strategy, EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::reference;
 use nxgraph::core::PreparedGraph;
@@ -45,7 +45,7 @@ fn rmat_raw(scale: u32, ef: u32, seed: u64) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn all_strategies_and_sync_modes_agree_on_pagerank() {
+fn all_strategies_agree_on_pagerank() {
     let raw = rmat_raw(9, 8, 11);
     let g = prepare(&raw, 6);
     let edges = dense_edges(&g, &raw);
@@ -63,20 +63,17 @@ fn all_strategies_and_sync_modes_agree_on_pagerank() {
         (Strategy::Auto, mpu_budget),
         (Strategy::Auto, 0),
     ] {
-        for sync in [SyncMode::Callback, SyncMode::Lock] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_sync(sync)
-                .with_max_iterations(10);
-            let (vals, stats) = algo::pagerank(&g, 10, &cfg).unwrap();
-            assert_eq!(stats.iterations, 10);
-            for (v, (a, b)) in vals.iter().zip(&expect).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-10,
-                    "{strategy:?}/{sync:?} budget {budget}: vertex {v}: {a} vs {b}"
-                );
-            }
+        let cfg = EngineConfig::default()
+            .with_strategy(strategy)
+            .with_budget(budget)
+            .with_max_iterations(10);
+        let (vals, stats) = algo::pagerank(&g, 10, &cfg).unwrap();
+        assert_eq!(stats.iterations, 10);
+        for (v, (a, b)) in vals.iter().zip(&expect).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-10,
+                "{strategy:?} budget {budget}: vertex {v}: {a} vs {b}"
+            );
         }
     }
 }
@@ -191,9 +188,8 @@ fn pagerank_converges_with_epsilon() {
 }
 
 // ---------------------------------------------------------------------------
-// Full oracle matrix: every algorithm × {SPU, DPU, MPU} × both sync modes,
-// on an R-MAT and an Erdős–Rényi graph, validated against the
-// `reference` oracles.
+// Full oracle matrix: every algorithm × {SPU, DPU, MPU}, on an R-MAT and
+// an Erdős–Rényi graph, validated against the `reference` oracles.
 // ---------------------------------------------------------------------------
 
 /// A named matrix workload: prepared graph plus its dense edge list.
@@ -216,26 +212,23 @@ fn matrix_graphs() -> Vec<MatrixGraph> {
         .collect()
 }
 
-/// Explicit SPU, DPU and MPU configs crossed with both sync modes.
-/// `value_size` is the algorithm's per-vertex attribute width, which sets
-/// the half-resident MPU budget.
+/// Explicit SPU, DPU and MPU configs. `value_size` is the algorithm's
+/// per-vertex attribute width, which sets the half-resident MPU budget.
 fn matrix_configs(n: u64, value_size: u64) -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for (strategy, budget) in [
+    [
         (Strategy::Spu, u64::MAX),
         (Strategy::Dpu, 0),
         (Strategy::Mpu, 4 * n + n * value_size),
-    ] {
-        for sync in [SyncMode::Callback, SyncMode::Lock] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_sync(sync)
-                .with_threads(3);
-            out.push((format!("{strategy:?}/{sync:?}"), cfg));
-        }
-    }
-    out
+    ]
+    .into_iter()
+    .map(|(strategy, budget)| {
+        let cfg = EngineConfig::default()
+            .with_strategy(strategy)
+            .with_budget(budget)
+            .with_threads(3);
+        (format!("{strategy:?}"), cfg)
+    })
+    .collect()
 }
 
 fn assert_close(got: &[f64], want: &[f64], tol: f64, label: &str) {
@@ -410,9 +403,8 @@ fn matrix_inline_vs_ring_bitwise_identical() {
             let graph = if algo_name == "kcore" { &g_sym } else { &g };
             // SPU with a zero budget streams every sub-shard; DPU streams
             // by construction; MPU half-resident mixes cached-free shard
-            // and hub streams. Callback keeps chunk accumulation order
-            // deterministic, making bitwise comparison meaningful under
-            // threads > 1.
+            // and hub streams. Chunk accumulation order is fixed, making
+            // bitwise comparison meaningful under threads > 1.
             for (strategy, budget) in [
                 (Strategy::Spu, 0),
                 (Strategy::Dpu, 0),
@@ -420,8 +412,7 @@ fn matrix_inline_vs_ring_bitwise_identical() {
             ] {
                 let base = EngineConfig::default()
                     .with_strategy(strategy)
-                    .with_budget(budget)
-                    .with_sync(SyncMode::Callback);
+                    .with_budget(budget);
                 let ring = algo_fingerprint(algo_name, graph, &base.clone().with_threads(3));
                 let inline = algo_fingerprint(algo_name, graph, &base.with_threads(1));
                 assert_eq!(
@@ -465,7 +456,7 @@ fn inline_vs_ring_same_io_totals() {
 // Thread-count determinism: the parallel absorb/finalize/hub-merge paths
 // partition work into destination-disjoint chunks whose per-slot fold
 // order is fixed (row order), so results must be *bitwise*-identical at
-// every thread count — for both sync flavours, not just Callback.
+// every thread count.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -491,20 +482,16 @@ fn matrix_thread_counts_bitwise_identical() {
             (Strategy::Dpu, 0),
             (Strategy::Mpu, 4 * n + n * 8),
         ] {
-            for sync in [SyncMode::Callback, SyncMode::Lock] {
-                let base = EngineConfig::default()
-                    .with_strategy(strategy)
-                    .with_budget(budget)
-                    .with_sync(sync);
-                let one = algo_fingerprint(algo_name, graph, &base.clone().with_threads(1));
-                for threads in [2usize, 4] {
-                    let fp =
-                        algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
-                    assert_eq!(
-                        one, fp,
-                        "{algo_name}/{strategy:?}/{sync:?}: {threads} threads diverged from 1"
-                    );
-                }
+            let base = EngineConfig::default()
+                .with_strategy(strategy)
+                .with_budget(budget);
+            let one = algo_fingerprint(algo_name, graph, &base.clone().with_threads(1));
+            for threads in [2usize, 4] {
+                let fp = algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
+                assert_eq!(
+                    one, fp,
+                    "{algo_name}/{strategy:?}: {threads} threads diverged from 1"
+                );
             }
         }
     }
@@ -545,7 +532,6 @@ fn matrix_raw_and_auto_encodings_bitwise_identical() {
             let cfg = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_budget(budget)
-                .with_sync(SyncMode::Callback)
                 .with_threads(3);
             let raw_fp = algo_fingerprint(algo_name, &g_raw, &cfg);
             let auto_fp = algo_fingerprint(algo_name, &g_auto, &cfg);
@@ -656,7 +642,6 @@ fn matrix_dynamic_delta_compacted_and_fresh_bitwise_identical() {
             let cfg = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_budget(budget)
-                .with_sync(SyncMode::Callback)
                 .with_threads(3);
             let chained = algo_fingerprint(algo_name, dg_chained.graph(), &cfg);
             let compacted = algo_fingerprint(algo_name, dg_compacted.graph(), &cfg);
@@ -739,7 +724,6 @@ fn matrix_dynamic_background_maintenance_bitwise_identical() {
             let cfg = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_budget(budget)
-                .with_sync(SyncMode::Callback)
                 .with_threads(3);
             let bg = algo_fingerprint(algo_name, dg_bg.graph(), &cfg);
             let chained = algo_fingerprint(algo_name, dg_inline.graph(), &cfg);
