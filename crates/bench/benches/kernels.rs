@@ -3,8 +3,8 @@
 //! absorb, plus hub compaction/merging, the scalar vs 4-way-unrolled
 //! flat-edge absorb, the task-dispatch slot comparison (mutex slots vs
 //! the pool's cursor-claimed lock-free slots), the word-wise FNV-1a blob
-//! checksum, and owned `SubShard::decode` vs the zero-copy
-//! `SubShardView::parse`.
+//! checksum, and the one sub-shard decoder, `SubShardView::parse`, on raw
+//! and delta+varint blobs.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -170,12 +170,11 @@ fn bench_kernels(c: &mut Criterion) {
 /// * `fnv1a/words` — the 8-bytes-per-step blob checksum of format v2+.
 /// * `varint/{encode,decode}` — the LEB128 primitive behind format v3's
 ///   delta+varint payloads, over a realistic gap distribution.
-/// * `subshard_decode/{owned,view,view_checksummed,compressed}` — the
-///   legacy three-copy `SubShard::decode` vs `SubShardView::parse` on a
-///   raw blob, and the delta+varint inflate path on the v3 blob of the
-///   same shard. `view` skips the checksum (the steady state under the
-///   verify-once `ChecksumPolicy`); `view_checksummed` verifies like a
-///   first load.
+/// * `subshard_decode/{view,view_checksummed,compressed}` —
+///   `SubShardView::parse` on a raw blob, and the delta+varint inflate
+///   path on the v3 blob of the same shard. `view` skips the checksum (the
+///   steady state under the verify-once `ChecksumPolicy`);
+///   `view_checksummed` verifies like a first load or an owned load.
 fn bench_codec(c: &mut Criterion) {
     let (_, edges, _) = workload();
     let ss = SubShard::from_edges(0, 0, edges);
@@ -222,12 +221,9 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.finish();
 
-    let shared = SharedBytes::from(bytes.clone());
+    let shared = SharedBytes::from(bytes);
     let compressed = SharedBytes::from(ss.encode_with(EncodingPolicy::Compressed));
     let mut group = c.benchmark_group("subshard_decode");
-    group.bench_function("owned", |b| {
-        b.iter(|| black_box(SubShard::decode(&bytes, "bench").unwrap().num_edges()))
-    });
     group.bench_function("view", |b| {
         b.iter(|| {
             black_box(

@@ -90,13 +90,11 @@ struct ScaleReport {
     rows: Vec<Row>,
 }
 
-/// Sub-shard decode throughput: the legacy owned `SubShard::decode`, the
-/// zero-copy `SubShardView::parse` (checksum skipped, the steady state
-/// under the verify-once policy) and the delta+varint inflate path, in
-/// million edges per second.
+/// Sub-shard decode throughput: the zero-copy `SubShardView::parse`
+/// (checksum skipped, the steady state under the verify-once policy) and
+/// the delta+varint inflate path, in million edges per second.
 struct DecodeReport {
     edges: u64,
-    owned_medges_per_sec: f64,
     view_medges_per_sec: f64,
     compressed_medges_per_sec: f64,
     /// Compressed blob bytes over raw blob bytes for the fixture shard.
@@ -115,7 +113,8 @@ fn measure_decode(opts: &Opts) -> DecodeReport {
     let ss = SubShard::from_edges(0, 0, edges);
     let m = ss.num_edges() as u64;
     let bytes = ss.encode();
-    let shared = SharedBytes::from(bytes.clone());
+    let raw_len = bytes.len();
+    let shared = SharedBytes::from(bytes);
     let compressed = ss.encode_with(EncodingPolicy::Compressed);
     let shared_compressed = SharedBytes::from(compressed.clone());
     let medges = |reps: u32, secs: f64| (reps as u64 * m) as f64 / 1e6 / secs.max(1e-9);
@@ -134,9 +133,6 @@ fn measure_decode(opts: &Opts) -> DecodeReport {
         samples[1]
     };
 
-    let owned = time_median(&mut || {
-        std::hint::black_box(SubShard::decode(&bytes, "perf").unwrap().num_edges());
-    });
     let view = time_median(&mut || {
         std::hint::black_box(
             SubShardView::parse(shared.clone(), "perf", false)
@@ -153,10 +149,9 @@ fn measure_decode(opts: &Opts) -> DecodeReport {
     });
     DecodeReport {
         edges: m,
-        owned_medges_per_sec: owned,
         view_medges_per_sec: view,
         compressed_medges_per_sec: inflate,
-        compressed_blob_ratio: compressed.len() as f64 / bytes.len() as f64,
+        compressed_blob_ratio: compressed.len() as f64 / raw_len as f64,
     }
 }
 
@@ -452,9 +447,8 @@ fn render_json(
     let _ = writeln!(s, "  ],");
     let _ = writeln!(
         s,
-        "  \"subshard_decode\": {{\"edges\": {}, \"owned_medges_per_sec\": {:.1}, \"view_medges_per_sec\": {:.1}, \"compressed_medges_per_sec\": {:.1}, \"compressed_blob_ratio\": {:.3}}},",
+        "  \"subshard_decode\": {{\"edges\": {}, \"view_medges_per_sec\": {:.1}, \"compressed_medges_per_sec\": {:.1}, \"compressed_blob_ratio\": {:.3}}},",
         decode.edges,
-        decode.owned_medges_per_sec,
         decode.view_medges_per_sec,
         decode.compressed_medges_per_sec,
         decode.compressed_blob_ratio
@@ -544,11 +538,9 @@ pub fn run(opts: &Opts, json_out: Option<&str>) -> bool {
         }
     }
     println!(
-        "\nsubshard_decode ({} edges): owned {:.1} M edges/s, view {:.1} M edges/s ({:.2}x), compressed inflate {:.1} M edges/s (blob {:.2}x smaller)",
+        "\nsubshard_decode ({} edges): view {:.1} M edges/s, compressed inflate {:.1} M edges/s (blob {:.2}x smaller)",
         decode.edges,
-        decode.owned_medges_per_sec,
         decode.view_medges_per_sec,
-        decode.view_medges_per_sec / decode.owned_medges_per_sec.max(1e-9),
         decode.compressed_medges_per_sec,
         1.0 / decode.compressed_blob_ratio.max(1e-9)
     );
@@ -606,7 +598,7 @@ mod tests {
         let reports = vec![measure(5, &opts)];
         let decode = measure_decode(&opts);
         assert!(decode.edges > 0);
-        assert!(decode.owned_medges_per_sec > 0.0 && decode.view_medges_per_sec > 0.0);
+        assert!(decode.view_medges_per_sec > 0.0);
         assert!(decode.compressed_medges_per_sec > 0.0);
         assert!(decode.compressed_blob_ratio > 0.0 && decode.compressed_blob_ratio < 1.0);
         let ooc = measure_out_of_core(&opts);

@@ -29,8 +29,8 @@
 //!   scaling  repo thread-scaling baseline — PageRank iters/sec per
 //!            strategy at 1/2/4/8 engine threads on the scale-15 fixture,
 //!            plus the bitwise determinism matrix (8 algorithms ×
-//!            {SPU,DPU,MPU} × {Callback,Lock} identical at every thread
-//!            count — divergence fails the run). `--json` writes
+//!            {SPU,DPU,MPU} identical at every thread count —
+//!            divergence fails the run). `--json` writes
 //!            BENCH_scaling.json (`--out` overrides).
 //!   all                — run everything
 //! ```

@@ -17,40 +17,13 @@ use crate::types::VertexId;
 
 use super::{SubShard, SubShardView};
 
-/// Borrowed CSR columns of one chain part — the common denominator of
-/// [`SubShardView`] (engine path) and owned [`SubShard`]s (the fold), so
-/// one merge serves both.
-#[derive(Clone, Copy)]
-pub(crate) struct CsrCols<'a> {
+/// Cursor over one part of a chain: the part's CSR columns, resolved once
+/// so the merge indexes plain slices, plus the current destination slot
+/// and the absolute index of the next source within it.
+struct PartCursor<'a> {
     dsts: &'a [VertexId],
     offsets: &'a [u32],
     srcs: &'a [VertexId],
-}
-
-impl<'a> From<&'a SubShardView> for CsrCols<'a> {
-    fn from(v: &'a SubShardView) -> Self {
-        Self {
-            dsts: v.dsts(),
-            offsets: v.offsets(),
-            srcs: v.srcs(),
-        }
-    }
-}
-
-impl<'a> From<&'a SubShard> for CsrCols<'a> {
-    fn from(ss: &'a SubShard) -> Self {
-        Self {
-            dsts: &ss.dsts,
-            offsets: &ss.offsets,
-            srcs: &ss.srcs,
-        }
-    }
-}
-
-/// Cursor over one part of a chain: the current destination slot and the
-/// absolute index of the next source within it.
-struct PartCursor<'a> {
-    cols: CsrCols<'a>,
     /// Destination slot (`0..dsts.len()`).
     pos: usize,
     /// Absolute index into `srcs` (always within slot `pos`'s range while
@@ -59,41 +32,46 @@ struct PartCursor<'a> {
 }
 
 impl<'a> PartCursor<'a> {
-    fn new(cols: CsrCols<'a>) -> Self {
-        Self { cols, pos: 0, idx: 0 }
+    fn new(part: &'a SubShardView) -> Self {
+        Self {
+            dsts: part.dsts(),
+            offsets: part.offsets(),
+            srcs: part.srcs(),
+            pos: 0,
+            idx: 0,
+        }
     }
 
     /// The `(dst, src)` key at the cursor, `None` when exhausted.
     #[inline]
     fn peek(&self) -> Option<(VertexId, VertexId)> {
-        if self.pos >= self.cols.dsts.len() {
+        if self.pos >= self.dsts.len() {
             return None;
         }
-        Some((self.cols.dsts[self.pos], self.cols.srcs[self.idx]))
+        Some((self.dsts[self.pos], self.srcs[self.idx]))
     }
 
     /// Advance past the current edge.
     #[inline]
     fn bump(&mut self) {
         self.idx += 1;
-        while self.pos < self.cols.dsts.len()
-            && self.idx >= self.cols.offsets[self.pos + 1] as usize
-        {
+        while self.pos < self.dsts.len() && self.idx >= self.offsets[self.pos + 1] as usize {
             self.pos += 1;
         }
     }
 }
 
-/// Lazy k-way merge over destination-sorted CSR parts, yielding
-/// `(src, dst)` pairs in global `(dst, src)` order. Duplicate edges are
+/// Lazy k-way merge over destination-sorted chain parts, yielding
+/// `(src, dst)` pairs in global `(dst, src)` order — the same order
+/// [`SubShardView::iter_edges`] walks a single shard. Duplicate edges are
 /// preserved (raw crawls contain them and PageRank counts them).
 ///
 /// Cost is `O(parts)` per edge with no allocation; chains are short by
 /// construction (compaction folds them), so this beats heap bookkeeping.
-fn merge_csr<'a>(
-    parts: impl IntoIterator<Item = CsrCols<'a>>,
+pub fn merge_edges<'a>(
+    parts: &'a [SubShardView],
 ) -> impl Iterator<Item = (VertexId, VertexId)> + 'a {
-    let mut cursors: Vec<PartCursor<'a>> = parts.into_iter().map(PartCursor::new).collect();
+    let mut cursors: Vec<PartCursor<'a>> = parts.iter().map(PartCursor::new).collect();
     std::iter::from_fn(move || {
         let mut best: Option<(usize, (VertexId, VertexId))> = None;
         for (k, c) in cursors.iter().enumerate() {
@@ -109,24 +87,19 @@ fn merge_csr<'a>(
     })
 }
 
-/// `merge_csr` over engine-facing views — the same order
-/// [`SubShardView::iter_edges`] walks a single shard.
-pub fn merge_edges<'a>(
-    parts: &'a [SubShardView],
-) -> impl Iterator<Item = (VertexId, VertexId)> + 'a {
-    merge_csr(parts.iter().map(CsrCols::from))
-}
-
-/// One-pass streaming CSR build from edges arriving in `(dst, src)`
-/// order — the append loop of `SubShard::from_edges`, minus its sort.
-fn build_csr(
-    edges: impl Iterator<Item = (VertexId, VertexId)>,
-    total_edges: usize,
-) -> (Vec<VertexId>, Vec<u32>, Vec<VertexId>) {
+/// Merge chain parts (base first, then deltas) into a single owned
+/// [`SubShard`] tagged `(src_interval, dst_interval)`, without re-sorting —
+/// every part is already destination-sorted, so the k-way merge suffices.
+/// This is the compaction fold, and the body of
+/// [`MergedSubShardView::merge`].
+pub fn merge_subshards(src_interval: u32, dst_interval: u32, parts: &[SubShardView]) -> SubShard {
+    // One streaming CSR build: the append loop of `SubShard::from_edges`,
+    // minus its sort.
+    let total: usize = parts.iter().map(SubShardView::num_edges).sum();
     let mut dsts: Vec<VertexId> = Vec::new();
     let mut offsets: Vec<u32> = vec![0];
-    let mut srcs: Vec<VertexId> = Vec::with_capacity(total_edges);
-    for (s, d) in edges {
+    let mut srcs: Vec<VertexId> = Vec::with_capacity(total);
+    for (s, d) in merge_edges(parts) {
         if dsts.last() != Some(&d) {
             if !srcs.is_empty() {
                 offsets.push(srcs.len() as u32);
@@ -138,16 +111,6 @@ fn build_csr(
     if !srcs.is_empty() {
         offsets.push(srcs.len() as u32);
     }
-    (dsts, offsets, srcs)
-}
-
-/// Merge owned chain parts (base first, then deltas) into a single
-/// [`SubShard`] without re-sorting — every part is already
-/// destination-sorted, so the k-way merge suffices. This is the
-/// compaction fold.
-pub fn merge_subshards(src_interval: u32, dst_interval: u32, parts: &[SubShard]) -> SubShard {
-    let total: usize = parts.iter().map(SubShard::num_edges).sum();
-    let (dsts, offsets, srcs) = build_csr(merge_csr(parts.iter().map(CsrCols::from)), total);
     SubShard {
         src_interval,
         dst_interval,
@@ -160,9 +123,9 @@ pub fn merge_subshards(src_interval: u32, dst_interval: u32, parts: &[SubShard])
 /// The merged read-side view over a base sub-shard and its delta chain.
 ///
 /// Constructed by the loaders when a cell's manifest chain is non-empty:
-/// one pass of [`merge_edges`] builds the merged CSR columns directly (the
-/// edges arrive in `(dst, src)` order, so this is the same
-/// streaming-append loop `SubShard::from_edges` runs after its sort —
+/// [`merge_subshards`] builds the merged CSR columns in one pass of
+/// [`merge_edges`] (the edges arrive in `(dst, src)` order, so this is the
+/// same streaming-append loop `SubShard::from_edges` runs after its sort —
 /// minus the sort), and [`MergedSubShardView::into_view`] hands the result
 /// to the engines as an ordinary words-backed [`SubShardView`].
 pub struct MergedSubShardView {
@@ -179,16 +142,9 @@ impl MergedSubShardView {
             .iter()
             .all(|p| p.src_interval() == parts[0].src_interval()
                 && p.dst_interval() == parts[0].dst_interval()));
-        let total_edges: usize = parts.iter().map(|p| p.num_edges()).sum();
-        let (dsts, offsets, srcs) = build_csr(merge_edges(parts), total_edges);
+        let merged = merge_subshards(parts[0].src_interval(), parts[0].dst_interval(), parts);
         Self {
-            view: SubShardView::from_columns(
-                parts[0].src_interval(),
-                parts[0].dst_interval(),
-                dsts,
-                offsets,
-                srcs,
-            ),
+            view: SubShardView::from(&merged),
             parts: parts.len(),
         }
     }
@@ -239,7 +195,8 @@ mod tests {
         let a = SubShard::from_edges(1, 2, vec![(9, 8), (3, 8), (3, 7)]);
         let b = SubShard::from_edges(1, 2, vec![(3, 8), (1, 6), (2, 9)]);
         let c = SubShard::from_edges(1, 2, vec![]);
-        let merged = merge_subshards(1, 2, &[a.clone(), b.clone(), c]);
+        let parts = [&a, &b, &c].map(SubShardView::from);
+        let merged = merge_subshards(1, 2, &parts);
         let mut all: Vec<_> = a.iter_edges().collect();
         all.extend(b.iter_edges());
         assert_eq!(merged, SubShard::from_edges(1, 2, all));

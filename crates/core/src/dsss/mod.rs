@@ -108,93 +108,33 @@ fn check_delta_cell(src: u32, dst: u32, i: u32, j: u32, name: &str) -> StorageRe
     Ok(())
 }
 
-/// Load sub-shard `SS(i→j)` (base blob plus any delta chain) straight from
-/// a disk handle as an owned [`SubShard`].
-///
-/// Same file layout as [`PreparedGraph::load_subshard`], but free of the
-/// graph borrow; `chain` names the cell's base generation and delta count
-/// (pass [`ChainInfo::default`] for a freshly prepped graph).
-pub fn load_subshard_from(
-    disk: &dyn Disk,
-    i: u32,
-    j: u32,
-    reverse: bool,
-    chain: ChainInfo,
-) -> EngineResult<SubShard> {
-    let mut parts = load_chain_parts(disk, i, j, reverse, chain)?;
-    if parts.len() == 1 {
-        return Ok(parts.pop().expect("base part always present"));
-    }
-    Ok(merge_subshards(i, j, &parts))
-}
-
 /// Load every part of a cell's chain — the base blob first, then each
-/// delta in append order — as owned [`SubShard`]s. The fold
-/// (`dynamic::fold_chain`) needs the parts individually (their raw sizes
-/// feed the manifest's byte totals); plain readers use
-/// [`load_subshard_from`].
+/// delta in append order — as views, every part read whole with
+/// `read_all` and checksum-verified on every load. This is the owned-path
+/// read of the fold (`dynamic::fold_chain`), whose output becomes a new
+/// base, and of [`PreparedGraph::load_subshard`]: neither may trust a
+/// verify-once skip. `chain` names the cell's base generation and delta
+/// count ([`ChainInfo::default`] for a freshly prepped graph).
 pub(crate) fn load_chain_parts(
     disk: &dyn Disk,
     i: u32,
     j: u32,
     reverse: bool,
     chain: ChainInfo,
-) -> EngineResult<Vec<SubShard>> {
+) -> EngineResult<Vec<SubShardView>> {
     let mut parts = Vec::with_capacity(chain.deltas as usize + 1);
-    let name = GraphManifest::subshard_base_file(i, j, reverse, chain.gen);
-    let bytes = disk.read_all(&name)?;
-    parts.push(SubShard::decode(&bytes, &name)?);
-    for k in 1..=chain.deltas {
-        let name = GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, k);
-        let bytes = disk.read_all(&name)?;
-        let d = SubShard::decode(&bytes, &name)?;
-        check_delta_cell(d.src_interval, d.dst_interval, i, j, &name)?;
-        parts.push(d);
+    for k in 0..=chain.deltas {
+        let name = match k {
+            0 => GraphManifest::subshard_base_file(i, j, reverse, chain.gen),
+            k => GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, k),
+        };
+        let part = SubShardView::parse(disk.read_all(&name)?.into(), &name, true)?;
+        if k > 0 {
+            check_delta_cell(part.src_interval(), part.dst_interval(), i, j, &name)?;
+        }
+        parts.push(part);
     }
     Ok(parts)
-}
-
-/// Read hub `H(i→j)` straight from a disk handle (see
-/// [`load_subshard_from`] for why this exists). Returns `None` when the
-/// hub was never written.
-pub fn read_hub_from<A: Attr>(
-    disk: &dyn Disk,
-    i: u32,
-    j: u32,
-) -> EngineResult<Option<(Vec<VertexId>, Vec<A>)>> {
-    read_hub_named(disk, &GraphManifest::hub_file(i, j))
-}
-
-/// Read a hub blob by (possibly scratch-tagged) name; `None` when absent.
-fn read_hub_named<A: Attr>(
-    disk: &dyn Disk,
-    name: &str,
-) -> EngineResult<Option<(Vec<VertexId>, Vec<A>)>> {
-    if !disk.exists(name) {
-        return Ok(None);
-    }
-    let bytes = disk.read_all(name)?;
-    let (encoding, payload) = format::read_blob_encoded(&mut bytes.as_slice(), FileKind::Hub, name)?;
-    let (dsts, accs) = match encoding {
-        Encoding::Raw => {
-            let mut c = format::Cursor::new(&payload);
-            let count = c.u32()? as usize;
-            (c.u32s(count)?, A::decode_slice(c.rest()))
-        }
-        Encoding::DeltaVarint => {
-            let (dsts, accs_off) = codec::decode_hub_dsts(&payload, name, A::SIZE)?;
-            let accs = A::decode_slice(&payload[accs_off..]);
-            (dsts, accs)
-        }
-    };
-    if accs.len() != dsts.len() {
-        return Err(EngineError::Invalid(format!(
-            "hub {name} has {} dsts but {} accumulators",
-            dsts.len(),
-            accs.len()
-        )));
-    }
-    Ok(Some((dsts, accs)))
 }
 
 /// One typed read request: a sub-shard cell or a hub, by coordinates.
@@ -301,7 +241,7 @@ impl ViewLoader {
     /// Read hub `H(i→j)` as a zero-copy view; `None` when the hub was
     /// never written. Hubs are *rewritten with fresh content every
     /// iteration* under the same name, so the verify-once rationale does
-    /// not apply — every hub read verifies (unless the policy is `Never`).
+    /// not apply — every hub read verifies.
     pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
         let Some(name) = self.hub_part_name(i, j) else {
             return Ok(None);
@@ -418,8 +358,8 @@ impl PreparedGraph {
         // the table the loaded manifest committed with.
         let degree_file = manifest.degree_file_current()?;
         let raw = disk.read_all(&degree_file)?;
-        let payload = format::read_blob(&mut raw.as_slice(), FileKind::Degrees, &degree_file)?;
-        let out_degrees = format::decode_u32s(&payload)?;
+        let payload = format::parse_blob(&raw, FileKind::Degrees, &degree_file, true)?;
+        let out_degrees = format::decode_u32s(&raw[payload])?;
         if out_degrees.len() as u64 != manifest.num_vertices {
             return Err(EngineError::Invalid(format!(
                 "degree table has {} entries for {} vertices",
@@ -494,12 +434,6 @@ impl PreparedGraph {
     /// The shared read-buffer pool backing streamed view loads.
     pub fn buffer_pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Replace the checksum verification policy (default:
-    /// [`ChecksumMode::FirstLoad`](nxgraph_storage::ChecksumMode)).
-    pub fn set_checksum_policy(&mut self, policy: ChecksumPolicy) {
-        self.checksums = Arc::new(policy);
     }
 
     /// The transient-failure retry policy applied to blob reads.
@@ -602,10 +536,16 @@ impl PreparedGraph {
 
     /// Load sub-shard `SS(i→j)` (or the transposed `SS'(i→j)` when
     /// `reverse`) as an owned, mutable [`SubShard`] — the prep/rebuild
-    /// path, merged across any delta chain. The engines use
+    /// path, merged across any delta chain, every part parsed by the view
+    /// decoder with its checksum verified. The engines use
     /// [`PreparedGraph::load_subshard_view`].
     pub fn load_subshard(&self, i: u32, j: u32, reverse: bool) -> EngineResult<SubShard> {
-        load_subshard_from(self.disk.as_ref(), i, j, reverse, self.chains.info(i, j, reverse))
+        let mut parts =
+            load_chain_parts(self.disk.as_ref(), i, j, reverse, self.chains.info(i, j, reverse))?;
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("base part always present").to_subshard());
+        }
+        Ok(merge_subshards(i, j, &parts))
     }
 
     /// Load sub-shard `SS(i→j)` as a zero-copy [`SubShardView`].
@@ -651,8 +591,8 @@ impl PreparedGraph {
     pub fn read_interval<A: Attr>(&self, j: u32) -> EngineResult<Vec<A>> {
         let name = self.scratch.interval_file(j);
         let bytes = self.disk.read_all(&name)?;
-        let payload = format::read_blob(&mut bytes.as_slice(), FileKind::Interval, &name)?;
-        let vals = A::decode_slice(&payload);
+        let payload = format::parse_blob(&bytes, FileKind::Interval, &name, true)?;
+        let vals = A::decode_slice(&bytes[payload]);
         if vals.len() != self.interval_len(j) {
             return Err(EngineError::Invalid(format!(
                 "interval {j} holds {} values, expected {}",
@@ -703,12 +643,6 @@ impl PreparedGraph {
         Ok(())
     }
 
-    /// Read hub `H(i→j)`. Returns `None` when the hub was never written
-    /// (its source row was skipped as inactive).
-    pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<(Vec<VertexId>, Vec<A>)>> {
-        read_hub_named(self.disk.as_ref(), &self.scratch.hub_file(i, j))
-    }
-
     /// Remove hub `H(i→j)` if present (between iterations).
     pub fn remove_hub(&self, i: u32, j: u32) {
         let _ = self.disk.remove(&self.scratch.hub_file(i, j));
@@ -719,13 +653,11 @@ impl PreparedGraph {
     pub fn load_reverse_mapping(&self) -> EngineResult<Vec<u64>> {
         let name = GraphManifest::reverse_mapping_file();
         let bytes = self.disk.read_all(name)?;
-        let payload = format::read_blob(&mut bytes.as_slice(), FileKind::Mapping, name)?;
-        let mut c = format::Cursor::new(&payload);
-        let count = payload.len() / 8;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(c.u64()?);
-        }
+        let payload = format::parse_blob(&bytes, FileKind::Mapping, name, true)?;
+        let out: Vec<u64> = bytes[payload]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+            .collect();
         if out.len() as u64 != self.manifest.num_vertices {
             return Err(EngineError::Invalid(format!(
                 "mapping table has {} entries for {} vertices",
@@ -785,13 +717,13 @@ mod tests {
     #[test]
     fn hub_io_roundtrip_and_missing() {
         let g = prepared();
-        assert!(g.read_hub::<f64>(1, 2).unwrap().is_none());
+        assert!(g.read_hub_view::<f64>(1, 2).unwrap().is_none());
         g.write_hub(1, 2, &[4, 5], &[0.25f64, 0.75]).unwrap();
-        let (dsts, accs) = g.read_hub::<f64>(1, 2).unwrap().unwrap();
-        assert_eq!(dsts, vec![4, 5]);
-        assert_eq!(accs, vec![0.25, 0.75]);
+        let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
+        assert_eq!(hub.dsts(), &[4, 5]);
+        assert_eq!((hub.acc(0), hub.acc(1)), (0.25, 0.75));
         g.remove_hub(1, 2);
-        assert!(g.read_hub::<f64>(1, 2).unwrap().is_none());
+        assert!(g.read_hub_view::<f64>(1, 2).unwrap().is_none());
     }
 
     #[test]
@@ -808,10 +740,7 @@ mod tests {
         let comp_len = g.disk().len_of(&GraphManifest::hub_file(1, 2)).unwrap();
         assert!(comp_len < raw_len, "{comp_len} !< {raw_len}");
 
-        // Owned and view readers sniff v3 and agree bit-for-bit.
-        let (d, a) = g.read_hub::<f64>(1, 2).unwrap().unwrap();
-        assert_eq!(d, dsts);
-        assert_eq!(a, accs);
+        // The view reader sniffs v3 and reloads every value bit-for-bit.
         let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
         assert_eq!(hub.dsts(), &dsts[..]);
         for (k, &want) in accs.iter().enumerate() {
@@ -820,8 +749,8 @@ mod tests {
 
         // Unsorted caller input falls back to raw rather than corrupting.
         g.write_hub(1, 2, &[9, 4], &[1.0f64, 2.0]).unwrap();
-        let (d, a) = g.read_hub::<f64>(1, 2).unwrap().unwrap();
-        assert_eq!((d, a), (vec![9, 4], vec![1.0, 2.0]));
+        let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
+        assert_eq!((hub.dsts(), hub.acc(0), hub.acc(1)), (&[9, 4][..], 1.0, 2.0));
     }
 
     #[test]
@@ -850,7 +779,7 @@ mod tests {
         assert_eq!(g_raw.encoding_policy(), EncodingPolicy::Raw);
 
         // Every cell decodes to the same sub-shard through both the owned
-        // and the view loaders.
+        // (always-verify) and the streamed (verify-once) loaders.
         for i in 0..4 {
             for j in 0..4 {
                 for rev in [false, true] {

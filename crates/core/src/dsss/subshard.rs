@@ -126,7 +126,7 @@ impl SubShard {
     /// and as the denominator of the compression ratio (compressed blobs
     /// are smaller — use the on-disk file length for actual sizes).
     pub fn encoded_len(&self) -> u64 {
-        32 + 16 + 4 * (self.dsts.len() + self.offsets.len() + self.srcs.len()) as u64
+        raw_encoded_len(self.num_dsts(), self.num_edges())
     }
 
     /// Encode into the checksummed blob format as raw (v2) words.
@@ -153,7 +153,7 @@ impl SubShard {
 
     /// Encode under an [`EncodingPolicy`]: raw v2 words, delta+varint v3,
     /// or — under `Auto` — whichever wins the ratio threshold for *this*
-    /// blob. Every decoder sniffs the version per blob, so the outputs mix
+    /// blob. The view parser sniffs the version per blob, so the outputs mix
     /// freely on one disk.
     pub fn encode_with(&self, policy: EncodingPolicy) -> Vec<u8> {
         if policy == EncodingPolicy::Raw {
@@ -175,59 +175,17 @@ impl SubShard {
         out
     }
 
-    /// Decode from bytes produced by [`SubShard::encode`] or
-    /// [`SubShard::encode_with`] (the blob version selects the path).
-    pub fn decode(bytes: &[u8], name: &str) -> StorageResult<Self> {
-        let mut r = bytes;
-        let (encoding, payload) = format::read_blob_encoded(&mut r, FileKind::SubShard, name)?;
-        let ss = match encoding {
-            Encoding::Raw => {
-                let mut c = format::Cursor::new(&payload);
-                let src_interval = c.u32()?;
-                let dst_interval = c.u32()?;
-                let num_dsts = c.u32()? as usize;
-                let num_edges = c.u32()? as usize;
-                let dsts = c.u32s(num_dsts)?;
-                let offsets = c.u32s(num_dsts + 1)?;
-                let srcs = c.u32s(num_edges)?;
-                if c.remaining() != 0 {
-                    return Err(StorageError::Corrupt {
-                        name: name.to_string(),
-                        reason: format!("{} trailing bytes", c.remaining()),
-                    });
-                }
-                Self {
-                    src_interval,
-                    dst_interval,
-                    dsts,
-                    offsets,
-                    srcs,
-                }
-            }
-            Encoding::DeltaVarint => {
-                // Cold path (prep/rebuild tooling): one inflate into a
-                // words buffer, then split into the owned columns.
-                let h = codec::read_ss_header(&payload, name)?;
-                let mut words = vec![0u32; h.words_len()];
-                codec::decode_subshard_into(&payload, name, &h, &mut words)?;
-                let off_base = 4 + h.num_dsts;
-                Self {
-                    src_interval: h.src_interval,
-                    dst_interval: h.dst_interval,
-                    dsts: words[4..off_base].to_vec(),
-                    offsets: words[off_base..off_base + h.num_dsts + 1].to_vec(),
-                    srcs: words[off_base + h.num_dsts + 1..].to_vec(),
-                }
-            }
-        };
-        ss.validate(name)?;
-        Ok(ss)
-    }
-
     /// Check structural invariants (sortedness, offset monotonicity).
     pub fn validate(&self, name: &str) -> StorageResult<()> {
         validate_csr(name, &self.dsts, &self.offsets, &self.srcs)
     }
+}
+
+/// Raw (v2) blob size — header plus payload — of a sub-shard with
+/// `num_dsts` destinations and `num_edges` edges: the formula behind
+/// [`SubShard::encoded_len`], usable on views without materialising one.
+pub(crate) fn raw_encoded_len(num_dsts: usize, num_edges: usize) -> u64 {
+    32 + 16 + 4 * (2 * num_dsts + 1 + num_edges) as u64
 }
 
 /// Check the CSR structural invariants shared by [`SubShard`] and the
@@ -296,6 +254,8 @@ pub(crate) fn chunk_csr_by_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsss::SubShardView;
+    use nxgraph_storage::SharedBytes;
 
     fn sample() -> SubShard {
         // Edges (src → dst): deliberately unsorted input.
@@ -326,13 +286,19 @@ mod tests {
         assert_eq!(edges, vec![(5, 2), (9, 2), (4, 3), (4, 3), (5, 3)]);
     }
 
+    /// Decode through the one blob parser (the engines' view), then copy
+    /// out the owned columns.
+    fn decode(bytes: &[u8]) -> StorageResult<SubShard> {
+        let view = SubShardView::parse(SharedBytes::from(bytes.to_vec()), "t", true)?;
+        Ok(view.to_subshard())
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let ss = sample();
         let bytes = ss.encode();
         assert_eq!(bytes.len() as u64, ss.encoded_len());
-        let back = SubShard::decode(&bytes, "t").unwrap();
-        assert_eq!(ss, back);
+        assert_eq!(decode(&bytes).unwrap(), ss);
     }
 
     #[test]
@@ -340,7 +306,7 @@ mod tests {
         let ss = sample();
         let blob = ss.encode_with(EncodingPolicy::Compressed);
         assert!(blob.len() < ss.encoded_len() as usize);
-        assert_eq!(SubShard::decode(&blob, "t").unwrap(), ss);
+        assert_eq!(decode(&blob).unwrap(), ss);
         // Auto keeps the compressed bytes here (every gap is one byte)…
         assert_eq!(ss.encode_with(EncodingPolicy::Auto), blob);
         // …the Raw policy is byte-identical to `encode`…
@@ -351,7 +317,7 @@ mod tests {
         let forced = empty.encode_with(EncodingPolicy::Compressed);
         assert!(forced.len() < empty.encode().len());
         assert_eq!(empty.encode_with(EncodingPolicy::Auto), forced);
-        assert_eq!(SubShard::decode(&forced, "t").unwrap(), empty);
+        assert_eq!(decode(&forced).unwrap(), empty);
         // A shard built from 2²⁸-wide source gaps inflates under varint
         // (five bytes per gap vs four raw) — Auto detects it and stays
         // raw; forcing Compressed still round-trips exactly.
@@ -359,7 +325,7 @@ mod tests {
         assert_eq!(wide.encode_with(EncodingPolicy::Auto), wide.encode());
         let forced_wide = wide.encode_with(EncodingPolicy::Compressed);
         assert!(forced_wide.len() > wide.encode().len());
-        assert_eq!(SubShard::decode(&forced_wide, "t").unwrap(), wide);
+        assert_eq!(decode(&forced_wide).unwrap(), wide);
     }
 
     #[test]
@@ -369,10 +335,10 @@ mod tests {
         let mut bytes = blob.clone();
         let n = bytes.len();
         bytes[n - 2] ^= 0x5a;
-        assert!(SubShard::decode(&bytes, "t").is_err());
+        assert!(decode(&bytes).is_err());
         // Truncations die cleanly in the varint stream or the header.
         for cut in [33, n - 1] {
-            assert!(SubShard::decode(&blob[..cut], "t").is_err(), "cut {cut}");
+            assert!(decode(&blob[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -381,7 +347,7 @@ mod tests {
         let mut bytes = sample().encode();
         let n = bytes.len();
         bytes[n - 2] ^= 0x5a;
-        assert!(SubShard::decode(&bytes, "t").is_err());
+        assert!(decode(&bytes).is_err());
     }
 
     #[test]
@@ -390,8 +356,8 @@ mod tests {
         assert!(ss.is_empty());
         assert_eq!(ss.avg_in_degree(), 0.0);
         assert!(ss.chunk_by_edges(10).is_empty());
-        let back = SubShard::decode(&ss.encode(), "t").unwrap();
-        assert_eq!(ss, back);
+        assert_eq!(ss.encoded_len(), raw_encoded_len(0, 0));
+        assert_eq!(decode(&ss.encode()).unwrap(), ss);
     }
 
     #[test]

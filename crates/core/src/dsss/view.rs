@@ -1,14 +1,14 @@
-//! Zero-copy read-side views over sub-shard and hub blobs.
+//! Zero-copy read-side views over sub-shard and hub blobs — the one
+//! decoder of both formats.
 //!
-//! The streamed hot path used to pay three copies per sub-shard access:
-//! `read_blob` copied the payload out of the reader, the checksum walked
-//! it byte-at-a-time, and [`SubShard::decode`] copied it again into three
-//! owned vectors. [`SubShardView`] removes all of them: the raw blob
-//! (header included) stays in one [`SharedBytes`] allocation — a pooled
-//! page-aligned read buffer, or the `Arc<Vec<u8>>` a `MemDisk` already
-//! holds — and the typed regions are borrowed from it as `&[u32]` slices.
-//! Structural invariants are validated once at parse time, exactly like
-//! the owned decoder, so downstream kernels index without re-checking.
+//! Every sub-shard and hub read goes through these parsers: the engines'
+//! streamed loads, and the owned loads of the fold, the scrubber, rebuild
+//! and the baselines (which copy out with [`SubShardView::to_subshard`]).
+//! The raw blob (header included) stays in one [`SharedBytes`] allocation
+//! — a pooled page-aligned read buffer, or the `Arc<Vec<u8>>` a `MemDisk`
+//! or a whole-file read already holds — and the typed regions are borrowed
+//! from it as `&[u32]` slices. Structural invariants are validated once at
+//! parse time, so downstream kernels index without re-checking.
 //!
 //! The cast requires 4-byte alignment and a little-endian host. Pooled
 //! buffers are page-aligned by construction and the 32-byte header keeps
@@ -316,47 +316,13 @@ impl SubShardView {
     }
 }
 
-impl SubShardView {
-    /// Build a words-backed view directly from already-valid CSR columns —
-    /// the output side of the delta-chain merge
-    /// ([`MergedSubShardView`](super::MergedSubShardView)). No validation
-    /// is performed: the columns come from views that were each validated
-    /// at parse time, and the merge preserves the CSR invariants by
-    /// construction.
-    pub(crate) fn from_columns(
-        src_interval: u32,
-        dst_interval: u32,
-        dsts: Vec<VertexId>,
-        offsets: Vec<u32>,
-        srcs: Vec<VertexId>,
-    ) -> Self {
-        debug_assert_eq!(offsets.len(), dsts.len() + 1);
-        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, srcs.len());
-        let mut words =
-            Vec::with_capacity(SS_HEADER_WORDS + dsts.len() + offsets.len() + srcs.len());
-        words.extend_from_slice(&[
-            src_interval,
-            dst_interval,
-            dsts.len() as u32,
-            srcs.len() as u32,
-        ]);
-        words.extend_from_slice(&dsts);
-        words.extend_from_slice(&offsets);
-        words.extend_from_slice(&srcs);
-        Self {
-            src_interval,
-            dst_interval,
-            num_dsts: dsts.len(),
-            num_edges: srcs.len(),
-            backing: Backing::Words(Arc::new(words)),
-        }
-    }
-}
-
 impl From<&SubShard> for SubShardView {
     /// Build a view over an owned sub-shard (one copy into the words
-    /// backing). Used by benches and in-memory tooling; no validation is
-    /// performed — the `SubShard` is trusted as-is.
+    /// backing) — the output side of the delta-chain merge
+    /// ([`MergedSubShardView`](super::MergedSubShardView)) and of the
+    /// fold's in-memory batch. No validation is performed: the `SubShard`
+    /// is trusted as-is (merged columns come from views that were each
+    /// validated at parse time).
     fn from(ss: &SubShard) -> Self {
         let mut words =
             Vec::with_capacity(SS_HEADER_WORDS + ss.dsts.len() + ss.offsets.len() + ss.srcs.len());
@@ -506,8 +472,7 @@ impl<A: Attr> HubView<A> {
     }
 
     /// The `k`-th accumulator, decoded on access (one fixed-size
-    /// little-endian read — what the owned decoder did per element, minus
-    /// the intermediate vector).
+    /// little-endian read, no intermediate vector).
     #[inline]
     pub fn acc(&self, k: usize) -> A {
         match &self.backing {
@@ -522,6 +487,7 @@ impl<A: Attr> HubView<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nxgraph_storage::format::EncodingPolicy;
 
     fn sample() -> SubShard {
         SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
@@ -533,24 +499,26 @@ mod tests {
 
     #[test]
     fn view_equals_owned_decode() {
+        // The oracle is the encoder's input: parse(encode(ss)) == ss under
+        // every write policy.
         let ss = sample();
-        let bytes = ss.encode();
-        let owned = SubShard::decode(&bytes, "t").unwrap();
-        let view = SubShardView::parse(shared(bytes), "t", true).unwrap();
-        assert_eq!(view.src_interval(), owned.src_interval);
-        assert_eq!(view.dst_interval(), owned.dst_interval);
-        assert_eq!(view.dsts(), &owned.dsts[..]);
-        assert_eq!(view.offsets(), &owned.offsets[..]);
-        assert_eq!(view.srcs(), &owned.srcs[..]);
-        assert_eq!(view.num_edges(), owned.num_edges());
-        assert_eq!(view.num_dsts(), owned.num_dsts());
-        assert_eq!(view.to_subshard(), owned);
-        assert_eq!(
-            view.iter_edges().collect::<Vec<_>>(),
-            owned.iter_edges().collect::<Vec<_>>()
-        );
-        for target in [1usize, 2, 100] {
-            assert_eq!(view.chunk_by_edges(target), owned.chunk_by_edges(target));
+        for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
+            let view = SubShardView::parse(shared(ss.encode_with(policy)), "t", true).unwrap();
+            assert_eq!(view.src_interval(), ss.src_interval);
+            assert_eq!(view.dst_interval(), ss.dst_interval);
+            assert_eq!(view.dsts(), &ss.dsts[..]);
+            assert_eq!(view.offsets(), &ss.offsets[..]);
+            assert_eq!(view.srcs(), &ss.srcs[..]);
+            assert_eq!(view.num_edges(), ss.num_edges());
+            assert_eq!(view.num_dsts(), ss.num_dsts());
+            assert_eq!(view.to_subshard(), ss);
+            assert_eq!(
+                view.iter_edges().collect::<Vec<_>>(),
+                ss.iter_edges().collect::<Vec<_>>()
+            );
+            for target in [1usize, 2, 100] {
+                assert_eq!(view.chunk_by_edges(target), ss.chunk_by_edges(target));
+            }
         }
     }
 
@@ -586,8 +554,6 @@ mod tests {
 
     #[test]
     fn compressed_view_equals_raw_view() {
-        use nxgraph_storage::format::EncodingPolicy;
-
         let ss = sample();
         let raw = SubShardView::parse(shared(ss.encode()), "t", true).unwrap();
         let blob = ss.encode_with(EncodingPolicy::Compressed);

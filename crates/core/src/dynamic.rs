@@ -62,7 +62,7 @@ use std::sync::Arc;
 use nxgraph_storage::manifest::{ChainInfo, GraphManifest};
 use parking_lot::Mutex;
 
-use crate::dsss::{self, PreparedGraph, SubShard};
+use crate::dsss::{self, PreparedGraph, SubShard, SubShardView};
 use crate::error::EngineResult;
 use crate::maintain::{self, MaintenanceThread, ScrubReport, StoreShared, StoreState};
 use crate::prep::{self, PrepConfig};
@@ -818,11 +818,12 @@ pub(crate) struct Fold {
     pub(crate) superseded: Vec<String>,
 }
 
-/// The one fold: read a cell's chain (base first, then each delta),
-/// k-way merge it together with `batch` — appended last, already
-/// destination-sorted — and encode the result. Every caller (inline
-/// commit, [`DynamicGraph::compact`], the maintenance thread) keeps only
-/// its own commit protocol around this.
+/// The one fold: read a cell's chain (base first, then each delta, every
+/// part checksum-verified so a fold never re-checksums unverified bytes
+/// into a new base), k-way merge it together with `batch` — appended
+/// last, already destination-sorted — and encode the result. Every
+/// caller (inline commit, [`DynamicGraph::compact`], the maintenance
+/// thread) keeps only its own commit protocol around this.
 pub(crate) fn fold_chain(
     disk: &dyn nxgraph_storage::Disk,
     (i, j, reverse): (u32, u32, bool),
@@ -831,10 +832,13 @@ pub(crate) fn fold_chain(
     encoding: nxgraph_storage::EncodingPolicy,
 ) -> EngineResult<Fold> {
     let mut parts = dsss::load_chain_parts(disk, i, j, reverse, chain)?;
-    let old_raw: u64 = parts.iter().map(|p| p.encoded_len()).sum();
+    let old_raw: u64 = parts
+        .iter()
+        .map(|p| dsss::subshard::raw_encoded_len(p.num_dsts(), p.num_edges()))
+        .sum();
     let old_disk = disk.len_of(&GraphManifest::subshard_base_file(i, j, reverse, chain.gen))?
         + chain.delta_bytes;
-    parts.extend(batch);
+    parts.extend(batch.as_ref().map(SubShardView::from));
     let merged = dsss::merge_subshards(i, j, &parts);
     let blob = merged.encode_with(encoding);
     let next = ChainInfo {

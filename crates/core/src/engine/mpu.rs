@@ -403,7 +403,7 @@ mod tests {
         // All hubs consumed and removed by FromHub.
         for i in 0..4 {
             for j in 0..4 {
-                assert!(g.read_hub::<f64>(i, j).unwrap().is_none());
+                assert!(g.read_hub_view::<f64>(i, j).unwrap().is_none());
             }
         }
         // Interval traffic happened.

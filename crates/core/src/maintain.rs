@@ -60,10 +60,10 @@ use parking_lot::{Condvar, Mutex};
 use nxgraph_storage::format::{self, Encoding, FileKind};
 use nxgraph_storage::manifest::{MANIFEST_FILE, MANIFEST_TMP_FILE};
 use nxgraph_storage::{
-    ChecksumPolicy, Disk, EncodingPolicy, GraphManifest, RetryPolicy, StorageError,
+    ChecksumPolicy, Disk, EncodingPolicy, GraphManifest, RetryPolicy, SharedBytes, StorageError,
 };
 
-use crate::dsss::SubShard;
+use crate::dsss::SubShardView;
 use crate::error::{EngineError, EngineResult};
 
 /// Name prefix under which the scrubber parks corrupt referenced blobs.
@@ -723,7 +723,7 @@ fn classify(name: &str, manifest: &GraphManifest) -> EngineResult<FileClass> {
 
 /// Verify one file's bytes against its class. `Ok(())` = intact.
 fn verify_file(
-    bytes: &[u8],
+    bytes: &SharedBytes,
     name: &str,
     class: &FileClass,
     manifest: &GraphManifest,
@@ -732,7 +732,7 @@ fn verify_file(
         name: name.to_string(),
         reason,
     };
-    let (kind, encoding) = format::verify_blob(bytes, name)?;
+    let (kind, encoding) = format::verify_blob(bytes.as_slice(), name)?;
     let expect_kind = |want: FileKind| {
         if kind == want {
             Ok(())
@@ -748,11 +748,12 @@ fn verify_file(
             // checksum cannot see, plus any structural damage. Every writer
             // tags the blob with the cell its name claims (base and delta,
             // forward and reverse alike).
-            let ss = SubShard::decode(bytes, name)?;
-            if ss.src_interval != *i || ss.dst_interval != *j {
+            let view = SubShardView::parse(bytes.clone(), name, true)?;
+            if (view.src_interval(), view.dst_interval()) != (*i, *j) {
                 return Err(corrupt(format!(
                     "blob tagged ({}, {}), name says ({i}, {j})",
-                    ss.src_interval, ss.dst_interval
+                    view.src_interval(),
+                    view.dst_interval()
                 )));
             }
             // Canonicality: every writer emits the deterministic encoding
@@ -763,15 +764,15 @@ fn verify_file(
                 Encoding::Raw => EncodingPolicy::Raw,
                 Encoding::DeltaVarint => EncodingPolicy::Compressed,
             };
-            if ss.encode_with(policy) != bytes {
+            if view.to_subshard().encode_with(policy) != bytes.as_slice() {
                 return Err(corrupt("blob is not the canonical encoding of its contents".into()));
             }
             Ok(())
         }
         FileClass::RefDegrees => {
             expect_kind(FileKind::Degrees)?;
-            let payload = format::read_blob(&mut &bytes[..], FileKind::Degrees, name)?;
-            let n = format::decode_u32s(&payload)
+            let payload = format::parse_blob(bytes.as_slice(), FileKind::Degrees, name, true)?;
+            let n = format::decode_u32s(&bytes.as_slice()[payload])
                 .map_err(|e| corrupt(format!("undecodable degree table: {e}")))?
                 .len() as u64;
             if n != manifest.num_vertices {
@@ -784,7 +785,7 @@ fn verify_file(
         }
         FileClass::RefMapping => {
             expect_kind(FileKind::Mapping)?;
-            let payload = format::read_blob(&mut &bytes[..], FileKind::Mapping, name)?;
+            let payload = format::parse_blob(bytes.as_slice(), FileKind::Mapping, name, true)?;
             if payload.len() as u64 != manifest.num_vertices * 8 {
                 return Err(corrupt(format!(
                     "mapping table is {} bytes for {} vertices",
@@ -836,7 +837,7 @@ pub(crate) fn scrub_files(
         // A file listed at pass start may be swept under us (the owner's
         // orphan sweep runs unsynchronised): vanished = not our problem.
         let bytes = match disk.read_all(&name) {
-            Ok(b) => b,
+            Ok(b) => SharedBytes::from(b),
             Err(StorageError::NotFound(_)) => continue,
             Err(e) => return Err(e.into()),
         };
@@ -859,7 +860,7 @@ pub(crate) fn scrub_files(
                 // under a quarantine name and remove the original, so the
                 // next load of this cell fails hard (NotFound) instead of
                 // feeding damaged data to an engine.
-                disk.write_all_to(&format!("{QUARANTINE_PREFIX}{name}"), &bytes)?;
+                disk.write_all_to(&format!("{QUARANTINE_PREFIX}{name}"), bytes.as_slice())?;
                 let _ = disk.remove(&name);
                 invalidate(&name);
                 report.corrupt.push(name);

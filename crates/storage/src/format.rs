@@ -7,7 +7,7 @@
 //! rather than producing silently wrong graph results.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::ops::Range;
 
 use parking_lot::Mutex;
@@ -186,91 +186,53 @@ pub fn write_blob_encoded(
     Ok(())
 }
 
-/// Validate a 32-byte header (magic, version, kind); returns the payload
-/// encoding, length and expected checksum.
+/// Validate a 32-byte header: magic, a known version and a known kind tag,
+/// which must equal `expect` when one is given. Returns the kind, the
+/// payload encoding, length and expected checksum.
 fn check_header(
     header: &[u8; 32],
-    expect: FileKind,
+    expect: Option<FileKind>,
     name: &str,
-) -> StorageResult<(Encoding, usize, u64)> {
+) -> StorageResult<(FileKind, Encoding, usize, u64)> {
+    let corrupt = |reason: String| StorageError::Corrupt {
+        name: name.to_string(),
+        reason,
+    };
     if header[0..8] != MAGIC {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: "bad magic".into(),
-        });
+        return Err(corrupt("bad magic".into()));
     }
     let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
     let Some(encoding) = Encoding::from_version(version) else {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("unsupported version {version}"),
-        });
+        return Err(corrupt(format!("unsupported version {version}")));
     };
     let kind_raw = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    match FileKind::from_u32(kind_raw) {
-        Some(k) if k == expect => {}
-        Some(k) => {
-            return Err(StorageError::Corrupt {
-                name: name.to_string(),
-                reason: format!("expected {expect:?}, found {k:?}"),
-            })
+    let kind = match (FileKind::from_u32(kind_raw), expect) {
+        (None, _) => return Err(corrupt(format!("unknown kind tag {kind_raw}"))),
+        (Some(k), Some(want)) if k != want => {
+            return Err(corrupt(format!("expected {want:?}, found {k:?}")))
         }
-        None => {
-            return Err(StorageError::Corrupt {
-                name: name.to_string(),
-                reason: format!("unknown kind tag {kind_raw}"),
-            })
-        }
-    }
+        (Some(k), _) => k,
+    };
     let len = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
     let checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    Ok((encoding, len, checksum))
+    Ok((kind, encoding, len, checksum))
 }
 
-/// Read a header + payload from `r`, verifying magic, version, kind and
-/// checksum, and report the sniffed payload encoding alongside the bytes.
-/// Callers of compressible kinds (sub-shards, hubs) dispatch on it.
-pub fn read_blob_encoded(
-    r: &mut dyn Read,
-    expect: FileKind,
-    name: &str,
-) -> StorageResult<(Encoding, Vec<u8>)> {
-    let mut header = [0u8; 32];
-    r.read_exact(&mut header).map_err(|e| StorageError::Corrupt {
-        name: name.to_string(),
-        reason: format!("short header: {e}"),
-    })?;
-    let (encoding, len, checksum) = check_header(&header, expect, name)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| StorageError::Corrupt {
-        name: name.to_string(),
-        reason: format!("short payload: {e}"),
-    })?;
-    if fnv1a_words(&payload) != checksum {
-        return Err(StorageError::Corrupt {
+/// The 32-byte header at the front of `blob`.
+fn header_of<'a>(blob: &'a [u8], name: &str) -> StorageResult<&'a [u8; 32]> {
+    match blob.get(0..32) {
+        Some(h) => Ok(h.try_into().expect("a 32-byte slice")),
+        None => Err(StorageError::Corrupt {
             name: name.to_string(),
-            reason: "checksum mismatch".into(),
-        });
+            reason: format!("short header: {} bytes", blob.len()),
+        }),
     }
-    Ok((encoding, payload))
 }
 
-/// Read a header + payload from `r`, requiring the raw encoding — the
-/// entry point for kinds that are never compressed (intervals, degree and
-/// mapping tables). `name` is used only for error messages.
-pub fn read_blob(r: &mut dyn Read, expect: FileKind, name: &str) -> StorageResult<Vec<u8>> {
-    let (encoding, payload) = read_blob_encoded(r, expect, name)?;
-    if encoding != Encoding::Raw {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("unexpected {encoding:?} payload for a raw-only kind"),
-        });
-    }
-    Ok(payload)
-}
-
-/// Validate the header of an in-memory blob and return its payload range —
-/// the zero-copy counterpart of [`read_blob`].
+/// Validate the header of an in-memory blob and return its raw payload
+/// range — the entry point for kinds that are never compressed (intervals,
+/// degree and mapping tables), which decode the range in place. `name` is
+/// used only for error messages.
 ///
 /// `verify_checksum: false` skips the payload hash (the header fields are
 /// always checked); callers gate it through a [`ChecksumPolicy`] so a file
@@ -284,8 +246,8 @@ pub fn parse_blob(
     verify_checksum: bool,
 ) -> StorageResult<Range<usize>> {
     let (encoding, payload) = parse_blob_encoded(blob, expect, name, verify_checksum)?;
-    // Raw-only, like `read_blob`: handing a compressed payload range to a
-    // caller that casts words would yield garbage, not an error.
+    // Raw-only: handing a compressed payload range to a caller that casts
+    // words would yield garbage, not an error.
     if encoding != Encoding::Raw {
         return Err(StorageError::Corrupt {
             name: name.to_string(),
@@ -304,13 +266,7 @@ pub fn parse_blob_encoded(
     name: &str,
     verify_checksum: bool,
 ) -> StorageResult<(Encoding, Range<usize>)> {
-    let Some(header) = blob.get(0..32) else {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("short header: {} bytes", blob.len()),
-        });
-    };
-    let (encoding, len, checksum) = check_header(header.try_into().unwrap(), expect, name)?;
+    let (_, encoding, len, checksum) = check_header(header_of(blob, name)?, Some(expect), name)?;
     let Some(payload) = blob.get(32..32 + len) else {
         return Err(StorageError::Corrupt {
             name: name.to_string(),
@@ -334,41 +290,13 @@ pub fn parse_blob_encoded(
 /// payload checksum — always, regardless of any [`ChecksumPolicy`].
 /// Returns the kind and encoding read from the header.
 pub fn verify_blob(blob: &[u8], name: &str) -> StorageResult<(FileKind, Encoding)> {
-    let Some(header) = blob.get(0..32) else {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("short header: {} bytes", blob.len()),
-        });
-    };
-    let header: &[u8; 32] = header.try_into().unwrap();
-    if header[0..8] != MAGIC {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: "bad magic".into(),
-        });
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    let Some(encoding) = Encoding::from_version(version) else {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("unsupported version {version}"),
-        });
-    };
-    let kind_raw = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    let Some(kind) = FileKind::from_u32(kind_raw) else {
-        return Err(StorageError::Corrupt {
-            name: name.to_string(),
-            reason: format!("unknown kind tag {kind_raw}"),
-        });
-    };
-    let len = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
+    let (kind, encoding, len, checksum) = check_header(header_of(blob, name)?, None, name)?;
     if blob.len() != 32 + len {
         return Err(StorageError::Corrupt {
             name: name.to_string(),
             reason: format!("length field says {len}, file holds {}", blob.len() - 32),
         });
     }
-    let checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
     if fnv1a_words(&blob[32..]) != checksum {
         return Err(StorageError::Corrupt {
             name: name.to_string(),
@@ -378,90 +306,48 @@ pub fn verify_blob(blob: &[u8], name: &str) -> StorageResult<(FileKind, Encoding
     Ok((kind, encoding))
 }
 
-/// When blob payload checksums are verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChecksumMode {
-    /// Verify on every load.
-    Always,
-    /// Verify the first load of each file name, skip repeats — the default
-    /// for engines, which stream the same immutable sub-shard files every
-    /// iteration.
-    FirstLoad,
-    /// Never verify (header fields are still checked).
-    Never,
-}
-
-/// Per-file-name checksum verification policy shared across loads
+/// Verify-once checksum policy, shared per file name across loads
 /// (including the read pipeline's worker threads).
 ///
-/// Under [`ChecksumMode::FirstLoad`] the first load of each name verifies
-/// and later loads skip; concurrent first loads may both verify, which is
-/// harmless. Verification only affects *when* corruption is detected,
-/// never the values computed from an intact file.
+/// The first load of each name verifies and later loads skip; concurrent
+/// first loads may both verify, which is harmless. Verification only
+/// affects *when* corruption is detected, never the values computed from
+/// an intact file.
+#[derive(Default)]
 pub struct ChecksumPolicy {
-    mode: ChecksumMode,
     seen: Mutex<HashSet<String>>,
 }
 
 impl ChecksumPolicy {
-    /// Policy with the given mode.
-    pub fn new(mode: ChecksumMode) -> Self {
-        Self {
-            mode,
-            seen: Mutex::new(HashSet::new()),
-        }
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> ChecksumMode {
-        self.mode
-    }
-
     /// Whether this load of `name` must verify the payload checksum.
     ///
-    /// Under `FirstLoad`, callers must report a *successful* verification
-    /// back via [`ChecksumPolicy::note_verified`] — a failed (corrupt)
-    /// load must not disable verification for the name, or a retry would
-    /// silently skip the very check that caught the corruption.
+    /// Callers must report a *successful* verification back via
+    /// [`ChecksumPolicy::note_verified`] — a failed (corrupt) load must
+    /// not disable verification for the name, or a retry would silently
+    /// skip the very check that caught the corruption.
     pub fn should_verify(&self, name: &str) -> bool {
-        match self.mode {
-            ChecksumMode::Always => true,
-            ChecksumMode::Never => false,
-            ChecksumMode::FirstLoad => !self.seen.lock().contains(name),
-        }
+        !self.seen.lock().contains(name)
     }
 
     /// Record that `name` was loaded with its checksum verified; later
-    /// `FirstLoad` loads of the same name skip the hash.
+    /// loads of the same name skip the hash.
     pub fn note_verified(&self, name: &str) {
-        if self.mode == ChecksumMode::FirstLoad {
-            self.seen.lock().insert(name.to_string());
-        }
+        self.seen.lock().insert(name.to_string());
     }
 
     /// Whether a load of a file that is *rewritten during a run* (hubs)
-    /// must verify. The `FirstLoad` skip is justified only for immutable
-    /// files — a rewritten name carries fresh bytes every time — so
-    /// everything except [`ChecksumMode::Never`] verifies.
+    /// must verify: always. The verify-once skip is justified only for
+    /// immutable files — a rewritten name carries fresh bytes every time.
     pub fn should_verify_mutable(&self) -> bool {
-        self.mode != ChecksumMode::Never
+        true
     }
 
     /// Forget that `name` was verified. Must be called whenever the bytes
     /// behind a name change or vanish — a fold rewriting a base in place,
     /// a sweep removing a file whose name may be reused — so the next load
-    /// under `FirstLoad` re-verifies fresh bytes instead of riding the
-    /// stale cache entry.
+    /// re-verifies fresh bytes instead of riding the stale cache entry.
     pub fn note_invalidated(&self, name: &str) {
-        if self.mode == ChecksumMode::FirstLoad {
-            self.seen.lock().remove(name);
-        }
-    }
-}
-
-impl Default for ChecksumPolicy {
-    fn default() -> Self {
-        Self::new(ChecksumMode::FirstLoad)
+        self.seen.lock().remove(name);
     }
 }
 
@@ -532,29 +418,6 @@ pub fn decode_u32s(data: &[u8]) -> StorageResult<Vec<u32>> {
         .collect())
 }
 
-/// Encode an `f64` slice as little-endian bytes.
-pub fn encode_f64s(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode little-endian bytes into an `f64` vector.
-pub fn decode_f64s(data: &[u8]) -> StorageResult<Vec<f64>> {
-    if !data.len().is_multiple_of(8) {
-        return Err(StorageError::Corrupt {
-            name: "<f64 array>".into(),
-            reason: format!("length {} not a multiple of 8", data.len()),
-        });
-    }
-    Ok(data
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 /// Append a `u32` in little-endian to a buffer.
 #[inline]
 pub fn push_u32(buf: &mut Vec<u8>, v: u32) {
@@ -565,77 +428,6 @@ pub fn push_u32(buf: &mut Vec<u8>, v: u32) {
 #[inline]
 pub fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A cursor for decoding little-endian values from a byte slice.
-pub struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Wrap a byte slice.
-    pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Current offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(StorageError::Corrupt {
-                name: "<cursor>".into(),
-                reason: format!("need {n} bytes, have {}", self.remaining()),
-            });
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `f64`.
-    pub fn f64(&mut self) -> StorageResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read `n` little-endian `u32`s, decoded directly into the returned
-    /// vector (single memcpy on aligned little-endian input).
-    pub fn u32s(&mut self, n: usize) -> StorageResult<Vec<u32>> {
-        let bytes = self.take(n * 4)?;
-        if let Some(words) = cast_u32s(bytes) {
-            return Ok(words.to_vec());
-        }
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-
-    /// Read the remaining bytes as a slice.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.data[self.pos..];
-        self.pos = self.data.len();
-        s
-    }
 }
 
 #[cfg(test)]
@@ -678,19 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_blob_matches_read_blob() {
-        let payload = encode_u32s(&[9, 8, 7, 6, 5]);
-        let mut buf = Vec::new();
-        write_blob(&mut buf, FileKind::SubShard, &payload).unwrap();
-        let range = parse_blob(&buf, FileKind::SubShard, "t", true).unwrap();
-        assert_eq!(&buf[range], &payload[..]);
-        // Wrong kind / truncation behave like read_blob.
-        assert!(parse_blob(&buf, FileKind::Hub, "t", true).is_err());
-        assert!(parse_blob(&buf[..buf.len() - 1], FileKind::SubShard, "t", true).is_err());
-        assert!(parse_blob(&buf[..16], FileKind::SubShard, "t", true).is_err());
-    }
-
-    #[test]
     fn parse_blob_skip_checksum_still_checks_header() {
         let mut buf = Vec::new();
         write_blob(&mut buf, FileKind::Hub, &[1u8; 40]).unwrap();
@@ -706,14 +485,8 @@ mod tests {
 
     #[test]
     fn checksum_policy_modes() {
-        let always = ChecksumPolicy::new(ChecksumMode::Always);
-        assert!(always.should_verify("a") && always.should_verify("a"));
-        assert!(always.should_verify_mutable());
-        let never = ChecksumPolicy::new(ChecksumMode::Never);
-        assert!(!never.should_verify("a"));
-        assert!(!never.should_verify_mutable());
         let once = ChecksumPolicy::default();
-        assert_eq!(once.mode(), ChecksumMode::FirstLoad);
+        // Rewritten files verify on every load.
         assert!(once.should_verify_mutable());
         // Skipping starts only after a *successful* verification is noted;
         // a failed first load must leave verification armed.
@@ -793,16 +566,11 @@ mod tests {
         let payload = b"varint soup".to_vec();
         let mut v3 = Vec::new();
         write_blob_encoded(&mut v3, FileKind::SubShard, &payload, Encoding::DeltaVarint).unwrap();
-        // The versioned readers sniff DeltaVarint…
-        let (enc, back) =
-            read_blob_encoded(&mut v3.as_slice(), FileKind::SubShard, "t").unwrap();
-        assert_eq!((enc, back), (Encoding::DeltaVarint, payload.clone()));
+        // The versioned parser sniffs DeltaVarint…
         let (enc, range) = parse_blob_encoded(&v3, FileKind::SubShard, "t", true).unwrap();
         assert_eq!(enc, Encoding::DeltaVarint);
         assert_eq!(&v3[range], &payload[..]);
-        // …while the raw-only readers reject it with a clear error.
-        let err = read_blob(&mut v3.as_slice(), FileKind::SubShard, "t").unwrap_err();
-        assert!(err.to_string().contains("DeltaVarint"), "{err}");
+        // …while the raw-only parser rejects it with a clear error.
         let err = parse_blob(&v3, FileKind::SubShard, "t", true).unwrap_err();
         assert!(err.to_string().contains("DeltaVarint"), "{err}");
         // Raw blobs report Raw through the encoded entry points too.
@@ -850,9 +618,9 @@ mod tests {
         let payload = encode_u32s(&[1, 2, 3, 0xdeadbeef]);
         let mut buf = Vec::new();
         write_blob(&mut buf, FileKind::SubShard, &payload).unwrap();
-        let mut r = &buf[..];
-        let back = read_blob(&mut r, FileKind::SubShard, "t").unwrap();
-        assert_eq!(back, payload);
+        let range = parse_blob(&buf, FileKind::SubShard, "t", true).unwrap();
+        assert_eq!(range, 32..buf.len());
+        assert_eq!(&buf[range], &payload[..]);
     }
 
     #[test]
@@ -863,8 +631,7 @@ mod tests {
         // Flip a payload byte.
         let last = buf.len() - 1;
         buf[last] ^= 0xff;
-        let mut r = &buf[..];
-        let err = read_blob(&mut r, FileKind::Hub, "t").unwrap_err();
+        let err = parse_blob(&buf, FileKind::Hub, "t", true).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }));
     }
 
@@ -872,18 +639,18 @@ mod tests {
     fn blob_detects_wrong_kind() {
         let mut buf = Vec::new();
         write_blob(&mut buf, FileKind::Hub, b"x").unwrap();
-        let mut r = &buf[..];
-        let err = read_blob(&mut r, FileKind::Interval, "t").unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt { .. }));
+        let err = parse_blob(&buf, FileKind::Interval, "t", true).unwrap_err();
+        assert!(err.to_string().contains("expected Interval, found Hub"), "{err}");
     }
 
     #[test]
     fn blob_detects_truncation() {
         let mut buf = Vec::new();
         write_blob(&mut buf, FileKind::Degrees, &[0u8; 100]).unwrap();
-        buf.truncate(50);
-        let mut r = &buf[..];
-        assert!(read_blob(&mut r, FileKind::Degrees, "t").is_err());
+        // Short payload, one byte short, and short header.
+        for keep in [50, buf.len() - 1, 16] {
+            assert!(parse_blob(&buf[..keep], FileKind::Degrees, "t", true).is_err(), "{keep}");
+        }
     }
 
     #[test]
@@ -892,29 +659,4 @@ mod tests {
         assert_eq!(decode_u32s(&encode_u32s(&vals)).unwrap(), vals);
         assert!(decode_u32s(&[0, 1, 2]).is_err());
     }
-
-    #[test]
-    fn f64_roundtrip() {
-        let vals = vec![0.0, -1.5, f64::MAX, 1e-300];
-        assert_eq!(decode_f64s(&encode_f64s(&vals)).unwrap(), vals);
-        assert!(decode_f64s(&[0; 7]).is_err());
-    }
-
-    #[test]
-    fn cursor_reads_sequentially() {
-        let mut buf = Vec::new();
-        push_u32(&mut buf, 5);
-        push_u64(&mut buf, 99);
-        buf.extend_from_slice(&2.5f64.to_le_bytes());
-        push_u32(&mut buf, 1);
-        push_u32(&mut buf, 2);
-        let mut c = Cursor::new(&buf);
-        assert_eq!(c.u32().unwrap(), 5);
-        assert_eq!(c.u64().unwrap(), 99);
-        assert_eq!(c.f64().unwrap(), 2.5);
-        assert_eq!(c.u32s(2).unwrap(), vec![1, 2]);
-        assert_eq!(c.remaining(), 0);
-        assert!(c.u32().is_err());
-    }
-
 }

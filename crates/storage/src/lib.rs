@@ -21,9 +21,10 @@
 //!   byte formulas of the paper can be checked *empirically*.
 //! * [`mod@format`] — little-endian binary encoding of typed arrays with
 //!   checksummed headers (word-wise FNV-1a since format v2); the on-disk
-//!   representation of intervals, sub-shards and hubs. Includes the
-//!   slice-level [`parse_blob`](format::parse_blob) used by zero-copy
-//!   views and the verify-once [`ChecksumPolicy`]. Since format v3,
+//!   representation of intervals, sub-shards and hubs. Every blob is read
+//!   through one slice parser, [`parse_blob_encoded`](format::parse_blob_encoded)
+//!   (raw-only kinds via [`parse_blob`](format::parse_blob)), under the
+//!   verify-once [`ChecksumPolicy`]. Since format v3,
 //!   sub-shard and hub blobs may carry delta+varint compressed payloads
 //!   (sniffed per blob via [`Encoding`], chosen at write time via
 //!   [`EncodingPolicy`]).
@@ -60,7 +61,7 @@ pub use counter::{IoCounters, IoSnapshot};
 pub use disk::{CrashDisk, CrashOp, CutPoint, Disk, DiskConfig, DiskWrite, MemDisk, OsDisk};
 pub use error::{ErrorClass, StorageError, StorageResult};
 pub use fault::{FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, Injection};
-pub use format::{ChecksumMode, ChecksumPolicy, Encoding, EncodingPolicy};
+pub use format::{ChecksumPolicy, Encoding, EncodingPolicy};
 pub use layout::{layout_key, LayoutToken};
 pub use manifest::{ChainInfo, GraphManifest};
 pub use paced::PacedDisk;

@@ -12,8 +12,8 @@ proptest! {
     fn blob_roundtrips_any_payload(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let mut buf = Vec::new();
         format::write_blob(&mut buf, FileKind::Interval, &payload).unwrap();
-        let back = format::read_blob(&mut buf.as_slice(), FileKind::Interval, "p").unwrap();
-        prop_assert_eq!(back, payload);
+        let range = format::parse_blob(&buf, FileKind::Interval, "p", true).unwrap();
+        prop_assert_eq!(&buf[range], &payload[..]);
     }
 
     #[test]
@@ -28,7 +28,7 @@ proptest! {
         buf[pos] ^= flip;
         // Any single-byte flip must fail decoding (magic, version, kind,
         // length, checksum or payload mismatch).
-        prop_assert!(format::read_blob(&mut buf.as_slice(), FileKind::Hub, "c").is_err());
+        prop_assert!(format::parse_blob(&buf, FileKind::Hub, "c", true).is_err());
     }
 
     #[test]
@@ -41,9 +41,7 @@ proptest! {
         let keep = (buf.len() as f64 * keep_frac) as usize;
         if keep < buf.len() {
             buf.truncate(keep);
-            prop_assert!(
-                format::read_blob(&mut buf.as_slice(), FileKind::Degrees, "t").is_err()
-            );
+            prop_assert!(format::parse_blob(&buf, FileKind::Degrees, "t", true).is_err());
         }
     }
 

@@ -9,9 +9,9 @@ use nxgraph::core::engine::{EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::{EngineError, PreparedGraph};
 use nxgraph::storage::format::{self, Encoding, FileKind};
-use nxgraph::storage::manifest::GraphManifest;
+use nxgraph::storage::manifest::{GraphManifest, MANIFEST_FILE};
 use nxgraph::storage::{
-    Disk, EncodingPolicy, FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, MemDisk,
+    BufferPool, Disk, EncodingPolicy, FaultDisk, FaultKind, FaultOp, FaultPlan, FaultRule, MemDisk,
     SharedBytes, StorageError,
 };
 
@@ -222,7 +222,10 @@ fn corrupt_varint_stream_is_a_clean_format_error() {
         .unwrap();
     let err = SubShardView::parse(SharedBytes::from(blob.clone()), "garbage", true).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
-    assert!(SubShard::decode(&blob, "garbage").is_err());
+    // The pooled inflate path (the engines' streamed loads) rejects it too.
+    let pool = BufferPool::new();
+    let pooled = SubShardView::parse_pooled(SharedBytes::from(blob), "garbage", true, Some(&pool));
+    assert!(pooled.is_err());
 
     // A stream that decodes but contradicts its own header (degrees sum
     // to 1, header says 3 edges) is rejected too.
@@ -292,6 +295,32 @@ fn corrupt_or_truncated_delta_blob_is_rejected() {
     // Restoring the real bytes heals the chain.
     disk.write_all_to(&name, &good).unwrap();
     assert!(dg.graph().load_subshard_view(i, j, false).is_ok());
+}
+
+#[test]
+fn a_fold_never_launders_corruption() {
+    // Owned-path reads (the fold, `raw_edges`) verify every part on every
+    // load, even a name the engines' verify-once policy already trusts:
+    // folding unverified bytes into a new base would re-checksum the
+    // corruption and make it permanent.
+    let (disk, mut dg, i, j, name) = chained_graph();
+    let cfg = EngineConfig::default().with_max_iterations(2);
+    algo::pagerank(dg.graph(), 2, &cfg).unwrap();
+    // Flip the top byte of the delta's last source id: still a sorted,
+    // well-formed sub-shard, so only the checksum can tell.
+    let mut bad = disk.read_all(&name).unwrap();
+    let last = bad.len() - 1;
+    bad[last] ^= 0x01;
+    disk.write_all_to(&name, &bad).unwrap();
+    assert!(
+        dg.graph().load_subshard_view(i, j, false).is_ok(),
+        "the streamed path verified this name once and skips the hash"
+    );
+    let manifest = disk.read_all(MANIFEST_FILE).unwrap();
+    let err = dg.compact().unwrap_err();
+    assert!(matches!(err, EngineError::Storage(StorageError::Corrupt { .. })), "{err}");
+    assert_eq!(disk.read_all(MANIFEST_FILE).unwrap(), manifest, "manifest must not move");
+    assert!(dg.raw_edges().is_err());
 }
 
 #[test]
@@ -378,13 +407,60 @@ fn golden_v2_subshard_blob_still_loads() {
     let want = SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
     // Today's raw writer still produces exactly these bytes…
     assert_eq!(want.encode(), GOLDEN_V2, "raw v2 writer output changed");
-    // …and both decoders load them with full checksum verification.
-    assert_eq!(SubShard::decode(&GOLDEN_V2, "golden").unwrap(), want);
+    // …and the view parser loads them with full checksum verification.
     let view = SubShardView::parse(SharedBytes::from(GOLDEN_V2.to_vec()), "golden", true).unwrap();
     assert_eq!(view.to_subshard(), want);
     assert_eq!(view.dsts(), &[2, 3]);
     assert_eq!(view.offsets(), &[0, 2, 5]);
     assert_eq!(view.srcs(), &[5, 9, 4, 4, 5]);
+}
+
+#[test]
+fn golden_v3_subshard_and_hub_blobs_still_load() {
+    // Byte-for-byte output of the delta+varint (format v3) writers, pinned
+    // so the one encoder and the one decoder cannot drift together behind
+    // a passing round trip. Same sample sub-shard as the v2 golden above.
+    const GOLDEN_V3_SS: [u8; 57] = [
+        // Header: magic, version 3, kind SubShard, payload length 25,
+        // word-wise FNV-1a checksum.
+        0x4e, 0x58, 0x47, 0x52, 0x41, 0x50, 0x48, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x0c, 0x26, 0x7e, 0x92, 0xf4, 0xa8, 0xad, 0x23,
+        // src_interval 2, dst_interval 1, num_dsts 2, num_edges 5.
+        0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x05, 0x00, 0x00, 0x00,
+        // Varint dsts 2 (+1), degrees 2 3, srcs 5 (+4) | 4 (+0) (+1).
+        0x02, 0x01, 0x02, 0x03, 0x05, 0x04, 0x04, 0x00, 0x01,
+    ];
+    let want = SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
+    assert_eq!(
+        want.encode_with(EncodingPolicy::Compressed),
+        GOLDEN_V3_SS,
+        "v3 sub-shard writer output changed"
+    );
+    let view = SubShardView::parse(SharedBytes::from(GOLDEN_V3_SS.to_vec()), "golden", true);
+    assert_eq!(view.unwrap().to_subshard(), want);
+
+    // A 2-entry f64 hub H(0→1): dsts 4, 5 and accumulators 0.25, 0.75.
+    const GOLDEN_V3_HUB: [u8; 54] = [
+        // Header: magic, version 3, kind Hub, payload length 22, checksum.
+        0x4e, 0x58, 0x47, 0x52, 0x41, 0x50, 0x48, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x04, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xae, 0x72, 0xcc, 0x3c, 0xb0, 0xcd, 0x3f, 0x49,
+        // count 2, varint dsts 4 (+1), raw f64 accumulators 0.25 and 0.75.
+        0x02, 0x00, 0x00, 0x00, 0x04, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f,
+    ];
+    let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
+    let mut g = preprocess(&raw_edges(), &PrepConfig::new("gh", 2), Arc::clone(&disk)).unwrap();
+    g.set_encoding_policy(EncodingPolicy::Compressed);
+    g.write_hub(0, 1, &[4, 5], &[0.25f64, 0.75]).unwrap();
+    let name = GraphManifest::hub_file(0, 1);
+    assert_eq!(disk.read_all(&name).unwrap(), GOLDEN_V3_HUB, "v3 hub writer output changed");
+    let hub = g.read_hub_view::<f64>(0, 1).unwrap().unwrap();
+    assert_eq!(hub.dsts(), &[4, 5]);
+    assert_eq!((hub.acc(0), hub.acc(1)), (0.25, 0.75));
 }
 
 #[test]
@@ -430,3 +506,4 @@ fn empty_graph_is_rejected_at_prep() {
     let res = preprocess(&[], &PrepConfig::new("empty", 2), disk);
     assert!(matches!(res, Err(EngineError::Invalid(_))));
 }
+

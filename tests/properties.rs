@@ -74,35 +74,25 @@ proptest! {
 
     #[test]
     fn view_parse_equals_owned_decode(raw in arb_graph()) {
-        // The zero-copy view over encoded bytes must expose exactly what
-        // the owned decoder produces, for arbitrary edge sets (duplicates
-        // and self-loops included).
+        // The one decoder must give back exactly what the encoder was
+        // handed, for arbitrary edge sets (duplicates and self-loops
+        // included), under every write policy: raw v2 words, the adaptive
+        // policy and forced delta+varint v3.
         let (_, edges) = dense(&raw);
         let ss = SubShard::from_edges(0, 0, edges);
-        let bytes = ss.encode();
-        let owned = SubShard::decode(&bytes, "prop").unwrap();
-        let view = SubShardView::parse(SharedBytes::from(bytes), "prop", true).unwrap();
-        prop_assert_eq!(view.dsts(), &owned.dsts[..]);
-        prop_assert_eq!(view.offsets(), &owned.offsets[..]);
-        prop_assert_eq!(view.srcs(), &owned.srcs[..]);
-        prop_assert_eq!(view.num_edges(), owned.num_edges());
-        prop_assert_eq!(&view.to_subshard(), &owned);
+        for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
+            let bytes = ss.encode_with(policy);
+            let view = SubShardView::parse(SharedBytes::from(bytes), "prop", true).unwrap();
+            prop_assert_eq!(view.dsts(), &ss.dsts[..]);
+            prop_assert_eq!(view.offsets(), &ss.offsets[..]);
+            prop_assert_eq!(view.srcs(), &ss.srcs[..]);
+            prop_assert_eq!(view.num_edges(), ss.num_edges());
+            prop_assert_eq!(&view.to_subshard(), &ss);
+        }
 
-        // The v3 delta+varint round trip must land on the same arrays:
-        // compressed blob -> view inflate, and compressed blob -> owned
-        // decode, under both the forced and the adaptive policy.
-        let compressed = ss.encode_with(EncodingPolicy::Compressed);
-        let cview =
-            SubShardView::parse(SharedBytes::from(compressed.clone()), "prop", true).unwrap();
-        prop_assert_eq!(&cview.to_subshard(), &owned);
-        prop_assert_eq!(&SubShard::decode(&compressed, "prop").unwrap(), &owned);
-        prop_assert_eq!(
-            &SubShard::decode(&ss.encode_with(EncodingPolicy::Auto), "prop").unwrap(),
-            &owned
-        );
-
-        // And the streamed loader agrees with both, end to end — for a
-        // raw-encoded and an auto-encoded prepared graph alike.
+        // And the streamed (verify-once) loader agrees with the owned
+        // (always-verify) one, end to end — for a raw-encoded and an
+        // auto-encoded prepared graph alike.
         for encoding in [EncodingPolicy::Raw, EncodingPolicy::Auto] {
             let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
             let cfg = PrepConfig::new("prop", 3).with_encoding(encoding);
@@ -123,12 +113,13 @@ proptest! {
         d1 in proptest::collection::vec((0u32..32, 0u32..32), 1..30),
         d2 in proptest::collection::vec((0u32..32, 0u32..32), 1..30),
     ) {
-        // A delta blob is an ordinary sub-shard blob: encode→decode must
+        // A delta blob is an ordinary sub-shard blob: encode→parse must
         // round-trip under every policy…
         let delta = SubShard::from_edges(0, 0, d1.clone());
         for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
-            let blob = delta.encode_with(policy);
-            prop_assert_eq!(&SubShard::decode(&blob, "prop").unwrap(), &delta);
+            let blob = SharedBytes::from(delta.encode_with(policy));
+            let view = SubShardView::parse(blob, "prop", true).unwrap();
+            prop_assert_eq!(&view.to_subshard(), &delta);
         }
         // …and merge-iterating base + deltas (the read side of a chain)
         // must equal a from-scratch build of the sorted concatenation.
