@@ -168,13 +168,19 @@ fn bench_kernels(c: &mut Criterion) {
 /// The read-path codec comparisons behind the zero-copy refactor:
 ///
 /// * `fnv1a/words` — the 8-bytes-per-step blob checksum of format v2+.
-/// * `varint/{encode,decode}` — the LEB128 primitive behind format v3's
-///   delta+varint payloads, over a realistic gap distribution.
-/// * `subshard_decode/{view,view_checksummed,compressed}` —
+/// * `varint/{encode,decode_scalar,decode_bulk}` — the LEB128 primitive
+///   behind format v3's delta+varint payloads, over the source column's
+///   in-run gaps: one `read_varint` per value against the bulk decoder
+///   `read_varints` (SSSE3 Masked VByte where the host has it).
+/// * `subshard_decode/{view,view_checksummed,compressed,compressed_wide}` —
 ///   `SubShardView::parse` on a raw blob, and the delta+varint inflate
 ///   path on the v3 blob of the same shard. `view` skips the checksum (the
 ///   steady state under the verify-once `ChecksumPolicy`);
 ///   `view_checksummed` verifies like a first load or an owned load.
+///   `compressed_wide` is the same shard with every id offset past 2^21,
+///   so each run's first source is a 4-byte varint the vector decoder
+///   hands to the scalar one: it must not be slower than that scalar
+///   decoder.
 fn bench_codec(c: &mut Criterion) {
     let (_, edges, _) = workload();
     let ss = SubShard::from_edges(0, 0, edges);
@@ -209,20 +215,29 @@ fn bench_codec(c: &mut Criterion) {
             black_box(out.len())
         })
     });
-    group.bench_function("decode", |b| {
+    let mut decoded = vec![0u32; gaps.len()];
+    group.bench_function("decode_scalar", |b| {
         b.iter(|| {
             let mut pos = 0;
-            let mut sum = 0u64;
-            while pos < encoded.len() {
-                sum += varint::read_varint(&encoded, &mut pos, "bench").unwrap() as u64;
-            }
-            black_box(sum)
+            varint::read_varints_scalar(&encoded, &mut pos, &mut decoded, "bench").unwrap();
+            black_box(decoded[decoded.len() - 1])
+        })
+    });
+    group.bench_function("decode_bulk", |b| {
+        b.iter(|| {
+            let mut pos = 0;
+            varint::read_varints(&encoded, &mut pos, &mut decoded, "bench").unwrap();
+            black_box(decoded[decoded.len() - 1])
         })
     });
     group.finish();
 
     let shared = SharedBytes::from(bytes);
     let compressed = SharedBytes::from(ss.encode_with(EncodingPolicy::Compressed));
+    const WIDE: u32 = 1 << 21;
+    let wide_edges = ss.iter_edges().map(|(s, d)| (s + WIDE, d + WIDE)).collect();
+    let wide = SubShard::from_edges(0, 0, wide_edges).encode_with(EncodingPolicy::Compressed);
+    let wide = SharedBytes::from(wide);
     let mut group = c.benchmark_group("subshard_decode");
     group.bench_function("view", |b| {
         b.iter(|| {
@@ -246,6 +261,15 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 SubShardView::parse(compressed.clone(), "bench", false)
+                    .unwrap()
+                    .num_edges(),
+            )
+        })
+    });
+    group.bench_function("compressed_wide", |b| {
+        b.iter(|| {
+            black_box(
+                SubShardView::parse(wide.clone(), "bench", false)
                     .unwrap()
                     .num_edges(),
             )

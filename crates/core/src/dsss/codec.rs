@@ -28,8 +28,20 @@
 //! which the engine-facing `&[u32]` slice API is byte-identical to a raw
 //! load; corrupt or truncated varint streams surface as
 //! [`StorageError::Corrupt`], never as wrong arrays or panics.
+//!
+//! Inflation is two passes per column, both in the output buffer. The
+//! gaps are bulk-decoded in place by [`read_varints`] (SSSE3 Masked VByte
+//! where the host has it, the scalar reference elsewhere). Then one scan
+//! turns them into ids and proves the CSR invariants on the way:
+//! `dsts` and degrees by a checked prefix sum, `srcs` by a branch-free
+//! segmented prefix sum that restarts at every run start (SSE2 on
+//! `x86_64`). The decoder therefore rejects everything the structural
+//! validator does — a repeated destination, an empty slot, degrees that
+//! miss the header's edge count, any `u32` overflow — as well as
+//! truncated, over-long, non-canonical or trailing bytes, and a v3 view
+//! skips the validator's separate pass over the inflated columns.
 
-use nxgraph_storage::varint::{push_varint, read_varint};
+use nxgraph_storage::varint::{push_varint, read_varints};
 use nxgraph_storage::{StorageError, StorageResult};
 
 use super::subshard::SubShard;
@@ -158,6 +170,13 @@ pub(crate) fn encode_subshard_payload(ss: &SubShard) -> Option<Vec<u8>> {
 /// Inflate a v3 sub-shard payload into `out`, which must hold exactly
 /// [`SsHeader::words_len`] words. The output layout is identical to a raw
 /// payload: 4 header words, `dsts`, `offsets`, `srcs`.
+///
+/// Each column's gaps are bulk-decoded in place ([`read_varints`]) and
+/// then prefix-summed with the checks that make the result a valid CSR,
+/// so a v3 view needs no separate structural pass: `dsts` strictly
+/// increasing, every degree ≥ 1, degrees summing to the header's edge
+/// count, and no `u32` overflow in any column. Everything the structural
+/// validator rejects is rejected here as [`StorageError::Corrupt`].
 pub(crate) fn decode_subshard_into(
     payload: &[u8],
     name: &str,
@@ -165,56 +184,48 @@ pub(crate) fn decode_subshard_into(
     out: &mut [u32],
 ) -> StorageResult<()> {
     debug_assert_eq!(out.len(), h.words_len());
-    out[0] = h.src_interval;
-    out[1] = h.dst_interval;
-    out[2] = h.num_dsts as u32;
-    out[3] = h.num_edges as u32;
+    let (head, rest) = out.split_at_mut(4);
+    head.copy_from_slice(&[
+        h.src_interval,
+        h.dst_interval,
+        h.num_dsts as u32,
+        h.num_edges as u32,
+    ]);
+    let (dsts, rest) = rest.split_at_mut(h.num_dsts);
+    let (offsets, srcs) = rest.split_at_mut(h.num_dsts + 1);
     let mut pos = SS_FIXED_BYTES;
 
-    // dsts: cumulative gaps (checked — a corrupt stream must error, not
-    // wrap into a plausible-looking id).
-    let mut prev = 0u32;
-    for k in 0..h.num_dsts {
-        let gap = read_varint(payload, &mut pos, name)?;
-        prev = prev
-            .checked_add(gap)
-            .ok_or_else(|| corrupt(name, "dst gap overflows u32"))?;
-        out[4 + k] = prev;
+    // dsts: the first id is absolute, every later gap is ≥ 1.
+    read_varints(payload, &mut pos, dsts, name)?;
+    if let Some((first, gaps)) = dsts.split_first_mut() {
+        let (last, min_gap) = prefix_sum(gaps, *first as u64);
+        if min_gap == 0 {
+            return Err(corrupt(name, "destinations not strictly increasing"));
+        }
+        if last > u32::MAX as u64 {
+            return Err(corrupt(name, "dst gap overflows u32"));
+        }
     }
 
-    // offsets: prefix sum of per-slot degrees.
-    let off_base = 4 + h.num_dsts;
-    out[off_base] = 0;
-    let mut off = 0u32;
-    for k in 0..h.num_dsts {
-        let deg = read_varint(payload, &mut pos, name)?;
-        off = off
-            .checked_add(deg)
-            .ok_or_else(|| corrupt(name, "degree sum overflows u32"))?;
-        out[off_base + 1 + k] = off;
+    // offsets: prefix sum of per-slot degrees, each ≥ 1. The sum is
+    // checked against the header, which bounds it by u32::MAX.
+    offsets[0] = 0;
+    read_varints(payload, &mut pos, &mut offsets[1..], name)?;
+    let (sum, min_deg) = prefix_sum(&mut offsets[1..], 0);
+    if min_deg == 0 {
+        return Err(corrupt(name, "a destination slot has no edges"));
     }
-    if off as usize != h.num_edges {
+    if sum != h.num_edges as u64 {
         return Err(corrupt(
             name,
-            format!("degrees sum to {off}, header claims {} edges", h.num_edges),
+            format!("degrees sum to {sum}, header claims {} edges", h.num_edges),
         ));
     }
 
-    // srcs: per-run cumulative gaps, run lengths taken from the offsets
-    // just decoded.
-    let src_base = off_base + 1 + h.num_dsts;
-    let mut idx = 0usize;
-    for k in 0..h.num_dsts {
-        let run = (out[off_base + 1 + k] - out[off_base + k]) as usize;
-        let mut prev = 0u32;
-        for _ in 0..run {
-            let gap = read_varint(payload, &mut pos, name)?;
-            prev = prev
-                .checked_add(gap)
-                .ok_or_else(|| corrupt(name, "src gap overflows u32"))?;
-            out[src_base + idx] = prev;
-            idx += 1;
-        }
+    // srcs: one gap stream, summed per destination run.
+    read_varints(payload, &mut pos, srcs, name)?;
+    if !segmented_prefix_sum(srcs, offsets) {
+        return Err(corrupt(name, "src gap overflows u32"));
     }
     if pos != payload.len() {
         return Err(corrupt(
@@ -223,6 +234,177 @@ pub(crate) fn decode_subshard_into(
         ));
     }
     Ok(())
+}
+
+/// Replace `gaps` by their running sum, starting from `start`. Returns
+/// the final sum — as `u64`, so it cannot wrap: any `u32` overflow shows
+/// as a total above `u32::MAX` — and the smallest gap (`u32::MAX` when
+/// there are none).
+fn prefix_sum(gaps: &mut [u32], start: u64) -> (u64, u32) {
+    let (mut acc, mut min) = (start, u32::MAX);
+    for v in gaps {
+        min = min.min(*v);
+        acc += *v as u64;
+        *v = acc as u32;
+    }
+    (acc, min)
+}
+
+/// Prefix-sum `srcs` within each destination run, restarting at every
+/// run start `offsets[k]`; returns `false` if a run overflows `u32`.
+/// `offsets` must be a valid prefix sum of ≥ 1 degrees ending at
+/// `srcs.len()`, as [`decode_subshard_into`] has checked.
+///
+/// Branch-free per value: each 64-value block first gets a run-start bit
+/// mask, so the only branch that depends on where runs end is that
+/// mask's loop, which exits once per block. On `x86_64` the SSE2 scan
+/// (SSE2 is baseline there) does four values per step; elsewhere
+/// [`segmented_prefix_sum_scalar`] runs.
+fn segmented_prefix_sum(srcs: &mut [u32], offsets: &[u32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::segmented_prefix_sum_sse2(srcs, offsets)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        segmented_prefix_sum_scalar(srcs, offsets)
+    }
+}
+
+/// The reference segmented scan: `acc = (acc & keep) + gap`, with `keep`
+/// all-ones inside a run and zero at its start. An overflow inside a run
+/// shows as a decrease.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+fn segmented_prefix_sum_scalar(srcs: &mut [u32], offsets: &[u32]) -> bool {
+    let starts = &offsets[..offsets.len() - 1];
+    let mut next = 0usize;
+    let mut acc = 0u32;
+    let mut wrapped = false;
+    for (b, block) in srcs.chunks_mut(64).enumerate() {
+        let bits = run_start_bits(starts, &mut next, b * 64, block.len());
+        wrapped |= scan_block_scalar(block, bits, &mut acc);
+    }
+    !wrapped
+}
+
+/// Bit `t` set when `lo + t` is a run start, for `t < len ≤ 64`;
+/// `next` is the first start not yet consumed and moves past these.
+#[inline]
+fn run_start_bits(starts: &[u32], next: &mut usize, lo: usize, len: usize) -> u64 {
+    let mut bits = 0u64;
+    while *next < starts.len() && (starts[*next] as usize) < lo + len {
+        bits |= 1 << (starts[*next] as usize - lo);
+        *next += 1;
+    }
+    bits
+}
+
+/// The scalar segmented scan over one block with run-start `bits`,
+/// continuing from `acc`; returns whether a run overflowed.
+#[inline]
+fn scan_block_scalar(block: &mut [u32], bits: u64, acc: &mut u32) -> bool {
+    let mut wrapped = false;
+    for (t, v) in block.iter_mut().enumerate() {
+        let keep = ((bits >> t) as u32 & 1).wrapping_sub(1);
+        let base = *acc & keep;
+        *acc = base.wrapping_add(*v);
+        wrapped |= *acc < base;
+        *v = *acc;
+    }
+    wrapped
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::*;
+
+    use super::{run_start_bits, scan_block_scalar};
+
+    /// Lane masks of a segmented 4-lane scan for one run-start pattern
+    /// (bit `l` set = lane `l` starts a run).
+    #[derive(Clone, Copy)]
+    #[repr(C, align(16))]
+    struct ScanMasks {
+        /// Lane `l` adds lane `l − 1`: no start at `l`.
+        step1: [u32; 4],
+        /// Lane `l` adds the pair ending at `l − 2`: no start at `l`
+        /// or `l − 1`.
+        step2: [u32; 4],
+        /// Lane `l` adds the previous vector's total: no start in `0..=l`.
+        carry: [u32; 4],
+    }
+
+    const fn build_scan_masks() -> [ScanMasks; 16] {
+        let mut out = [ScanMasks {
+            step1: [0; 4],
+            step2: [0; 4],
+            carry: [0; 4],
+        }; 16];
+        let mut p = 0usize;
+        while p < 16 {
+            let mut l = 0;
+            while l < 4 {
+                // Starts in lanes `l`, `l − 1..=l` and `0..=l`.
+                let at = p >> l & 1 != 0;
+                let pair = at || (l >= 1 && p >> (l - 1) & 1 != 0);
+                let upto = p & ((2 << l) - 1) != 0;
+                out[p].step1[l] = if at { 0 } else { u32::MAX };
+                out[p].step2[l] = if pair { 0 } else { u32::MAX };
+                out[p].carry[l] = if upto { 0 } else { u32::MAX };
+                l += 1;
+            }
+            p += 1;
+        }
+        out
+    }
+
+    static SCAN_MASKS: [ScanMasks; 16] = build_scan_masks();
+
+    /// The SSE2 segmented scan: Hillis–Steele over four lanes (add the
+    /// neighbour, then the pair two lanes back, each masked at run
+    /// starts), plus the previous vector's last value in the lanes before
+    /// the first start. Every value is the same `u32` the scalar scan
+    /// produces. The first wrap in a run makes that value smaller than
+    /// its own gap — the sum before it was below 2^32 — so comparing
+    /// each result with its gap finds any overflow.
+    pub(super) fn segmented_prefix_sum_sse2(srcs: &mut [u32], offsets: &[u32]) -> bool {
+        let starts = &offsets[..offsets.len() - 1];
+        let mut next = 0usize;
+        let whole = srcs.len() / 4 * 4;
+        let (vectors, tail) = srcs.split_at_mut(whole);
+        // Safety: SSE2 is part of the x86_64 baseline; every load and
+        // store covers one `chunks_exact_mut(4)` chunk (unaligned), and
+        // `ScanMasks` is 16-byte aligned with each field at a multiple of
+        // 16 (aligned loads).
+        unsafe {
+            let sign = _mm_set1_epi32(i32::MIN);
+            let mut carry = _mm_setzero_si128();
+            let mut smaller = _mm_setzero_si128();
+            for (b, block) in vectors.chunks_mut(64).enumerate() {
+                let bits = run_start_bits(starts, &mut next, b * 64, block.len());
+                for (t, lanes) in block.chunks_exact_mut(4).enumerate() {
+                    let m = &SCAN_MASKS[(bits >> (4 * t)) as usize & 0xf];
+                    let gaps = _mm_loadu_si128(lanes.as_ptr().cast());
+                    let step1 = _mm_load_si128(m.step1.as_ptr().cast());
+                    let step2 = _mm_load_si128(m.step2.as_ptr().cast());
+                    let keep = _mm_load_si128(m.carry.as_ptr().cast());
+                    let x = _mm_add_epi32(gaps, _mm_and_si128(_mm_slli_si128(gaps, 4), step1));
+                    let x = _mm_add_epi32(x, _mm_and_si128(_mm_slli_si128(x, 8), step2));
+                    let x = _mm_add_epi32(x, _mm_and_si128(carry, keep));
+                    smaller = _mm_or_si128(
+                        smaller,
+                        _mm_cmpgt_epi32(_mm_xor_si128(gaps, sign), _mm_xor_si128(x, sign)),
+                    );
+                    _mm_storeu_si128(lanes.as_mut_ptr().cast(), x);
+                    carry = _mm_shuffle_epi32(x, 0xff);
+                }
+            }
+            let mut acc = _mm_cvtsi128_si32(carry) as u32;
+            let bits = run_start_bits(starts, &mut next, whole, tail.len());
+            let wrapped = scan_block_scalar(tail, bits, &mut acc);
+            _mm_movemask_epi8(smaller) == 0 && !wrapped
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,14 +453,11 @@ pub(crate) fn decode_hub_dsts(
         ));
     }
     let mut pos = 4usize;
-    let mut dsts = Vec::with_capacity(count);
-    let mut prev = 0u32;
-    for _ in 0..count {
-        let gap = read_varint(payload, &mut pos, name)?;
-        prev = prev
-            .checked_add(gap)
-            .ok_or_else(|| corrupt(name, "hub dst gap overflows u32"))?;
-        dsts.push(prev);
+    let mut dsts = vec![0u32; count];
+    read_varints(payload, &mut pos, &mut dsts, name)?;
+    // Gap 0 is legal here: a hub may repeat an id.
+    if prefix_sum(&mut dsts, 0).0 > u32::MAX as u64 {
+        return Err(corrupt(name, "hub dst gap overflows u32"));
     }
     if payload.len() - pos != count * acc_size {
         return Err(corrupt(
@@ -296,6 +475,7 @@ pub(crate) fn decode_hub_dsts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nxgraph_storage::varint;
 
     fn sample() -> SubShard {
         SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
@@ -391,6 +571,342 @@ mod tests {
         let mut long = payload.clone();
         long.push(0);
         assert!(decode_hub_dsts(&long, "h", 8).is_err());
+    }
+
+    // -- Bulk decoders: SIMD equals scalar -------------------------------
+
+    /// Run the scalar and (where the host has it) SSSE3 bulk decoders on
+    /// the same stream and panic unless both fail, or both succeed with the
+    /// same values and end position. Returns the scalar result.
+    fn both_paths(data: &[u8], start: usize, n: usize) -> Option<(Vec<u32>, usize)> {
+        let mut a = vec![0u32; n];
+        let mut pa = start;
+        let ra = varint::read_varints_scalar(data, &mut pa, &mut a, "t");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("ssse3") {
+            let mut b = vec![0u32; n];
+            let mut pb = start;
+            // Safety: SSSE3 support was just verified at runtime.
+            let rb = unsafe { varint::read_varints_ssse3(data, &mut pb, &mut b, "t") };
+            match (&ra, &rb) {
+                (Ok(()), Ok(())) => {
+                    assert_eq!(a, b, "decoded values differ");
+                    assert_eq!(pa, pb, "end positions differ");
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("scalar {ra:?} vs ssse3 {rb:?} on {data:02x?} from {start}"),
+            }
+        }
+        ra.ok().map(|()| (a, pa))
+    }
+
+    /// Deterministic xorshift64 stream for the randomized tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A value whose LEB128 encoding is exactly `len` bytes, `len` drawn
+    /// from `lens` (each 1–5).
+    fn value_of_len(rng: &mut Rng, lens: &[u32]) -> u32 {
+        let len = lens[rng.below(lens.len() as u64) as usize];
+        let lo = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+        let hi = (1u64 << (7 * len).min(32)) - 1;
+        (lo + rng.below(hi - lo + 1)) as u32
+    }
+
+    #[test]
+    fn simd_equals_scalar_on_random_streams() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // Length mixes: uniform 1–5, mostly short with rare long values,
+        // and single-byte runs long enough for the 16-value fast path.
+        let mixes: [&[u32]; 4] = [
+            &[1, 2, 3, 4, 5],
+            &[1, 1, 2, 2, 2, 3, 4],
+            &[1],
+            &[1, 1, 1, 5],
+        ];
+        for offset in 0..16 {
+            for mix in mixes {
+                for n in [0usize, 1, 3, 4, 5, 15, 16, 17, 33, 200] {
+                    let vals: Vec<u32> = (0..n).map(|_| value_of_len(&mut rng, mix)).collect();
+                    let mut data: Vec<u8> = (0..offset).map(|_| rng.next() as u8).collect();
+                    for &v in &vals {
+                        push_varint(&mut data, v);
+                    }
+                    let end = data.len();
+                    // Random bytes after the stream: windows read past it.
+                    for _ in 0..rng.below(20) {
+                        data.push(rng.next() as u8);
+                    }
+                    let (got, pos) = both_paths(&data, offset, n).expect("valid stream");
+                    assert_eq!(got, vals);
+                    assert_eq!(pos, end);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_equals_scalar_on_every_truncation() {
+        let mut rng = Rng(7);
+        for mix in [[1u32, 2, 3], [1, 4, 5]] {
+            let vals: Vec<u32> = (0..40).map(|_| value_of_len(&mut rng, &mix)).collect();
+            let mut data = Vec::new();
+            for &v in &vals {
+                push_varint(&mut data, v);
+            }
+            for cut in 0..data.len() {
+                assert!(
+                    both_paths(&data[..cut], 0, vals.len()).is_none(),
+                    "cut {cut}"
+                );
+            }
+            assert!(both_paths(&data, 0, vals.len()).is_some());
+        }
+    }
+
+    #[test]
+    fn simd_rejects_zero_padded_groups_like_scalar() {
+        let mut rng = Rng(11);
+        // Padded encodings of small values: a continuation byte followed
+        // by a zero final group, in every length the decoder handles.
+        let padded: [&[u8]; 4] = [
+            &[0x85, 0x00],
+            &[0x85, 0x81, 0x00],
+            &[0x85, 0x80, 0x80, 0x00],
+            &[0x85, 0x80, 0x80, 0x80, 0x00],
+        ];
+        for pad in padded {
+            // Every position covers each lane of several vector groups,
+            // the 16-value fast path's neighbourhood and the scalar tail.
+            for at in 0..40usize {
+                // Neighbours: short values, or a 4-/5-byte value right
+                // before or after, forcing the table/scalar hand-off.
+                for neighbour_len in [1u32, 4, 5] {
+                    let mut data = Vec::new();
+                    let n = 40;
+                    for k in 0..n {
+                        if k == at {
+                            data.extend_from_slice(pad);
+                        } else if k + 1 == at || k == at + 1 {
+                            push_varint(&mut data, value_of_len(&mut rng, &[neighbour_len]));
+                        } else {
+                            push_varint(&mut data, value_of_len(&mut rng, &[1, 2, 3]));
+                        }
+                    }
+                    data.extend_from_slice(&[0; 16]);
+                    assert!(both_paths(&data, 0, n).is_none(), "pad {pad:02x?} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_rejects_five_byte_overflow_like_scalar() {
+        // 24 one-byte values with a 5-byte one at `at`, so its bytes start
+        // at offset `at`.
+        let stream = |at: usize, five: [u8; 5]| {
+            let mut data = Vec::new();
+            for k in 0..24u32 {
+                if k as usize == at {
+                    data.extend_from_slice(&five);
+                } else {
+                    push_varint(&mut data, k);
+                }
+            }
+            data.extend_from_slice(&[0; 16]);
+            data
+        };
+        for at in 0..24usize {
+            let bad = stream(at, [0xff, 0xff, 0xff, 0xff, 0x7f]);
+            assert!(both_paths(&bad, 0, 24).is_none(), "overflow at {at}");
+            // The largest legal value in the same spot decodes.
+            let ok = stream(at, [0xff, 0xff, 0xff, 0xff, 0x0f]);
+            let (vals, _) = both_paths(&ok, 0, 24).expect("u32::MAX is legal");
+            assert_eq!(vals[at], u32::MAX);
+        }
+    }
+
+    /// A sub-shard with 1–4-byte source ids, runs of every length from 1
+    /// to past the 64-value scan blocks, and single-edge destinations.
+    fn mixed_subshard() -> SubShard {
+        let mut rng = Rng(0xdead_beef);
+        let mut edges = Vec::new();
+        let mut d = 3u32;
+        for k in 0..120u32 {
+            d += 1 + rng.below(if k % 7 == 0 { 300 } else { 3 }) as u32;
+            let run = match k % 5 {
+                0 => 1,
+                1 => 2 + rng.below(4),
+                2 => 60 + rng.below(80),
+                _ => 1 + rng.below(10),
+            };
+            for _ in 0..run {
+                let s = match rng.below(4) {
+                    0 => rng.below(128),
+                    1 => rng.below(1 << 14),
+                    2 => rng.below(1 << 21),
+                    _ => rng.below(1 << 26),
+                };
+                edges.push((s as u32, d));
+            }
+        }
+        SubShard::from_edges(1, 2, edges)
+    }
+
+    #[test]
+    fn simd_equals_scalar_under_payload_mutation() {
+        let ss = mixed_subshard();
+        let payload = encode_subshard_payload(&ss).unwrap();
+        assert_eq!(
+            decode_subshard_words(&payload, "t").unwrap()[4..4 + ss.dsts.len()],
+            ss.dsts[..]
+        );
+        let values = 2 * ss.dsts.len() + ss.srcs.len();
+        assert!(both_paths(&payload, SS_FIXED_BYTES, values).is_some());
+        let mut rng = Rng(0x5eed);
+        for _ in 0..4000 {
+            let mut m = payload.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(m.len() as u64) as usize;
+                match rng.below(3) {
+                    0 => m[at] ^= 1 << rng.below(8),
+                    1 => m.insert(at, rng.next() as u8),
+                    _ => {
+                        m.remove(at);
+                    }
+                }
+            }
+            // The bulk decoders over the varint stream agree, and the
+            // whole inflater (header, validation) never panics.
+            both_paths(&m, SS_FIXED_BYTES.min(m.len()), values);
+            let _ = decode_subshard_words(&m, "t");
+        }
+    }
+
+    #[test]
+    fn simd_segmented_scan_equals_scalar() {
+        let mut rng = Rng(0xfeed);
+        for case in 0..400 {
+            // Run lengths 1..=k, so every start pattern, block boundary and
+            // tail length shows up.
+            let max_run = [1u64, 2, 3, 5, 9, 70][case % 6];
+            let mut degrees = Vec::new();
+            let mut m = 0u32;
+            while m < (case as u32 % 150) + 1 {
+                let d = 1 + rng.below(max_run) as u32;
+                degrees.push(d);
+                m += d;
+            }
+            let mut offsets = vec![0u32];
+            for &d in &degrees {
+                offsets.push(offsets.last().unwrap() + d);
+            }
+            let gaps: Vec<u32> = (0..m)
+                .map(|_| match rng.below(8) {
+                    // Rare huge gaps make some runs overflow.
+                    0 => u32::MAX - rng.below(4) as u32,
+                    1 => rng.next() as u32 >> 1,
+                    _ => rng.below(1000) as u32,
+                })
+                .collect();
+            let (mut a, mut b) = (gaps.clone(), gaps);
+            let ok_a = segmented_prefix_sum_scalar(&mut a, &offsets);
+            #[cfg(target_arch = "x86_64")]
+            let ok_b = x86::segmented_prefix_sum_sse2(&mut b, &offsets);
+            #[cfg(not(target_arch = "x86_64"))]
+            let ok_b = segmented_prefix_sum_scalar(&mut b, &offsets);
+            assert_eq!(ok_a, ok_b, "case {case}");
+            assert_eq!(a, b, "case {case}");
+        }
+    }
+
+    // -- Fused validation -------------------------------------------------
+
+    /// A v3 payload from raw header words and the three varint columns.
+    fn handmade(header: [u32; 4], dsts: &[u32], degrees: &[u32], srcs: &[u32]) -> Vec<u8> {
+        let mut p = Vec::new();
+        for w in header {
+            p.extend_from_slice(&w.to_le_bytes());
+        }
+        for &v in dsts.iter().chain(degrees).chain(srcs) {
+            push_varint(&mut p, v);
+        }
+        p
+    }
+
+    /// Parse a v3 payload through the view parser with the checksum
+    /// skipped, as the verify-once policy does after a first load.
+    fn parse_v3(payload: &[u8]) -> StorageResult<crate::dsss::SubShardView> {
+        use nxgraph_storage::format::{write_blob_encoded, Encoding, FileKind};
+        let mut blob = Vec::new();
+        write_blob_encoded(
+            &mut blob,
+            FileKind::SubShard,
+            payload,
+            Encoding::DeltaVarint,
+        )
+        .unwrap();
+        crate::dsss::SubShardView::parse(blob.into(), "v3", false)
+    }
+
+    #[test]
+    fn fused_validation_rejects_what_validate_csr_rejects() {
+        use super::super::subshard::validate_csr;
+        let cases: [(&str, Vec<u8>); 5] = [
+            // dsts 3, 3: a zero gap after the first.
+            (
+                "dst gap 0",
+                handmade([0, 0, 2, 2], &[3, 0], &[1, 1], &[1, 2]),
+            ),
+            // Slot 0 has no edges.
+            ("degree 0", handmade([0, 0, 2, 1], &[1, 1], &[0, 1], &[5])),
+            // Degrees sum to 2, the header claims 3 edges.
+            ("degree sum", handmade([0, 0, 1, 3], &[1], &[2], &[1, 1, 1])),
+            // u32::MAX then +1 inside one source run.
+            (
+                "src overflow",
+                handmade([0, 0, 1, 2], &[0], &[2], &[u32::MAX, 1]),
+            ),
+            // u32::MAX then +1 across the destinations.
+            (
+                "dst overflow",
+                handmade([0, 0, 2, 2], &[u32::MAX, 1], &[1, 1], &[0, 0]),
+            ),
+        ];
+        for (what, payload) in cases {
+            let err = parse_v3(&payload).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{what}: {err}");
+        }
+        // The raw forms of the two cases a raw payload can express are
+        // what the structural validator rejects.
+        assert!(validate_csr("raw", &[3, 3], &[0, 1, 2], &[1, 2]).is_err());
+        assert!(validate_csr("raw", &[1, 2], &[0, 0, 1], &[5]).is_err());
+        // The well-formed neighbour of each parses.
+        let ok = parse_v3(&handmade([0, 0, 2, 2], &[3, 1], &[1, 1], &[1, 2])).unwrap();
+        assert_eq!(
+            (ok.dsts(), ok.offsets(), ok.srcs()),
+            (&[3, 4][..], &[0, 1, 2][..], &[1, 2][..])
+        );
+        assert!(parse_v3(&handmade([0, 0, 1, 2], &[0], &[2], &[u32::MAX, 0])).is_ok());
+    }
+
+    #[test]
+    fn mixed_subshard_roundtrips_through_the_view() {
+        let ss = mixed_subshard();
+        let view = parse_v3(&encode_subshard_payload(&ss).unwrap()).unwrap();
+        assert_eq!(view.to_subshard(), ss);
     }
 
     #[test]

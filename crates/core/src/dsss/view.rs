@@ -8,7 +8,10 @@
 //! — a pooled page-aligned read buffer, or the `Arc<Vec<u8>>` a `MemDisk`
 //! or a whole-file read already holds — and the typed regions are borrowed
 //! from it as `&[u32]` slices. Structural invariants are validated once at
-//! parse time, so downstream kernels index without re-checking.
+//! parse time, so downstream kernels index without re-checking: a raw
+//! (v2) view by a pass over its cast columns, a delta+varint (v3) view by
+//! the inflater itself, which proves them while it prefix-sums the gaps
+//! (see the `codec` module) and so skips that pass.
 //!
 //! The cast requires 4-byte alignment and a little-endian host. Pooled
 //! buffers are page-aligned by construction and the 32-byte header keeps
@@ -80,7 +83,9 @@ impl SubShardView {
     /// `pool` — returned when the view drops, so steady-state streaming of
     /// compressed shards allocates nothing — and the typed slices are cast
     /// over it exactly like a raw load. Raw blobs never touch the pool
-    /// (they cast in place). This is the entry point of the streamed
+    /// (they cast in place). A raw view is validated by a pass over its
+    /// columns; a v3 view is validated by the inflater as it decodes, with
+    /// the same rejections. This is the entry point of the streamed
     /// engine path ([`ViewLoader`](super::ViewLoader)), which runs on the
     /// read pipeline's workers at threads > 1, keeping inflation off the
     /// compute thread.
@@ -96,14 +101,18 @@ impl SubShardView {
             name,
             verify_checksum,
         )?;
-        let view = match encoding {
-            Encoding::Raw => Self::over_raw(bytes, payload_range, name)?,
-            Encoding::DeltaVarint => {
-                Self::inflate(&bytes.as_slice()[payload_range], name, pool)?
+        match encoding {
+            Encoding::Raw => {
+                let view = Self::over_raw(bytes, payload_range, name)?;
+                validate_csr(name, view.dsts(), view.offsets(), view.srcs())?;
+                Ok(view)
             }
-        };
-        validate_csr(name, view.dsts(), view.offsets(), view.srcs())?;
-        Ok(view)
+            Encoding::DeltaVarint => {
+                let view = Self::inflate(&bytes.as_slice()[payload_range], name, pool)?;
+                debug_assert!(validate_csr(name, view.dsts(), view.offsets(), view.srcs()).is_ok());
+                Ok(view)
+            }
+        }
     }
 
     /// Build the zero-copy (or copying-fallback) view over a raw payload.

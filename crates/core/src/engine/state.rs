@@ -52,15 +52,26 @@ impl<P: VertexProgram> AccBuf<P> {
     /// Compact into hub form: the (global id, accumulator) pairs of
     /// vertices that received messages. Destination ids come out sorted
     /// because the buffer is id-ordered.
+    ///
+    /// Branch-free: after counting the messaged vertices, every slot up to
+    /// the last messaged one is written unconditionally at the fill cursor,
+    /// which then advances by that slot's flag — so an unmessaged slot is
+    /// overwritten by the next messaged one and the cursor never passes the
+    /// count.
     pub fn compact(&self) -> (Vec<VertexId>, Vec<P::Accum>) {
-        let mut dsts = Vec::new();
-        let mut accs = Vec::new();
-        for k in 0..self.acc.len() {
-            if self.has[k] != 0 {
-                dsts.push(self.base + k as VertexId);
-                accs.push(self.acc[k]);
-            }
+        let count = self.has.iter().filter(|&&h| h != 0).count();
+        let Some(last) = self.has.iter().rposition(|&h| h != 0) else {
+            return (Vec::new(), Vec::new());
+        };
+        let mut dsts = vec![0 as VertexId; count];
+        let mut accs = vec![self.acc[last]; count];
+        let mut j = 0usize;
+        for (k, (&h, &a)) in self.has[..=last].iter().zip(&self.acc).enumerate() {
+            dsts[j] = self.base + k as VertexId;
+            accs[j] = a;
+            j += (h != 0) as usize;
         }
+        debug_assert_eq!(j, count);
         (dsts, accs)
     }
 
@@ -297,6 +308,53 @@ mod tests {
         assert_eq!(b.acc[1], 2.5);
         assert_eq!(b.acc[4], 8.0);
         assert_eq!(b.has, vec![0, 1, 0, 0, 1]);
+    }
+
+    #[test]
+    fn compact_equals_the_definitional_filter() {
+        let p = Sum;
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut patterns = vec![vec![], vec![0; 77], vec![1; 77], vec![0, 0, 1], vec![1, 0, 0]];
+        for len in [1usize, 63, 64, 65, 1000] {
+            for density in [2u64, 4, 16] {
+                // Any non-zero byte counts as a message, not just 1.
+                let has =
+                    (0..len).map(|_| (next() % density == 0) as u8 * (1 + next() % 255) as u8);
+                patterns.push(has.collect());
+            }
+        }
+        for has in patterns {
+            let mut buf = AccBuf::<Sum>::new(&p, 1000, has.len());
+            for (k, a) in buf.acc.iter_mut().enumerate() {
+                // Distinct bit patterns, signed zero and NaN payloads
+                // included, so `to_bits` equality checks every slot.
+                *a = match k % 4 {
+                    0 => f64::from_bits(next()),
+                    1 => -0.0,
+                    2 => f64::from_bits(0x7ff8_0000_0000_0000 | k as u64),
+                    _ => k as f64,
+                };
+            }
+            buf.has = has.clone();
+            let want: Vec<(VertexId, u64)> = (0..has.len())
+                .filter(|&k| has[k] != 0)
+                .map(|k| (1000 + k as VertexId, buf.acc[k].to_bits()))
+                .collect();
+            let (dsts, accs) = buf.compact();
+            let got: Vec<(VertexId, u64)> = dsts
+                .iter()
+                .zip(&accs)
+                .map(|(&d, a)| (d, a.to_bits()))
+                .collect();
+            assert_eq!(got, want, "has = {has:?}");
+            assert_eq!(dsts.capacity(), want.len());
+        }
     }
 
     #[test]

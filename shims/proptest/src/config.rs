@@ -7,17 +7,21 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
+    /// `cases` cases, unless `PROPTEST_CASES` is set: the environment
+    /// overrides every suite, so one run can widen them all.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: env_cases().unwrap_or(cases),
+        }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32);
-        ProptestConfig { cases }
+        Self::with_cases(32)
     }
+}
+
+fn env_cases() -> Option<u32> {
+    std::env::var("PROPTEST_CASES").ok()?.parse().ok()
 }

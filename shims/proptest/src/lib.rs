@@ -10,8 +10,8 @@
 //! is fully deterministic: each test function derives its RNG seed from a
 //! hash of its own name, so failures reproduce on every run. The failure
 //! message reports the case index. The number of cases defaults to 32 and
-//! can be set per-suite with `ProptestConfig::with_cases(n)` or globally
-//! with the `PROPTEST_CASES` environment variable.
+//! can be set per-suite with `ProptestConfig::with_cases(n)`; the
+//! `PROPTEST_CASES` environment variable, when set, overrides every suite.
 
 pub mod arbitrary;
 pub mod collection;

@@ -210,8 +210,8 @@ proptest! {
         // …then enumerate every blob the manifest references and flip one
         // arbitrary bit in one of them.
         let m = GraphManifest::load(disk.as_ref()).unwrap();
+        // (No `mapping_file()`: prep writes only the reverse mapping.)
         let mut files = vec![
-            GraphManifest::mapping_file().to_string(),
             GraphManifest::reverse_mapping_file().to_string(),
             m.degree_file_current().unwrap(),
         ];
