@@ -62,6 +62,7 @@ pub fn run<P: VertexProgram>(
         g.write_interval(j, &vals)?;
     }
 
+    let loader = g.view_loader();
     let mut iterations = 0;
     let mut edges_traversed = 0u64;
 
@@ -88,7 +89,7 @@ pub fn run<P: VertexProgram>(
                 // every pinned destination — the n·P·Ba term.
                 let src_vals: Vec<P::Value> = g.read_interval(i)?;
                 let r_i = g.interval_range(i);
-                let ss = Arc::new(g.load_subshard_view(i, j, false)?);
+                let ss = Arc::new(loader.load_subshard(i, j, false)?);
                 edges_traversed += ss.num_edges() as u64;
                 absorb(
                     prog,

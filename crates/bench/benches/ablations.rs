@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use nxgraph_core::algo::pagerank::PageRank;
-use nxgraph_core::dsss::{SubShard, SubShardView};
+use nxgraph_core::dsss::SubShardView;
 use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::prep;
@@ -39,7 +39,7 @@ fn edges() -> (u32, Vec<(u32, u32)>, Arc<Vec<u32>>) {
 
 /// A sub-shard with destinations sorted but sources left in input order —
 /// the structure NXgraph would have *without* the secondary sort.
-fn dst_only_sorted(edges: &[(u32, u32)]) -> SubShard {
+fn dst_only_sorted(edges: &[(u32, u32)]) -> SubShardView {
     let mut by_dst = edges.to_vec();
     by_dst.sort_by_key(|&(_, d)| d); // stable: preserves src input order
     // Build CSR manually to avoid the (dst, src) sort of from_edges.
@@ -54,21 +54,15 @@ fn dst_only_sorted(edges: &[(u32, u32)]) -> SubShard {
         srcs.push(s);
         *offsets.last_mut().unwrap() = srcs.len() as u32;
     }
-    SubShard {
-        src_interval: 0,
-        dst_interval: 0,
-        dsts,
-        offsets,
-        srcs,
-    }
+    SubShardView::from_csr(0, 0, &dsts, &offsets, &srcs)
 }
 
 fn bench_edge_ordering(c: &mut Criterion) {
     let (n, edges, deg) = edges();
     let prog = PageRank::new(n, Arc::clone(&deg));
     let vals = vec![1.0 / n as f64; n as usize];
-    let sorted = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges.clone())));
-    let unsorted_src = Arc::new(SubShardView::from(&dst_only_sorted(&edges)));
+    let sorted = Arc::new(SubShardView::from_edges(0, 0, edges.clone()));
+    let unsorted_src = Arc::new(dst_only_sorted(&edges));
 
     let mut group = c.benchmark_group("edge_ordering");
     for (name, ss) in [("dst_and_src_sorted", &sorted), ("dst_sorted_only", &unsorted_src)] {
@@ -87,7 +81,7 @@ fn bench_task_granularity(c: &mut Criterion) {
     let (n, edges, deg) = edges();
     let prog = PageRank::new(n, Arc::clone(&deg));
     let vals = vec![1.0 / n as f64; n as usize];
-    let ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges)));
+    let ss = Arc::new(SubShardView::from_edges(0, 0, edges));
 
     let mut group = c.benchmark_group("edges_per_task");
     let sweep = [256usize, 1024, 8192, 65536].map(|ept| (format!("ept_{ept}"), ept));

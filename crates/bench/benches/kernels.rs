@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use nxgraph_baselines::common::coarse_absorb;
 use nxgraph_core::algo::pagerank::PageRank;
-use nxgraph_core::dsss::{SubShard, SubShardView};
+use nxgraph_core::dsss::SubShardView;
 use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::parallel::run_tasks;
@@ -83,7 +83,7 @@ fn bench_kernels(c: &mut Criterion) {
     let (n, edges, deg) = workload();
     let prog = PageRank::new(n, Arc::clone(&deg));
     let vals = vec![1.0 / n as f64; n as usize];
-    let ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges.clone())));
+    let ss = Arc::new(SubShardView::from_edges(0, 0, edges.clone()));
     let threads = 4;
 
     let mut group = c.benchmark_group("kernel");
@@ -128,7 +128,7 @@ fn bench_kernels(c: &mut Criterion) {
     }
     let dense_deg = Arc::new(dense_deg);
     let dense_vals = vec![1.0 / dn as f64; dn as usize];
-    let dense_ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, dense_edges)));
+    let dense_ss = Arc::new(SubShardView::from_edges(0, 0, dense_edges));
     let dense_prog = PageRank::new(dn, Arc::clone(&dense_deg));
     let scalar_prog = ScalarPageRank(PageRank::new(dn, Arc::clone(&dense_deg)));
     let mut group = c.benchmark_group("absorb_run");
@@ -183,8 +183,8 @@ fn bench_kernels(c: &mut Criterion) {
 ///   decoder.
 fn bench_codec(c: &mut Criterion) {
     let (_, edges, _) = workload();
-    let ss = SubShard::from_edges(0, 0, edges);
-    let bytes = ss.encode();
+    let ss = SubShardView::from_edges(0, 0, edges);
+    let bytes = ss.encode_with(EncodingPolicy::Raw);
     let payload = &bytes[32..];
 
     let mut group = c.benchmark_group("fnv1a");
@@ -197,7 +197,7 @@ fn bench_codec(c: &mut Criterion) {
     // of its time on; benchmark the primitive over exactly those values.
     let mut gaps: Vec<u32> = Vec::with_capacity(ss.num_edges());
     for pos in 0..ss.num_dsts() {
-        let run = &ss.srcs[ss.src_range(pos)];
+        let run = &ss.srcs()[ss.src_range(pos)];
         gaps.push(run[0]);
         gaps.extend(run.windows(2).map(|w| w[1] - w[0]));
     }
@@ -236,7 +236,7 @@ fn bench_codec(c: &mut Criterion) {
     let compressed = SharedBytes::from(ss.encode_with(EncodingPolicy::Compressed));
     const WIDE: u32 = 1 << 21;
     let wide_edges = ss.iter_edges().map(|(s, d)| (s + WIDE, d + WIDE)).collect();
-    let wide = SubShard::from_edges(0, 0, wide_edges).encode_with(EncodingPolicy::Compressed);
+    let wide = SubShardView::from_edges(0, 0, wide_edges).encode_with(EncodingPolicy::Compressed);
     let wide = SharedBytes::from(wide);
     let mut group = c.benchmark_group("subshard_decode");
     group.bench_function("view", |b| {

@@ -31,7 +31,7 @@ use std::time::Instant;
 use nxgraph_bench::report::{fmt_secs, Table};
 use nxgraph_bench::workloads::{prepare_os_disk, prepare_streamed_os};
 use nxgraph_core::algo;
-use nxgraph_core::dsss::{SubShard, SubShardView};
+use nxgraph_core::dsss::SubShardView;
 use nxgraph_core::engine::Strategy;
 use nxgraph_graphgen::datasets::Dataset;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
@@ -110,9 +110,9 @@ fn measure_decode(opts: &Opts) -> DecodeReport {
         .into_iter()
         .map(|e| (e.src as u32, e.dst as u32))
         .collect();
-    let ss = SubShard::from_edges(0, 0, edges);
+    let ss = SubShardView::from_edges(0, 0, edges);
     let m = ss.num_edges() as u64;
-    let bytes = ss.encode();
+    let bytes = ss.encode_with(EncodingPolicy::Raw);
     let raw_len = bytes.len();
     let shared = SharedBytes::from(bytes);
     let compressed = ss.encode_with(EncodingPolicy::Compressed);

@@ -44,7 +44,8 @@
 use nxgraph_storage::varint::{push_varint, read_varints};
 use nxgraph_storage::{StorageError, StorageResult};
 
-use super::subshard::SubShard;
+use super::view::payload_words;
+use super::SubShardView;
 
 /// Fixed little-endian prefix of a v3 sub-shard payload — the same four
 /// header words (src/dst interval, counts) as the raw layout.
@@ -73,14 +74,6 @@ pub(crate) struct SsHeader {
     pub dst_interval: u32,
     pub num_dsts: usize,
     pub num_edges: usize,
-}
-
-impl SsHeader {
-    /// Length in words of the inflated payload
-    /// (`header + dsts + offsets + srcs`).
-    pub fn words_len(&self) -> usize {
-        4 + self.num_dsts + (self.num_dsts + 1) + self.num_edges
-    }
 }
 
 /// Read and sanity-check the fixed header of a v3 sub-shard payload.
@@ -121,40 +114,42 @@ pub(crate) fn read_ss_header(payload: &[u8], name: &str) -> StorageResult<SsHead
 /// Encode a sub-shard as a v3 payload (no blob header).
 ///
 /// Returns `None` when the columns violate the monotonicity the gap
-/// coding relies on (possible only for hand-constructed shards — the
-/// builder sorts); callers then fall back to the raw encoding.
-pub(crate) fn encode_subshard_payload(ss: &SubShard) -> Option<Vec<u8>> {
-    if ss.offsets.len() != ss.dsts.len() + 1 || ss.offsets.first() != Some(&0) {
+/// coding relies on (possible only for unchecked
+/// [`SubShardView::from_csr`] columns — the builder sorts); callers then
+/// fall back to the raw encoding.
+pub(crate) fn encode_subshard_payload(ss: &SubShardView) -> Option<Vec<u8>> {
+    let (dsts, offsets, srcs) = (ss.dsts(), ss.offsets(), ss.srcs());
+    if offsets.first() != Some(&0) {
         return None;
     }
-    let mut out = Vec::with_capacity(SS_FIXED_BYTES + 2 * ss.dsts.len() + 2 * ss.srcs.len());
+    let mut out = Vec::with_capacity(SS_FIXED_BYTES + 2 * dsts.len() + 2 * srcs.len());
     for v in [
-        ss.src_interval,
-        ss.dst_interval,
-        ss.dsts.len() as u32,
-        ss.srcs.len() as u32,
+        ss.src_interval(),
+        ss.dst_interval(),
+        dsts.len() as u32,
+        srcs.len() as u32,
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
     let mut prev = 0u32;
-    for (k, &d) in ss.dsts.iter().enumerate() {
+    for (k, &d) in dsts.iter().enumerate() {
         if k > 0 && d <= prev {
             return None;
         }
         push_varint(&mut out, d - prev);
         prev = d;
     }
-    for w in ss.offsets.windows(2) {
+    for w in offsets.windows(2) {
         if w[1] < w[0] {
             return None;
         }
         push_varint(&mut out, w[1] - w[0]);
     }
-    if *ss.offsets.last().unwrap() as usize != ss.srcs.len() {
+    if *offsets.last().unwrap() as usize != srcs.len() {
         return None;
     }
-    for k in 0..ss.dsts.len() {
-        let run = &ss.srcs[ss.offsets[k] as usize..ss.offsets[k + 1] as usize];
+    for k in 0..dsts.len() {
+        let run = &srcs[offsets[k] as usize..offsets[k + 1] as usize];
         let mut prev = 0u32;
         for (t, &s) in run.iter().enumerate() {
             if t > 0 && s < prev {
@@ -168,7 +163,7 @@ pub(crate) fn encode_subshard_payload(ss: &SubShard) -> Option<Vec<u8>> {
 }
 
 /// Inflate a v3 sub-shard payload into `out`, which must hold exactly
-/// [`SsHeader::words_len`] words. The output layout is identical to a raw
+/// [`payload_words`] words. The output layout is identical to a raw
 /// payload: 4 header words, `dsts`, `offsets`, `srcs`.
 ///
 /// Each column's gaps are bulk-decoded in place ([`read_varints`]) and
@@ -183,7 +178,7 @@ pub(crate) fn decode_subshard_into(
     h: &SsHeader,
     out: &mut [u32],
 ) -> StorageResult<()> {
-    debug_assert_eq!(out.len(), h.words_len());
+    debug_assert_eq!(out.len(), payload_words(h.num_dsts, h.num_edges));
     let (head, rest) = out.split_at_mut(4);
     head.copy_from_slice(&[
         h.src_interval,
@@ -477,15 +472,15 @@ mod tests {
     use super::*;
     use nxgraph_storage::varint;
 
-    fn sample() -> SubShard {
-        SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
+    fn sample() -> SubShardView {
+        SubShardView::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
     }
 
     /// Inflate a v3 payload into a fresh word vector (test convenience
     /// around [`decode_subshard_into`]).
     fn decode_subshard_words(payload: &[u8], name: &str) -> StorageResult<Vec<u32>> {
         let h = read_ss_header(payload, name)?;
-        let mut words = vec![0u32; h.words_len()];
+        let mut words = vec![0u32; payload_words(h.num_dsts, h.num_edges)];
         decode_subshard_into(payload, name, &h, &mut words)?;
         Ok(words)
     }
@@ -496,9 +491,9 @@ mod tests {
         let payload = encode_subshard_payload(&ss).unwrap();
         let words = decode_subshard_words(&payload, "t").unwrap();
         assert_eq!(&words[..4], &[2, 1, 2, 5]);
-        assert_eq!(&words[4..6], &ss.dsts[..]);
-        assert_eq!(&words[6..9], &ss.offsets[..]);
-        assert_eq!(&words[9..], &ss.srcs[..]);
+        assert_eq!(&words[4..6], ss.dsts());
+        assert_eq!(&words[6..9], ss.offsets());
+        assert_eq!(&words[9..], ss.srcs());
         // Gap coding actually shrinks the columns: every id here fits in
         // one varint byte.
         assert!(payload.len() < SS_FIXED_BYTES + 4 * (2 + 3 + 5));
@@ -506,7 +501,7 @@ mod tests {
 
     #[test]
     fn empty_subshard_payload_is_header_only() {
-        let ss = SubShard::from_edges(0, 0, vec![]);
+        let ss = SubShardView::from_edges(0, 0, vec![]);
         let payload = encode_subshard_payload(&ss).unwrap();
         assert_eq!(payload.len(), SS_FIXED_BYTES);
         let words = decode_subshard_words(&payload, "t").unwrap();
@@ -515,16 +510,19 @@ mod tests {
 
     #[test]
     fn unsorted_columns_refuse_to_compress() {
-        let mut ss = sample();
-        ss.dsts.swap(0, 1);
+        // The sample's columns with one pair swapped in each.
+        let csr = |dsts: &[u32], offsets: &[u32], srcs: &[u32]| {
+            SubShardView::from_csr(2, 1, dsts, offsets, srcs)
+        };
+        let ss = csr(&[3, 2], &[0, 2, 5], &[5, 9, 4, 4, 5]);
         assert!(encode_subshard_payload(&ss).is_none());
-        let mut ss = sample();
-        ss.srcs.swap(2, 4);
+        let ss = csr(&[2, 3], &[0, 2, 5], &[5, 9, 5, 4, 4]);
         assert!(encode_subshard_payload(&ss).is_none());
-        let mut ss = sample();
-        ss.offsets[1] = 4;
-        ss.offsets[2] = 2;
+        let ss = csr(&[2, 3], &[0, 4, 2], &[5, 9, 4, 4, 5]);
         assert!(encode_subshard_payload(&ss).is_none());
+        // The encoder then writes raw words, which the parser rejects.
+        let blob = ss.encode_with(nxgraph_storage::format::EncodingPolicy::Compressed);
+        assert!(SubShardView::parse(blob.into(), "t", true).is_err());
     }
 
     #[test]
@@ -740,7 +738,7 @@ mod tests {
 
     /// A sub-shard with 1–4-byte source ids, runs of every length from 1
     /// to past the 64-value scan blocks, and single-edge destinations.
-    fn mixed_subshard() -> SubShard {
+    fn mixed_subshard() -> SubShardView {
         let mut rng = Rng(0xdead_beef);
         let mut edges = Vec::new();
         let mut d = 3u32;
@@ -762,7 +760,7 @@ mod tests {
                 edges.push((s as u32, d));
             }
         }
-        SubShard::from_edges(1, 2, edges)
+        SubShardView::from_edges(1, 2, edges)
     }
 
     #[test]
@@ -770,10 +768,10 @@ mod tests {
         let ss = mixed_subshard();
         let payload = encode_subshard_payload(&ss).unwrap();
         assert_eq!(
-            decode_subshard_words(&payload, "t").unwrap()[4..4 + ss.dsts.len()],
-            ss.dsts[..]
+            decode_subshard_words(&payload, "t").unwrap()[4..4 + ss.num_dsts()],
+            ss.dsts()[..]
         );
-        let values = 2 * ss.dsts.len() + ss.srcs.len();
+        let values = 2 * ss.num_dsts() + ss.num_edges();
         assert!(both_paths(&payload, SS_FIXED_BYTES, values).is_some());
         let mut rng = Rng(0x5eed);
         for _ in 0..4000 {
@@ -863,7 +861,6 @@ mod tests {
 
     #[test]
     fn fused_validation_rejects_what_validate_csr_rejects() {
-        use super::super::subshard::validate_csr;
         let cases: [(&str, Vec<u8>); 5] = [
             // dsts 3, 3: a zero gap after the first.
             (
@@ -891,8 +888,11 @@ mod tests {
         }
         // The raw forms of the two cases a raw payload can express are
         // what the structural validator rejects.
-        assert!(validate_csr("raw", &[3, 3], &[0, 1, 2], &[1, 2]).is_err());
-        assert!(validate_csr("raw", &[1, 2], &[0, 0, 1], &[5]).is_err());
+        let raw = |dsts: &[u32], offsets: &[u32], srcs: &[u32]| {
+            SubShardView::from_csr(0, 0, dsts, offsets, srcs).validate("raw")
+        };
+        assert!(raw(&[3, 3], &[0, 1, 2], &[1, 2]).is_err());
+        assert!(raw(&[1, 2], &[0, 0, 1], &[5]).is_err());
         // The well-formed neighbour of each parses.
         let ok = parse_v3(&handmade([0, 0, 2, 2], &[3, 1], &[1, 1], &[1, 2])).unwrap();
         assert_eq!(
@@ -906,7 +906,7 @@ mod tests {
     fn mixed_subshard_roundtrips_through_the_view() {
         let ss = mixed_subshard();
         let view = parse_v3(&encode_subshard_payload(&ss).unwrap()).unwrap();
-        assert_eq!(view.to_subshard(), ss);
+        assert_eq!(view, ss);
     }
 
     #[test]

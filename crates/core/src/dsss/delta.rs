@@ -8,14 +8,17 @@
 //! merge in `(dst, src)` order — no re-sort, one pass over the parts.
 //!
 //! [`merge_edges`] is that lazy merge-iterator; [`MergedSubShardView`]
-//! drives it once to materialise a words-backed [`SubShardView`], which is
-//! what the loaders hand to the engines — SPU/DPU/MPU, the read pipeline and
-//! the plan cache consume the merged cell through the exact same view API
-//! as a bare base blob, and never learn that a chain existed.
+//! drives it once through the sub-shard's one CSR builder (the same
+//! append loop [`SubShardView::from_edges`] runs after its sort) into a
+//! words-backed [`SubShardView`]. That view is what the loaders hand to
+//! the engines — SPU/DPU/MPU, the read pipeline and the plan cache consume
+//! the merged cell through the exact same API as a bare base blob, and
+//! never learn that a chain existed — and what the fold encodes as the
+//! cell's next base.
 
 use crate::types::VertexId;
 
-use super::{SubShard, SubShardView};
+use super::SubShardView;
 
 /// Cursor over one part of a chain: the part's CSR columns, resolved once
 /// so the merge indexes plain slices, plus the current destination slot
@@ -87,50 +90,32 @@ pub fn merge_edges<'a>(
     })
 }
 
-/// Merge chain parts (base first, then deltas) into a single owned
-/// [`SubShard`] tagged `(src_interval, dst_interval)`, without re-sorting —
-/// every part is already destination-sorted, so the k-way merge suffices.
-/// This is the compaction fold, and the body of
-/// [`MergedSubShardView::merge`].
-pub fn merge_subshards(src_interval: u32, dst_interval: u32, parts: &[SubShardView]) -> SubShard {
-    // One streaming CSR build: the append loop of `SubShard::from_edges`,
-    // minus its sort.
-    let total: usize = parts.iter().map(SubShardView::num_edges).sum();
-    let mut dsts: Vec<VertexId> = Vec::new();
-    let mut offsets: Vec<u32> = vec![0];
-    let mut srcs: Vec<VertexId> = Vec::with_capacity(total);
-    for (s, d) in merge_edges(parts) {
-        if dsts.last() != Some(&d) {
-            if !srcs.is_empty() {
-                offsets.push(srcs.len() as u32);
+/// Distinct destinations across `parts`: a k-way merge of their `dsts`
+/// columns alone, which sizes the merged CSR before the edge merge fills
+/// it.
+fn distinct_dsts(parts: &[SubShardView]) -> usize {
+    let mut heads: Vec<&[VertexId]> = parts.iter().map(SubShardView::dsts).collect();
+    let mut count = 0;
+    while let Some(d) = heads.iter().filter_map(|h| h.first()).min().copied() {
+        for h in &mut heads {
+            if h.first() == Some(&d) {
+                *h = &h[1..];
             }
-            dsts.push(d);
         }
-        srcs.push(s);
+        count += 1;
     }
-    if !srcs.is_empty() {
-        offsets.push(srcs.len() as u32);
-    }
-    SubShard {
-        src_interval,
-        dst_interval,
-        dsts,
-        offsets,
-        srcs,
-    }
+    count
 }
 
 /// The merged read-side view over a base sub-shard and its delta chain.
 ///
-/// Constructed by the loaders when a cell's manifest chain is non-empty:
-/// [`merge_subshards`] builds the merged CSR columns in one pass of
-/// [`merge_edges`] (the edges arrive in `(dst, src)` order, so this is the
-/// same streaming-append loop `SubShard::from_edges` runs after its sort —
-/// minus the sort), and [`MergedSubShardView::into_view`] hands the result
-/// to the engines as an ordinary words-backed [`SubShardView`].
+/// Constructed by the loaders when a cell's manifest chain is non-empty,
+/// and by the fold: one pass of [`merge_edges`] feeds the CSR builder
+/// (the edges arrive in `(dst, src)` order, so no re-sort), and
+/// [`MergedSubShardView::into_view`] hands the result on as an ordinary
+/// words-backed [`SubShardView`].
 pub struct MergedSubShardView {
     view: SubShardView,
-    parts: usize,
 }
 
 impl MergedSubShardView {
@@ -142,16 +127,14 @@ impl MergedSubShardView {
             .iter()
             .all(|p| p.src_interval() == parts[0].src_interval()
                 && p.dst_interval() == parts[0].dst_interval()));
-        let merged = merge_subshards(parts[0].src_interval(), parts[0].dst_interval(), parts);
-        Self {
-            view: SubShardView::from(&merged),
-            parts: parts.len(),
-        }
-    }
-
-    /// Number of chain parts (base + deltas) that fed the merge.
-    pub fn parts_merged(&self) -> usize {
-        self.parts
+        let view = SubShardView::build(
+            parts[0].src_interval(),
+            parts[0].dst_interval(),
+            distinct_dsts(parts),
+            parts.iter().map(SubShardView::num_edges).sum(),
+            merge_edges(parts),
+        );
+        Self { view }
     }
 
     /// The merged engine-facing view.
@@ -163,10 +146,9 @@ impl MergedSubShardView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsss::SubShard;
 
     fn view(edges: Vec<(VertexId, VertexId)>) -> SubShardView {
-        SubShardView::from(&SubShard::from_edges(0, 0, edges))
+        SubShardView::from_edges(0, 0, edges)
     }
 
     #[test]
@@ -175,14 +157,12 @@ mod tests {
         let d1 = vec![(1, 3), (7, 2), (2, 8)];
         let d2 = vec![(4, 3), (0, 0)]; // duplicate edge (4,3) must survive
         let parts = [view(base.clone()), view(d1.clone()), view(d2.clone())];
-        let merged = MergedSubShardView::merge(&parts);
-        assert_eq!(merged.parts_merged(), 3);
-        let got = merged.into_view();
+        let got = MergedSubShardView::merge(&parts).into_view();
         let mut all = base;
         all.extend(d1);
         all.extend(d2);
-        let want = SubShard::from_edges(0, 0, all);
-        assert_eq!(got.to_subshard(), want);
+        let want = view(all);
+        assert_eq!(got, want);
         // The lazy iterator walks the same order as the merged view.
         assert_eq!(
             merge_edges(&parts).collect::<Vec<_>>(),
@@ -191,15 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_subshards_equals_sorted_concat() {
-        let a = SubShard::from_edges(1, 2, vec![(9, 8), (3, 8), (3, 7)]);
-        let b = SubShard::from_edges(1, 2, vec![(3, 8), (1, 6), (2, 9)]);
-        let c = SubShard::from_edges(1, 2, vec![]);
-        let parts = [&a, &b, &c].map(SubShardView::from);
-        let merged = merge_subshards(1, 2, &parts);
+    fn merged_parts_equal_the_sorted_concat() {
+        let a = SubShardView::from_edges(1, 2, vec![(9, 8), (3, 8), (3, 7)]);
+        let b = SubShardView::from_edges(1, 2, vec![(3, 8), (1, 6), (2, 9)]);
+        let c = SubShardView::from_edges(1, 2, vec![]);
         let mut all: Vec<_> = a.iter_edges().collect();
         all.extend(b.iter_edges());
-        assert_eq!(merged, SubShard::from_edges(1, 2, all));
+        let merged = MergedSubShardView::merge(&[a, b, c]).into_view();
+        assert_eq!(merged, SubShardView::from_edges(1, 2, all));
         merged.validate("merged").unwrap();
     }
 
@@ -214,7 +193,7 @@ mod tests {
     fn empty_parts_merge_cleanly() {
         let parts = [view(vec![]), view(vec![(1, 2)]), view(vec![])];
         let merged = MergedSubShardView::merge(&parts).into_view();
-        assert_eq!(merged.to_subshard(), SubShard::from_edges(0, 0, vec![(1, 2)]));
+        assert_eq!(merged, view(vec![(1, 2)]));
         let all_empty = [view(vec![]), view(vec![])];
         let merged = MergedSubShardView::merge(&all_empty).into_view();
         assert!(merged.is_empty());

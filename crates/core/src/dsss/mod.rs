@@ -1,13 +1,15 @@
 //! The Destination-Sorted Sub-Shard graph representation.
 //!
-//! [`subshard`] defines the CSR sub-shard; [`PreparedGraph`] is the handle
-//! over a preprocessed graph living on a [`Disk`]: the manifest, the
-//! out-degree table (needed by scatter-style programs such as PageRank) and
-//! typed read/write access to interval, sub-shard and hub files.
+//! [`view`] defines the CSR sub-shard ([`SubShardView`]) and the blob
+//! parsers; [`PreparedGraph`] is the handle over a preprocessed graph
+//! living on a [`Disk`]: the manifest, the out-degree table (needed by
+//! scatter-style programs such as PageRank) and typed read/write access to
+//! interval, sub-shard and hub files.
 
 mod codec;
 pub mod delta;
-pub mod subshard;
+#[cfg(test)]
+mod subshard;
 pub mod view;
 
 use std::collections::HashMap;
@@ -23,8 +25,7 @@ use nxgraph_storage::{
 use crate::error::{EngineError, EngineResult};
 use crate::types::{Attr, VertexId};
 
-pub use delta::{merge_edges, merge_subshards, MergedSubShardView};
-pub use subshard::SubShard;
+pub use delta::{merge_edges, MergedSubShardView};
 pub use view::{HubView, SubShardView};
 
 /// Immutable snapshot of the manifest's per-cell delta chains, shared by
@@ -95,14 +96,14 @@ impl ScratchTag {
     }
 }
 
-/// Reject a delta blob whose header tags it for a different cell than the
+/// Reject a chain blob whose header tags it for a different cell than the
 /// chain that listed it — checksums only prove the file is intact, not
 /// that it is the file the manifest meant.
-fn check_delta_cell(src: u32, dst: u32, i: u32, j: u32, name: &str) -> StorageResult<()> {
+fn check_cell(src: u32, dst: u32, i: u32, j: u32, name: &str) -> StorageResult<()> {
     if src != i || dst != j {
         return Err(StorageError::Corrupt {
             name: name.to_string(),
-            reason: format!("delta blob tagged ({src}, {dst}), chain expects ({i}, {j})"),
+            reason: format!("blob tagged ({src}, {dst}), chain expects ({i}, {j})"),
         });
     }
     Ok(())
@@ -110,11 +111,12 @@ fn check_delta_cell(src: u32, dst: u32, i: u32, j: u32, name: &str) -> StorageRe
 
 /// Load every part of a cell's chain — the base blob first, then each
 /// delta in append order — as views, every part read whole with
-/// `read_all` and checksum-verified on every load. This is the owned-path
-/// read of the fold (`dynamic::fold_chain`), whose output becomes a new
-/// base, and of [`PreparedGraph::load_subshard`]: neither may trust a
-/// verify-once skip. `chain` names the cell's base generation and delta
-/// count ([`ChainInfo::default`] for a freshly prepped graph).
+/// `read_all` and checksum-verified on every load, and every part's tag
+/// checked against the cell. This is the owned-path read of the fold
+/// (`dynamic::fold_chain`), whose output becomes a new base tagged like
+/// the chain's base, and of [`PreparedGraph::load_subshard`]: neither may
+/// trust a verify-once skip. `chain` names the cell's base generation and
+/// delta count ([`ChainInfo::default`] for a freshly prepped graph).
 pub(crate) fn load_chain_parts(
     disk: &dyn Disk,
     i: u32,
@@ -129,9 +131,7 @@ pub(crate) fn load_chain_parts(
             k => GraphManifest::subshard_delta_file(i, j, reverse, chain.gen, k),
         };
         let part = SubShardView::parse(disk.read_all(&name)?.into(), &name, true)?;
-        if k > 0 {
-            check_delta_cell(part.src_interval(), part.dst_interval(), i, j, &name)?;
-        }
+        check_cell(part.src_interval(), part.dst_interval(), i, j, &name)?;
         parts.push(part);
     }
     Ok(parts)
@@ -228,7 +228,7 @@ impl ViewLoader {
                 self.checksums.note_verified(name);
             }
             if k > 0 {
-                check_delta_cell(part.src_interval(), part.dst_interval(), i, j, name)?;
+                check_cell(part.src_interval(), part.dst_interval(), i, j, name)?;
             }
             parts.push(part);
         }
@@ -321,6 +321,16 @@ fn policy_from_manifest(manifest: &GraphManifest) -> EncodingPolicy {
         .get(ENCODING_MANIFEST_KEY)
         .and_then(|s| s.parse().ok())
         .unwrap_or_default()
+}
+
+/// Write an out-degree table under `name`: the one writer of the blob
+/// [`PreparedGraph::open`] reads (prep writes the first generation, every
+/// degree-bumping commit the next).
+pub(crate) fn write_degree_table(disk: &dyn Disk, name: &str, degrees: &[u32]) -> StorageResult<()> {
+    let mut blob = Vec::new();
+    format::write_blob(&mut blob, FileKind::Degrees, &format::encode_u32s(degrees))
+        .expect("vec write is infallible");
+    disk.write_all_to(name, &blob)
 }
 
 /// A preprocessed graph on disk: manifest + degree table + file access.
@@ -535,20 +545,22 @@ impl PreparedGraph {
     }
 
     /// Load sub-shard `SS(i→j)` (or the transposed `SS'(i→j)` when
-    /// `reverse`) as an owned, mutable [`SubShard`] — the prep/rebuild
-    /// path, merged across any delta chain, every part parsed by the view
-    /// decoder with its checksum verified. The engines use
-    /// [`PreparedGraph::load_subshard_view`].
-    pub fn load_subshard(&self, i: u32, j: u32, reverse: bool) -> EngineResult<SubShard> {
+    /// `reverse`) with every part of its chain read whole and
+    /// checksum-verified — the owned path of rebuild and the baselines.
+    /// A single-part cell is returned as parsed; a chain is merged. The
+    /// engines' verify-once load is [`ViewLoader::load_subshard`].
+    pub fn load_subshard(&self, i: u32, j: u32, reverse: bool) -> EngineResult<SubShardView> {
         let mut parts =
             load_chain_parts(self.disk.as_ref(), i, j, reverse, self.chains.info(i, j, reverse))?;
         if parts.len() == 1 {
-            return Ok(parts.pop().expect("base part always present").to_subshard());
+            return Ok(parts.pop().expect("base part always present"));
         }
-        Ok(merge_subshards(i, j, &parts))
+        Ok(MergedSubShardView::merge(&parts).into_view())
     }
 
-    /// Load sub-shard `SS(i→j)` as a zero-copy [`SubShardView`].
+    /// Load sub-shard `SS(i→j)` the way the engines do: verify-once,
+    /// through this graph's [`ViewLoader::load_subshard`]. The crates call
+    /// the loader directly; nxmark (`benchmark/`) calls this.
     pub fn load_subshard_view(&self, i: u32, j: u32, reverse: bool) -> EngineResult<SubShardView> {
         self.view_loader().load_subshard(i, j, reverse)
     }
@@ -788,7 +800,7 @@ mod tests {
                         g_raw.load_subshard(i, j, rev).unwrap()
                     );
                     assert_eq!(
-                        g_c.load_subshard_view(i, j, rev).unwrap().to_subshard(),
+                        g_c.view_loader().load_subshard(i, j, rev).unwrap(),
                         g_raw.load_subshard(i, j, rev).unwrap()
                     );
                 }

@@ -1,17 +1,41 @@
-//! Zero-copy read-side views over sub-shard and hub blobs — the one
-//! decoder of both formats.
+//! Destination-Sorted Sub-Shards — the one in-memory sub-shard type — and
+//! zero-copy views over sub-shard and hub blobs, the one decoder of both
+//! formats.
 //!
-//! Every sub-shard and hub read goes through these parsers: the engines'
-//! streamed loads, and the owned loads of the fold, the scrubber, rebuild
-//! and the baselines (which copy out with [`SubShardView::to_subshard`]).
-//! The raw blob (header included) stays in one [`SharedBytes`] allocation
-//! — a pooled page-aligned read buffer, or the `Arc<Vec<u8>>` a `MemDisk`
-//! or a whole-file read already holds — and the typed regions are borrowed
-//! from it as `&[u32]` slices. Structural invariants are validated once at
-//! parse time, so downstream kernels index without re-checking: a raw
-//! (v2) view by a pass over its cast columns, a delta+varint (v3) view by
-//! the inflater itself, which proves them while it prefix-sums the gaps
-//! (see the `codec` module) and so skips that pass.
+//! Sub-shard `SS(i→j)` holds every edge with source in interval `Iᵢ` and
+//! destination in interval `Iⱼ`. Edges are sorted by destination id, then
+//! source id (§III-A): destination-sorting enables the compressed sparse
+//! format below and gives worker threads exclusive destination ranges;
+//! source-sorting within a destination makes the reads of the source
+//! interval sequential, "utiliz\[ing\] the hierarchical memory structure of
+//! CPU".
+//!
+//! The in-memory and on-disk layout is CSR keyed by destination:
+//!
+//! ```text
+//! dsts:    [d₀ < d₁ < … < d_{k-1}]          distinct destination ids
+//! offsets: [o₀ = 0, o₁, …, o_k]             edge ranges per destination
+//! srcs:    [s…]                             source ids, sorted per dest
+//! ```
+//!
+//! [`SubShardView`] is that CSR wherever it lives. Prep and the delta
+//! commit build it from edges ([`SubShardView::from_edges`]), the chain
+//! merge ([`MergedSubShardView`](super::MergedSubShardView)) builds it
+//! from chain parts — both through one CSR builder that lays sorted edges
+//! straight into a word buffer — and every writer encodes it with
+//! [`SubShardView::encode_with`].
+//!
+//! Every sub-shard and hub read goes through the parsers here: the
+//! engines' streamed loads, and the owned loads of the fold, the
+//! scrubber, rebuild and the baselines. The raw blob (header included)
+//! stays in one [`SharedBytes`] allocation — a pooled page-aligned read
+//! buffer, or the `Arc<Vec<u8>>` a `MemDisk` or a whole-file read already
+//! holds — and the typed regions are borrowed from it as `&[u32]` slices.
+//! Structural invariants are validated once at parse time, so downstream
+//! kernels index without re-checking: a raw (v2) view by a pass over its
+//! cast columns, a delta+varint (v3) view by the inflater itself, which
+//! proves them while it prefix-sums the gaps (see the `codec` module) and
+//! so skips that pass.
 //!
 //! The cast requires 4-byte alignment and a little-endian host. Pooled
 //! buffers are page-aligned by construction and the 32-byte header keeps
@@ -19,24 +43,25 @@
 //! fails (an exotically-aligned `Arc<Vec<u8>>`, a big-endian target) the
 //! parse transparently falls back to one aligned native-endian copy of
 //! the payload words — correctness never depends on the fast path.
-//!
-//! [`SubShard`] remains the build/prep-side representation (mutable
-//! vectors, sorting, encoding); engines only ever touch views.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use nxgraph_storage::format::{self, Encoding, FileKind};
+use nxgraph_storage::format::{self, Encoding, EncodingPolicy, FileKind};
 use nxgraph_storage::{BufferPool, SharedBytes, StorageError, StorageResult};
 
 use crate::types::{Attr, VertexId};
 
 use super::codec;
-use super::subshard::{chunk_csr_by_edges, validate_csr};
-use super::SubShard;
 
 /// Payload words preceding the `dsts` array: src/dst interval, counts.
 const SS_HEADER_WORDS: usize = 4;
+
+/// Words of a sub-shard payload — header, `dsts`, `offsets`, `srcs` — in
+/// the raw layout and inflated alike.
+pub(super) fn payload_words(num_dsts: usize, num_edges: usize) -> usize {
+    SS_HEADER_WORDS + num_dsts + (num_dsts + 1) + num_edges
+}
 
 /// Storage behind a view's typed slices.
 enum Backing {
@@ -47,17 +72,17 @@ enum Backing {
         /// Byte offset of the payload within the blob (past the header).
         payload_off: usize,
     },
-    /// Aligned native-endian copy of the payload words — the misaligned /
-    /// big-endian fallback, and the representation of views built from an
-    /// owned [`SubShard`].
+    /// Aligned native-endian payload words — every built or merged
+    /// sub-shard, a v3 inflate without a pool, and the misaligned /
+    /// big-endian parse fallback.
     Words(Arc<Vec<u32>>),
 }
 
-/// A read-only sub-shard decoded in place over its on-disk bytes.
+/// One destination-sorted sub-shard in CSR form: read-only `&[u32]`
+/// columns over its blob bytes or a word buffer.
 ///
-/// Mirrors the accessors of [`SubShard`] (`dsts`/`offsets`/`srcs` become
-/// methods returning `&[u32]`) and is what [`ShardStore`] caches and the
-/// engines stream.
+/// Built by prep, the delta commit and the fold; parsed by every load;
+/// cached by [`ShardStore`] and streamed by the engines.
 ///
 /// [`ShardStore`]: crate::engine::store::ShardStore
 pub struct SubShardView {
@@ -69,6 +94,97 @@ pub struct SubShardView {
 }
 
 impl SubShardView {
+    /// Build a sub-shard from `(src, dst)` edges belonging to `(i, j)`.
+    ///
+    /// Sorting is performed here — callers hand over edges in any order.
+    /// Duplicate edges are preserved (raw crawls contain them and PageRank
+    /// counts them).
+    pub fn from_edges(
+        src_interval: u32,
+        dst_interval: u32,
+        mut edges: Vec<(VertexId, VertexId)>,
+    ) -> Self {
+        edges.sort_unstable_by_key(|&(s, d)| (d, s));
+        let num_dsts = edges.chunk_by(|a, b| a.1 == b.1).count();
+        Self::build(src_interval, dst_interval, num_dsts, edges.len(), edges)
+    }
+
+    /// The one CSR builder: lay `num_edges` `(src, dst)` edges over
+    /// `num_dsts` distinct destinations, arriving in `(dst, src)` order,
+    /// straight into a word backing. [`SubShardView::from_edges`] feeds it
+    /// after its sort, the chain merge
+    /// ([`MergedSubShardView`](super::MergedSubShardView)) from its k-way
+    /// merge.
+    ///
+    /// # Panics
+    /// When the edges do not match the two counts.
+    pub(super) fn build(
+        src_interval: u32,
+        dst_interval: u32,
+        num_dsts: usize,
+        num_edges: usize,
+        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
+    ) -> Self {
+        let mut words = vec![0u32; payload_words(num_dsts, num_edges)];
+        let (header, cols) = words.split_at_mut(SS_HEADER_WORDS);
+        header.copy_from_slice(&[src_interval, dst_interval, num_dsts as u32, num_edges as u32]);
+        let (dsts, cols) = cols.split_at_mut(num_dsts);
+        let (offsets, srcs) = cols.split_at_mut(num_dsts + 1);
+        let (mut slot, mut k) = (0usize, 0usize);
+        for (s, d) in edges {
+            // Open the next destination's run: one offset write per
+            // destination, not per edge.
+            if slot == 0 || dsts[slot - 1] != d {
+                dsts[slot] = d;
+                offsets[slot] = k as u32;
+                slot += 1;
+            }
+            srcs[k] = s;
+            k += 1;
+        }
+        offsets[slot] = k as u32;
+        assert_eq!((slot, k), (num_dsts, num_edges), "CSR counts disagree with the edges");
+        Self {
+            src_interval,
+            dst_interval,
+            num_dsts,
+            num_edges,
+            backing: Backing::Words(Arc::new(words)),
+        }
+    }
+
+    /// A sub-shard over hand-assembled CSR columns (one copy into the
+    /// word backing), for layouts no builder produces, such as
+    /// destination-sorted runs with unsorted sources. Only the column
+    /// lengths are checked: the CSR invariants are trusted as-is, and
+    /// [`SubShardView::encode_with`] falls back to raw words for
+    /// non-monotone columns.
+    ///
+    /// # Panics
+    /// When `offsets` does not hold one entry more than `dsts`.
+    pub fn from_csr(
+        src_interval: u32,
+        dst_interval: u32,
+        dsts: &[VertexId],
+        offsets: &[u32],
+        srcs: &[VertexId],
+    ) -> Self {
+        assert_eq!(offsets.len(), dsts.len() + 1, "CSR offsets must bracket every destination");
+        let (num_dsts, num_edges) = (dsts.len(), srcs.len());
+        let mut words = Vec::with_capacity(payload_words(num_dsts, num_edges));
+        words.extend_from_slice(&[src_interval, dst_interval, num_dsts as u32, num_edges as u32]);
+        words.extend_from_slice(dsts);
+        words.extend_from_slice(offsets);
+        words.extend_from_slice(srcs);
+        Self {
+            src_interval,
+            dst_interval,
+            num_dsts,
+            num_edges,
+            backing: Backing::Words(Arc::new(words)),
+        }
+    }
+
     /// Parse (and validate) a view over an encoded sub-shard blob.
     ///
     /// `verify_checksum` gates the payload hash only — header fields and
@@ -104,17 +220,16 @@ impl SubShardView {
         match encoding {
             Encoding::Raw => {
                 let view = Self::over_raw(bytes, payload_range, name)?;
-                validate_csr(name, view.dsts(), view.offsets(), view.srcs())?;
+                view.validate(name)?;
                 Ok(view)
             }
             Encoding::DeltaVarint => {
                 let view = Self::inflate(&bytes.as_slice()[payload_range], name, pool)?;
-                debug_assert!(validate_csr(name, view.dsts(), view.offsets(), view.srcs()).is_ok());
+                debug_assert!(view.validate(name).is_ok());
                 Ok(view)
             }
         }
     }
-
     /// Build the zero-copy (or copying-fallback) view over a raw payload.
     fn over_raw(
         bytes: SharedBytes,
@@ -135,7 +250,7 @@ impl SubShardView {
         let (src_interval, dst_interval) = (word(0), word(1));
         let num_dsts = word(2) as usize;
         let num_edges = word(3) as usize;
-        let expect_words = SS_HEADER_WORDS + num_dsts + (num_dsts + 1) + num_edges;
+        let expect_words = payload_words(num_dsts, num_edges);
         if payload.len() != expect_words * 4 {
             return Err(corrupt(format!(
                 "payload holds {} words, expected {expect_words}",
@@ -173,7 +288,7 @@ impl SubShardView {
         pool: Option<&Arc<BufferPool>>,
     ) -> StorageResult<Self> {
         let h = codec::read_ss_header(payload, name)?;
-        let words_len = h.words_len();
+        let words_len = payload_words(h.num_dsts, h.num_edges);
         let backing = 'pooled: {
             if let Some(pool) = pool {
                 let mut buf = pool.take(words_len * 4);
@@ -201,7 +316,7 @@ impl SubShardView {
     /// The whole payload as native `u32` words.
     #[inline]
     fn words(&self) -> &[u32] {
-        let n = SS_HEADER_WORDS + self.num_dsts + (self.num_dsts + 1) + self.num_edges;
+        let n = payload_words(self.num_dsts, self.num_edges);
         match &self.backing {
             Backing::Bytes { bytes, payload_off } => {
                 let b = &bytes.as_slice()[*payload_off..*payload_off + 4 * n];
@@ -306,51 +421,93 @@ impl SubShardView {
         })
     }
 
-    /// Destination-boundary chunks of roughly `target_edges` edges each
-    /// (see [`SubShard::chunk_by_edges`]).
+    /// Split the destination slots into contiguous position ranges of
+    /// roughly `target_edges` edges each (cuts only at destination
+    /// boundaries, preserving exclusive ownership). This is the
+    /// fine-grained task granularity of §III-D.
     pub fn chunk_by_edges(&self, target_edges: usize) -> Vec<Range<usize>> {
-        chunk_csr_by_edges(self.num_dsts, self.offsets(), target_edges)
+        let offsets = self.offsets();
+        let target = target_edges.max(1) as u32;
+        let mut out = Vec::new();
+        let mut start = 0usize;
+        let mut start_off = 0u32;
+        for pos in 0..self.num_dsts {
+            let end_off = offsets[pos + 1];
+            if end_off - start_off >= target {
+                out.push(start..pos + 1);
+                start = pos + 1;
+                start_off = end_off;
+            }
+        }
+        if start < self.num_dsts {
+            out.push(start..self.num_dsts);
+        }
+        out
     }
 
-    /// Materialise an owned [`SubShard`] (tests and tooling; engines never
-    /// need this).
-    pub fn to_subshard(&self) -> SubShard {
-        SubShard {
-            src_interval: self.src_interval,
-            dst_interval: self.dst_interval,
-            dsts: self.dsts().to_vec(),
-            offsets: self.offsets().to_vec(),
-            srcs: self.srcs().to_vec(),
-        }
+    /// Serialised *raw* (v2) byte size — header plus payload — of this
+    /// sub-shard: the empirical `Be · edges` used for cache planning, I/O
+    /// accounting and as the denominator of the compression ratio
+    /// (compressed blobs are smaller — use the on-disk file length for
+    /// actual sizes).
+    pub fn encoded_len(&self) -> u64 {
+        32 + 4 * payload_words(self.num_dsts, self.num_edges) as u64
     }
-}
 
-impl From<&SubShard> for SubShardView {
-    /// Build a view over an owned sub-shard (one copy into the words
-    /// backing) — the output side of the delta-chain merge
-    /// ([`MergedSubShardView`](super::MergedSubShardView)) and of the
-    /// fold's in-memory batch. No validation is performed: the `SubShard`
-    /// is trusted as-is (merged columns come from views that were each
-    /// validated at parse time).
-    fn from(ss: &SubShard) -> Self {
-        let mut words =
-            Vec::with_capacity(SS_HEADER_WORDS + ss.dsts.len() + ss.offsets.len() + ss.srcs.len());
-        words.extend_from_slice(&[
-            ss.src_interval,
-            ss.dst_interval,
-            ss.dsts.len() as u32,
-            ss.srcs.len() as u32,
-        ]);
-        words.extend_from_slice(&ss.dsts);
-        words.extend_from_slice(&ss.offsets);
-        words.extend_from_slice(&ss.srcs);
-        Self {
-            src_interval: ss.src_interval,
-            dst_interval: ss.dst_interval,
-            num_dsts: ss.dsts.len(),
-            num_edges: ss.srcs.len(),
-            backing: Backing::Words(Arc::new(words)),
+    /// Encode into the checksummed blob format under an
+    /// [`EncodingPolicy`]: raw v2 words, delta+varint v3, or — under
+    /// `Auto` — whichever wins the ratio threshold for *this* blob. The
+    /// parser sniffs the version per blob, so the outputs mix freely on
+    /// one disk.
+    pub fn encode_with(&self, policy: EncodingPolicy) -> Vec<u8> {
+        let payload = match policy {
+            EncodingPolicy::Raw => None,
+            // `None` for non-monotone hand-built columns: gap coding does
+            // not apply.
+            EncodingPolicy::Compressed => codec::encode_subshard_payload(self),
+            EncodingPolicy::Auto => codec::encode_subshard_payload(self)
+                .filter(|p| codec::auto_keeps(p.len() + 32, self.encoded_len() as usize)),
+        };
+        let (encoding, payload) = match payload {
+            Some(payload) => (Encoding::DeltaVarint, payload),
+            // The raw payload is the word layout itself, little-endian.
+            None => (Encoding::Raw, format::encode_u32s(self.words())),
+        };
+        let mut out = Vec::with_capacity(32 + payload.len());
+        format::write_blob_encoded(&mut out, FileKind::SubShard, &payload, encoding)
+            .expect("writing to Vec cannot fail");
+        out
+    }
+
+    /// Check the CSR structural invariants: offsets bracket the source
+    /// array, destinations are strictly increasing, and each slot's
+    /// sources are sorted and non-empty. Every parse has passed them;
+    /// built and merged sub-shards hold them by construction.
+    pub fn validate(&self, name: &str) -> StorageResult<()> {
+        let (dsts, offsets, srcs) = (self.dsts(), self.offsets(), self.srcs());
+        let corrupt = |reason: String| StorageError::Corrupt {
+            name: name.to_string(),
+            reason,
+        };
+        if offsets.first() != Some(&0) || *offsets.last().unwrap() as usize != srcs.len() {
+            return Err(corrupt("offset endpoints invalid".into()));
         }
+        if !dsts.windows(2).all(|w| w[0] < w[1]) {
+            return Err(corrupt("destinations not strictly increasing".into()));
+        }
+        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(corrupt("offsets not monotone".into()));
+        }
+        for pos in 0..dsts.len() {
+            let r = offsets[pos] as usize..offsets[pos + 1] as usize;
+            if r.is_empty() {
+                return Err(corrupt(format!("destination slot {pos} has no edges")));
+            }
+            if !srcs[r].windows(2).all(|w| w[0] <= w[1]) {
+                return Err(corrupt(format!("sources of slot {pos} unsorted")));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -496,10 +653,13 @@ impl<A: Attr> HubView<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nxgraph_storage::format::EncodingPolicy;
 
-    fn sample() -> SubShard {
-        SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
+    fn sample() -> SubShardView {
+        SubShardView::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)])
+    }
+
+    fn raw(ss: &SubShardView) -> Vec<u8> {
+        ss.encode_with(EncodingPolicy::Raw)
     }
 
     fn shared(bytes: Vec<u8>) -> SharedBytes {
@@ -513,14 +673,13 @@ mod tests {
         let ss = sample();
         for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
             let view = SubShardView::parse(shared(ss.encode_with(policy)), "t", true).unwrap();
-            assert_eq!(view.src_interval(), ss.src_interval);
-            assert_eq!(view.dst_interval(), ss.dst_interval);
-            assert_eq!(view.dsts(), &ss.dsts[..]);
-            assert_eq!(view.offsets(), &ss.offsets[..]);
-            assert_eq!(view.srcs(), &ss.srcs[..]);
+            assert_eq!(view.src_interval(), ss.src_interval());
+            assert_eq!(view.dst_interval(), ss.dst_interval());
             assert_eq!(view.num_edges(), ss.num_edges());
             assert_eq!(view.num_dsts(), ss.num_dsts());
-            assert_eq!(view.to_subshard(), ss);
+            assert_eq!(view, ss);
+            // Re-encoding a parsed view reproduces its blob.
+            assert_eq!(view.encode_with(policy), ss.encode_with(policy));
             assert_eq!(
                 view.iter_edges().collect::<Vec<_>>(),
                 ss.iter_edges().collect::<Vec<_>>()
@@ -533,16 +692,19 @@ mod tests {
 
     #[test]
     fn view_from_owned_subshard_matches() {
+        // Owned columns copied in by `from_csr` equal the built view and
+        // its parse.
         let ss = sample();
-        let via_bytes = SubShardView::parse(shared(ss.encode()), "t", true).unwrap();
-        let via_owned = SubShardView::from(&ss);
-        assert_eq!(via_bytes, via_owned);
-        assert_eq!(via_owned.to_subshard(), ss);
+        let via_bytes = SubShardView::parse(shared(raw(&ss)), "t", true).unwrap();
+        let via_csr = SubShardView::from_csr(2, 1, &[2, 3], &[0, 2, 5], &[5, 9, 4, 4, 5]);
+        assert_eq!(via_bytes, via_csr);
+        assert_eq!(via_csr, ss);
+        assert_eq!(raw(&via_csr), raw(&ss));
     }
 
     #[test]
     fn view_rejects_corruption_and_truncation() {
-        let bytes = sample().encode();
+        let bytes = raw(&sample());
         // Payload corruption → checksum.
         let mut corrupt = bytes.clone();
         let n = corrupt.len();
@@ -564,13 +726,13 @@ mod tests {
     #[test]
     fn compressed_view_equals_raw_view() {
         let ss = sample();
-        let raw = SubShardView::parse(shared(ss.encode()), "t", true).unwrap();
+        let raw = SubShardView::parse(shared(raw(&ss)), "t", true).unwrap();
         let blob = ss.encode_with(EncodingPolicy::Compressed);
-        assert!(blob.len() < ss.encode().len());
+        assert!((blob.len() as u64) < ss.encoded_len());
         // Pool-less parse inflates into an owned words vector.
         let v = SubShardView::parse(shared(blob.clone()), "t", true).unwrap();
         assert_eq!(v, raw);
-        assert_eq!(v.to_subshard(), ss);
+        assert_eq!(v, ss);
         // Pooled parse inflates into a page-aligned pool buffer that
         // returns to the pool when the view drops.
         let pool = BufferPool::new();
@@ -605,13 +767,14 @@ mod tests {
 
     #[test]
     fn empty_view_roundtrips() {
-        let ss = SubShard::from_edges(0, 0, vec![]);
-        let view = SubShardView::parse(shared(ss.encode()), "t", true).unwrap();
+        let ss = SubShardView::from_edges(0, 0, vec![]);
+        let view = SubShardView::parse(shared(raw(&ss)), "t", true).unwrap();
         assert!(view.is_empty());
         assert_eq!(view.num_dsts(), 0);
         assert_eq!(view.avg_in_degree(), 0.0);
         assert!(view.chunk_by_edges(8).is_empty());
-        assert_eq!(view.to_subshard(), ss);
+        assert_eq!(view.offsets(), &[0]);
+        assert_eq!(view, ss);
     }
 
     #[test]

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use nxgraph_storage::manifest::{ChainInfo, GraphManifest};
 use parking_lot::Mutex;
 
-use crate::dsss::{self, PreparedGraph, SubShard, SubShardView};
+use crate::dsss::{self, MergedSubShardView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::maintain::{self, MaintenanceThread, ScrubReport, StoreShared, StoreState};
 use crate::prep::{self, PrepConfig};
@@ -90,11 +90,9 @@ pub struct DynamicConfig {
     /// the base blob (long chains over a small base cost merge time; heavy
     /// chains over any base cost read amplification).
     pub max_delta_ratio: f64,
-    /// Whether due chains fold inline or on the maintenance thread.
+    /// Whether due chains fold inline or on the maintenance thread (which
+    /// also runs a checksum-scrub pass after each completed fold).
     pub compaction: Compaction,
-    /// Under [`Compaction::Background`]: run a checksum-scrub pass after
-    /// each completed fold (idle-priority — queued folds always preempt).
-    pub auto_scrub: bool,
 }
 
 impl Default for DynamicConfig {
@@ -106,7 +104,6 @@ impl Default for DynamicConfig {
             max_deltas: 32,
             max_delta_ratio: 1.0,
             compaction: Compaction::Inline,
-            auto_scrub: false,
         }
     }
 }
@@ -129,7 +126,6 @@ impl DynamicConfig {
     pub fn background() -> Self {
         Self {
             compaction: Compaction::Background,
-            auto_scrub: true,
             ..Self::default()
         }
     }
@@ -233,7 +229,6 @@ impl DynamicGraph {
                 Arc::clone(&self.shared),
                 self.graph.encoding_policy(),
                 Arc::clone(self.graph.checksum_policy()),
-                self.config.auto_scrub,
             ));
         }
     }
@@ -449,7 +444,7 @@ impl DynamicGraph {
 
         for ((i, j, reverse), extra) in buckets {
             let chain = manifest.chain_info(i, j, reverse)?;
-            let d = SubShard::from_edges(i, j, extra);
+            let d = SubShardView::from_edges(i, j, extra);
             let blob = d.encode_with(encoding);
             // Fold-before-append check, O(1) in the chain length:
             // accumulated delta bytes ride in the ChainInfo, and the base
@@ -512,15 +507,9 @@ impl DynamicGraph {
             for (&v, &bump) in &degree_bump {
                 degrees[v as usize] += bump;
             }
-            let mut blob = Vec::new();
-            nxgraph_storage::format::write_blob(
-                &mut blob,
-                nxgraph_storage::format::FileKind::Degrees,
-                &nxgraph_storage::format::encode_u32s(&degrees),
-            )
-            .expect("vec write is infallible");
             let old_gen = manifest.degrees_gen()?;
-            disk.write_all_to(&GraphManifest::degree_file_at(old_gen + 1), &blob)?;
+            let name = GraphManifest::degree_file_at(old_gen + 1);
+            dsss::write_degree_table(disk.as_ref(), &name, &degrees)?;
             manifest.set_degrees_gen(old_gen + 1);
             stale.push(GraphManifest::degree_file_at(old_gen));
             Arc::new(degrees)
@@ -828,18 +817,15 @@ pub(crate) fn fold_chain(
     disk: &dyn nxgraph_storage::Disk,
     (i, j, reverse): (u32, u32, bool),
     chain: ChainInfo,
-    batch: Option<SubShard>,
+    batch: Option<SubShardView>,
     encoding: nxgraph_storage::EncodingPolicy,
 ) -> EngineResult<Fold> {
     let mut parts = dsss::load_chain_parts(disk, i, j, reverse, chain)?;
-    let old_raw: u64 = parts
-        .iter()
-        .map(|p| dsss::subshard::raw_encoded_len(p.num_dsts(), p.num_edges()))
-        .sum();
+    let old_raw: u64 = parts.iter().map(SubShardView::encoded_len).sum();
     let old_disk = disk.len_of(&GraphManifest::subshard_base_file(i, j, reverse, chain.gen))?
         + chain.delta_bytes;
-    parts.extend(batch.as_ref().map(SubShardView::from));
-    let merged = dsss::merge_subshards(i, j, &parts);
+    parts.extend(batch);
+    let merged = MergedSubShardView::merge(&parts).into_view();
     let blob = merged.encode_with(encoding);
     let next = ChainInfo {
         gen: chain.gen + 1,
@@ -1056,7 +1042,6 @@ mod tests {
         let cfg = DynamicConfig {
             max_deltas: 1, // every append signals its cell
             max_delta_ratio: f64::INFINITY,
-            auto_scrub: false,
             ..DynamicConfig::background()
         };
         let mut dg = DynamicGraph::with_config(prepare(&base), cfg).unwrap();
@@ -1344,7 +1329,6 @@ mod tests {
         let cfg = DynamicConfig {
             max_deltas: 3,
             max_delta_ratio: f64::INFINITY,
-            auto_scrub: false,
             ..DynamicConfig::background()
         };
         let mut dg = DynamicGraph::with_config(g, cfg).unwrap();

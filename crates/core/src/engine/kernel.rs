@@ -149,7 +149,6 @@ pub fn absorb<'a, P: VertexProgram + 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsss::SubShard;
 
     struct Sum;
 
@@ -189,7 +188,7 @@ mod tests {
                 edges.push((s, d));
             }
         }
-        Arc::new(SubShardView::from(&SubShard::from_edges(0, 1, edges)))
+        Arc::new(SubShardView::from_edges(0, 1, edges))
     }
 
     /// Sub-shard from interval [0,4) into [4,8): src s → dst d when
@@ -199,7 +198,7 @@ mod tests {
             .flat_map(|s| (4..8u32).map(move |d| (s, d)))
             .filter(|&(s, d)| (s + d) % 3 != 0)
             .collect();
-        Arc::new(SubShardView::from(&SubShard::from_edges(0, 1, edges)))
+        Arc::new(SubShardView::from_edges(0, 1, edges))
     }
 
     #[test]
@@ -249,11 +248,7 @@ mod tests {
         // Destinations 10 and 14 within an interval starting at 8:
         // slices must skip the gap correctly.
         let prog = Sum;
-        let ss = Arc::new(SubShardView::from(&SubShard::from_edges(
-            0,
-            1,
-            vec![(0, 10), (1, 14)],
-        )));
+        let ss = Arc::new(SubShardView::from_edges(0, 1, vec![(0, 10), (1, 14)]));
         let mut buf = AccBuf::<Sum>::new(&prog, 8, 8);
         let chunks = ss.chunk_by_edges(1);
         assert_eq!(chunks.len(), 2);

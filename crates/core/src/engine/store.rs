@@ -62,6 +62,7 @@ impl<'g> ShardStore<'g> {
     /// from disk" of §III-B1); cached shards are free from then on.
     pub fn plan_cache(&mut self, budget: u64, direction: Direction) -> EngineResult<u64> {
         let p = self.graph.num_intervals();
+        let loader = self.graph.view_loader();
         'outer: for &reverse in Self::dirs(direction) {
             for i in 0..p {
                 for j in 0..p {
@@ -69,7 +70,7 @@ impl<'g> ShardStore<'g> {
                     if self.cached_bytes + len > budget {
                         break 'outer;
                     }
-                    let ss = Arc::new(self.graph.load_subshard_view(i, j, reverse)?);
+                    let ss = Arc::new(loader.load_subshard(i, j, reverse)?);
                     let resident = ss.resident_bytes();
                     if self.cached_bytes + resident > budget {
                         // Inflated past the remaining budget: stream this
@@ -150,7 +151,7 @@ mod tests {
         let g = preprocess(&raw, &cfg, disk).unwrap();
         let disk_total = g.total_subshard_bytes().unwrap();
         // Sanity: compression actually kicked in for this fixture.
-        let sample = g.load_subshard_view(0, 0, false).unwrap();
+        let sample = g.view_loader().load_subshard(0, 0, false).unwrap();
         assert!(sample.resident_bytes() > g.subshard_len(0, 0, false).unwrap());
 
         let mut store = ShardStore::new(&g);
@@ -164,7 +165,7 @@ mod tests {
         // the reported total is the resident sum, not the file sum.
         let resident_total: u64 = (0..4)
             .flat_map(|i| (0..4).map(move |j| (i, j)))
-            .map(|(i, j)| g.load_subshard_view(i, j, false).unwrap().resident_bytes())
+            .map(|(i, j)| g.view_loader().load_subshard(i, j, false).unwrap().resident_bytes())
             .sum();
         let mut store = ShardStore::new(&g);
         let cached = store.plan_cache(2 * resident_total, Direction::Forward).unwrap();
@@ -245,7 +246,7 @@ mod tests {
             for j in 0..4 {
                 assert_eq!(
                     *store.cached(i, j, false).unwrap(),
-                    g.load_subshard_view(i, j, false).unwrap()
+                    g.view_loader().load_subshard(i, j, false).unwrap()
                 );
             }
         }

@@ -296,7 +296,6 @@ impl MaintenanceThread {
         shared: Arc<StoreShared>,
         encoding: EncodingPolicy,
         checksums: Arc<ChecksumPolicy>,
-        auto_scrub: bool,
     ) -> Self {
         let ctl = Arc::new(Ctl {
             m: Mutex::new(CtlState::default()),
@@ -305,7 +304,7 @@ impl MaintenanceThread {
         let worker_ctl = Arc::clone(&ctl);
         let handle = std::thread::Builder::new()
             .name("nxgraph-maint".into())
-            .spawn(move || worker(shared, worker_ctl, encoding, checksums, auto_scrub))
+            .spawn(move || worker(shared, worker_ctl, encoding, checksums))
             .expect("failed to spawn maintenance thread");
         Self {
             ctl,
@@ -424,7 +423,6 @@ fn worker(
     ctl: Arc<Ctl>,
     encoding: EncodingPolicy,
     checksums: Arc<ChecksumPolicy>,
-    auto_scrub: bool,
 ) {
     let retry = RetryPolicy::default();
     // Worker-local retry budgets; cleared when a job finally succeeds or
@@ -467,11 +465,9 @@ fn worker(
                             st.stats.fold_races += outcome.races;
                             if outcome.folded {
                                 st.stats.cells_folded += 1;
-                                if auto_scrub {
-                                    // Coalescing: one pending scrub covers
-                                    // any number of completed folds.
-                                    st.scrub_requests = st.scrub_requests.max(st.scrubs_done + 1);
-                                }
+                                // Coalescing: one pending scrub covers any
+                                // number of completed folds.
+                                st.scrub_requests = st.scrub_requests.max(st.scrubs_done + 1);
                             }
                         }
                         Err(e) => {
@@ -764,7 +760,7 @@ fn verify_file(
                 Encoding::Raw => EncodingPolicy::Raw,
                 Encoding::DeltaVarint => EncodingPolicy::Compressed,
             };
-            if view.to_subshard().encode_with(policy) != bytes.as_slice() {
+            if view.encode_with(policy) != bytes.as_slice() {
                 return Err(corrupt("blob is not the canonical encoding of its contents".into()));
             }
             Ok(())

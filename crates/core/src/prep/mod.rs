@@ -6,10 +6,16 @@ pub mod stream;
 
 use std::sync::Arc;
 
+use nxgraph_storage::format::{self, FileKind};
+use nxgraph_storage::manifest::GraphManifest;
 use nxgraph_storage::{Disk, EncodingPolicy};
 
-use crate::dsss::PreparedGraph;
+use crate::dsss::{
+    self, PreparedGraph, SubShardView, ENCODING_MANIFEST_KEY, SS_DISK_BYTES_MANIFEST_KEY,
+    SS_RAW_BYTES_MANIFEST_KEY,
+};
 use crate::error::EngineResult;
+use crate::types::VertexId;
 
 pub use degree::{degree, Degreeing};
 pub use shard::shard;
@@ -69,6 +75,69 @@ pub fn preprocess(
 ) -> EngineResult<PreparedGraph> {
     let deg = degree::degree(raw_edges);
     shard::shard(&deg, cfg, disk)
+}
+
+/// Raw (v2) and on-disk byte totals of the sub-shard blobs prep wrote:
+/// the aggregate compression ratio recorded in the manifest.
+#[derive(Debug, Default)]
+struct BlobBytes {
+    raw: u64,
+    disk: u64,
+}
+
+/// The one cell writer of both prep paths: build cell `(i, j)`
+/// (transposed when `reverse`) from its edges, encode it under
+/// `encoding`, write it under its prep-time name and count its raw and
+/// on-disk bytes into `totals`.
+fn write_cell(
+    disk: &dyn Disk,
+    (i, j, reverse): (u32, u32, bool),
+    edges: Vec<(VertexId, VertexId)>,
+    encoding: EncodingPolicy,
+    totals: &mut BlobBytes,
+) -> EngineResult<()> {
+    let ss = SubShardView::from_edges(i, j, edges);
+    let name = if reverse {
+        GraphManifest::rev_subshard_file(i, j)
+    } else {
+        GraphManifest::subshard_file(i, j)
+    };
+    let blob = ss.encode_with(encoding);
+    totals.raw += ss.encoded_len();
+    totals.disk += blob.len() as u64;
+    disk.write_all_to(&name, &blob)?;
+    Ok(())
+}
+
+/// The tail both prep paths share once every cell is written: record the
+/// encoding and the blob byte totals as manifest extras, write the degree
+/// table and the reverse mapping (`index_of` yields each id's original
+/// index), save the manifest and open the graph.
+fn finish(
+    disk: Arc<dyn Disk>,
+    mut manifest: GraphManifest,
+    encoding: EncodingPolicy,
+    totals: BlobBytes,
+    out_degrees: Vec<u32>,
+    index_of: impl ExactSizeIterator<Item = u64>,
+) -> EngineResult<PreparedGraph> {
+    for (key, value) in [
+        (ENCODING_MANIFEST_KEY, encoding.to_string()),
+        (SS_RAW_BYTES_MANIFEST_KEY, totals.raw.to_string()),
+        (SS_DISK_BYTES_MANIFEST_KEY, totals.disk.to_string()),
+    ] {
+        manifest.extra.insert(key.to_string(), value);
+    }
+    dsss::write_degree_table(disk.as_ref(), GraphManifest::degree_file(), &out_degrees)?;
+    let mut payload = Vec::with_capacity(index_of.len() * 8);
+    for index in index_of {
+        format::push_u64(&mut payload, index);
+    }
+    let mut blob = Vec::new();
+    format::write_blob(&mut blob, FileKind::Mapping, &payload).expect("vec write is infallible");
+    disk.write_all_to(GraphManifest::reverse_mapping_file(), &blob)?;
+    manifest.save(disk.as_ref())?;
+    PreparedGraph::from_parts(disk, manifest, Arc::new(out_degrees))
 }
 
 #[cfg(test)]

@@ -9,19 +9,16 @@
 
 use std::sync::Arc;
 
-use nxgraph_storage::format::{self, EncodingPolicy, FileKind};
+use nxgraph_storage::format::EncodingPolicy;
 use nxgraph_storage::manifest::GraphManifest;
 use nxgraph_storage::Disk;
 
-use crate::dsss::{
-    PreparedGraph, SubShard, ENCODING_MANIFEST_KEY, SS_DISK_BYTES_MANIFEST_KEY,
-    SS_RAW_BYTES_MANIFEST_KEY,
-};
+use crate::dsss::PreparedGraph;
 use crate::error::{EngineError, EngineResult};
 use crate::types::VertexId;
 
 use super::degree::Degreeing;
-use super::PrepConfig;
+use super::{write_cell, BlobBytes, PrepConfig};
 
 /// Write the full DSSS representation of `deg` onto `disk`.
 ///
@@ -42,7 +39,7 @@ pub fn shard(
         ));
     }
     let p = cfg.num_intervals;
-    let mut manifest = GraphManifest::new(
+    let manifest = GraphManifest::new(
         cfg.name.as_str(),
         deg.num_vertices as u64,
         deg.edges.len() as u64,
@@ -53,51 +50,19 @@ pub fn shard(
     let interval_of = |v: VertexId| (v / interval_len).min(p - 1);
 
     // Bucket edges into the P×P grid, then build each sub-shard.
-    let mut sizes = write_grid(&deg.edges, p, interval_of, false, cfg.encoding, disk.as_ref())?;
+    let mut totals = BlobBytes::default();
+    write_grid(&deg.edges, p, interval_of, false, cfg.encoding, disk.as_ref(), &mut totals)?;
     if cfg.build_reverse {
         let transposed: Vec<(VertexId, VertexId)> =
             deg.edges.iter().map(|&(s, d)| (d, s)).collect();
-        let rev = write_grid(&transposed, p, interval_of, true, cfg.encoding, disk.as_ref())?;
-        sizes.0 += rev.0;
-        sizes.1 += rev.1;
+        write_grid(&transposed, p, interval_of, true, cfg.encoding, disk.as_ref(), &mut totals)?;
     }
-    manifest
-        .extra
-        .insert(ENCODING_MANIFEST_KEY.to_string(), cfg.encoding.to_string());
-    manifest
-        .extra
-        .insert(SS_RAW_BYTES_MANIFEST_KEY.to_string(), sizes.0.to_string());
-    manifest
-        .extra
-        .insert(SS_DISK_BYTES_MANIFEST_KEY.to_string(), sizes.1.to_string());
-
-    // Degree table.
-    let mut blob = Vec::new();
-    format::write_blob(
-        &mut blob,
-        FileKind::Degrees,
-        &format::encode_u32s(&deg.out_degrees),
-    )
-    .expect("vec write is infallible");
-    disk.write_all_to(GraphManifest::degree_file(), &blob)?;
-
-    // Reverse mapping (id → original index), u64 little-endian array.
-    let mut payload = Vec::with_capacity(deg.index_of.len() * 8);
-    for &idx in &deg.index_of {
-        format::push_u64(&mut payload, idx);
-    }
-    let mut blob = Vec::new();
-    format::write_blob(&mut blob, FileKind::Mapping, &payload).expect("vec write is infallible");
-    disk.write_all_to(GraphManifest::reverse_mapping_file(), &blob)?;
-
-    manifest.save(disk.as_ref())?;
-    PreparedGraph::from_parts(disk, manifest, Arc::new(deg.out_degrees.clone()))
+    let index_of = deg.index_of.iter().copied();
+    super::finish(disk, manifest, cfg.encoding, totals, deg.out_degrees.clone(), index_of)
 }
 
 /// Bucket `edges` by (source interval, destination interval) and write one
-/// sub-shard file per cell. Returns `(raw_bytes, disk_bytes)` — what the
-/// grid would occupy raw vs what was actually written, the aggregate
-/// compression ratio recorded in the manifest.
+/// sub-shard file per cell, counting its bytes into `totals`.
 fn write_grid(
     edges: &[(VertexId, VertexId)],
     p: u32,
@@ -105,30 +70,19 @@ fn write_grid(
     reverse: bool,
     encoding: EncodingPolicy,
     disk: &dyn Disk,
-) -> EngineResult<(u64, u64)> {
+    totals: &mut BlobBytes,
+) -> EngineResult<()> {
     let cells = (p as usize) * (p as usize);
     let mut buckets: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); cells];
     for &(s, d) in edges {
         let cell = interval_of(s) as usize * p as usize + interval_of(d) as usize;
         buckets[cell].push((s, d));
     }
-    let (mut raw_bytes, mut disk_bytes) = (0u64, 0u64);
-    for i in 0..p {
-        for j in 0..p {
-            let cell = i as usize * p as usize + j as usize;
-            let ss = SubShard::from_edges(i, j, std::mem::take(&mut buckets[cell]));
-            let name = if reverse {
-                GraphManifest::rev_subshard_file(i, j)
-            } else {
-                GraphManifest::subshard_file(i, j)
-            };
-            let blob = ss.encode_with(encoding);
-            raw_bytes += ss.encoded_len();
-            disk_bytes += blob.len() as u64;
-            disk.write_all_to(&name, &blob)?;
-        }
+    for (cell, bucket) in buckets.into_iter().enumerate() {
+        let (i, j) = (cell as u32 / p, cell as u32 % p);
+        write_cell(disk, (i, j, reverse), bucket, encoding, totals)?;
     }
-    Ok((raw_bytes, disk_bytes))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -24,24 +24,22 @@
 
 use std::sync::Arc;
 
-use nxgraph_storage::format::{self, FileKind};
+use nxgraph_storage::format;
 use nxgraph_storage::manifest::GraphManifest;
 use nxgraph_storage::{Disk, DiskWrite, StorageError};
 
-use crate::dsss::{
-    PreparedGraph, SubShard, ENCODING_MANIFEST_KEY, SS_DISK_BYTES_MANIFEST_KEY,
-    SS_RAW_BYTES_MANIFEST_KEY,
-};
+use crate::dsss::PreparedGraph;
 use crate::error::{EngineError, EngineResult};
 use crate::types::VertexId;
 
-use super::PrepConfig;
+use super::{write_cell, BlobBytes, PrepConfig};
 
 /// Spill write-buffer size per row file; 8-byte records are batched into
 /// buffers this large before hitting the disk trait.
 const SPILL_BUF: usize = 256 * 1024;
 
-/// Row spill file name (deleted before the manifest is saved).
+/// Row spill file name (deleted before the manifest is saved, and on
+/// every error path).
 fn spill_name(reverse: bool, i: u32) -> String {
     format!("prep_spill_{}_{i}.tmp", if reverse { "r" } else { "f" })
 }
@@ -90,7 +88,8 @@ impl Spills {
 /// Chunks may be any size; the generator (not this function) decides how
 /// much of the graph exists in memory at once. Returns the opened
 /// [`PreparedGraph`], bit-compatible with [`preprocess`](super::preprocess)
-/// output for the same dense-id edge sequence.
+/// output for the same dense-id edge sequence. A failed call leaves no
+/// spill file behind.
 pub fn preprocess_streamed<C, I>(
     num_vertices: u32,
     chunks: I,
@@ -109,6 +108,31 @@ where
             "cannot shard an empty graph (no vertices)".into(),
         ));
     }
+    let res = shard_streamed(num_vertices, chunks, cfg, Arc::clone(&disk));
+    if res.is_err() {
+        // The spill writers are dropped by now; a spill the failed pass
+        // never created or already consumed is simply not found.
+        for reverse in [false, true] {
+            for i in 0..cfg.num_intervals {
+                let _ = disk.remove(&spill_name(reverse, i));
+            }
+        }
+    }
+    res
+}
+
+/// [`preprocess_streamed`] past its argument checks: the spill pass, the
+/// row pass and the shared prep tail.
+fn shard_streamed<C, I>(
+    num_vertices: u32,
+    chunks: I,
+    cfg: &PrepConfig,
+    disk: Arc<dyn Disk>,
+) -> EngineResult<PreparedGraph>
+where
+    C: IntoIterator<Item = (VertexId, VertexId)>,
+    I: IntoIterator<Item = C>,
+{
     let p = cfg.num_intervals;
     let mut manifest =
         GraphManifest::new(cfg.name.as_str(), num_vertices as u64, 0, p, cfg.build_reverse);
@@ -151,7 +175,7 @@ where
     manifest.num_edges = num_edges;
 
     // ---- Row pass -------------------------------------------------------
-    let (mut raw_bytes, mut disk_bytes) = (0u64, 0u64);
+    let mut totals = BlobBytes::default();
     let dirs: &[bool] = if cfg.build_reverse { &[false, true] } else { &[false] };
     for &reverse in dirs {
         for i in 0..p {
@@ -164,48 +188,16 @@ where
                 buckets[interval_of(d) as usize].push((s, d));
             }
             drop(records);
-            for (j, bucket) in buckets.into_iter().enumerate() {
-                let ss = SubShard::from_edges(i, j as u32, bucket);
-                let file = if reverse {
-                    GraphManifest::rev_subshard_file(i, j as u32)
-                } else {
-                    GraphManifest::subshard_file(i, j as u32)
-                };
-                let blob = ss.encode_with(cfg.encoding);
-                raw_bytes += ss.encoded_len();
-                disk_bytes += blob.len() as u64;
-                disk.write_all_to(&file, &blob)?;
+            for (j, bucket) in (0..p).zip(buckets) {
+                write_cell(disk.as_ref(), (i, j, reverse), bucket, cfg.encoding, &mut totals)?;
             }
             disk.remove(&name)?;
         }
     }
-    manifest
-        .extra
-        .insert(ENCODING_MANIFEST_KEY.to_string(), cfg.encoding.to_string());
-    manifest
-        .extra
-        .insert(SS_RAW_BYTES_MANIFEST_KEY.to_string(), raw_bytes.to_string());
-    manifest
-        .extra
-        .insert(SS_DISK_BYTES_MANIFEST_KEY.to_string(), disk_bytes.to_string());
-
-    // Degree table (the only O(n) state this path keeps resident).
-    let mut blob = Vec::new();
-    format::write_blob(&mut blob, FileKind::Degrees, &format::encode_u32s(&out_degrees))
-        .expect("vec write is infallible");
-    disk.write_all_to(GraphManifest::degree_file(), &blob)?;
-
-    // Identity reverse mapping: id i maps to index i.
-    let mut payload = Vec::with_capacity(num_vertices as usize * 8);
-    for id in 0..num_vertices {
-        format::push_u64(&mut payload, id as u64);
-    }
-    let mut blob = Vec::new();
-    format::write_blob(&mut blob, FileKind::Mapping, &payload).expect("vec write is infallible");
-    disk.write_all_to(GraphManifest::reverse_mapping_file(), &blob)?;
-
-    manifest.save(disk.as_ref())?;
-    PreparedGraph::from_parts(disk, manifest, Arc::new(out_degrees))
+    // The degree table is the only O(n) state this path keeps resident;
+    // the reverse mapping is the identity (id i maps to index i).
+    let index_of = (0..num_vertices).map(u64::from);
+    super::finish(disk, manifest, cfg.encoding, totals, out_degrees, index_of)
 }
 
 #[cfg(test)]
@@ -269,5 +261,17 @@ mod tests {
         let empty: Vec<Vec<(VertexId, VertexId)>> = Vec::new();
         assert!(preprocess_streamed(3, empty, &cfg, Arc::clone(&disk)).is_err());
         assert!(preprocess_streamed(0, vec![vec![(0u32, 1u32)]], &cfg, disk).is_err());
+    }
+
+    #[test]
+    fn failed_stream_leaves_no_spill_files_on_disk() {
+        // `OsDisk::create` makes the file at once (a `MemDisk` only on
+        // `finish`), so this is where a leaked spill would show.
+        let dir = nxgraph_storage::ScratchDir::new("prep-spill-leak");
+        let disk: Arc<dyn Disk> = Arc::new(nxgraph_storage::OsDisk::new(dir.path()).unwrap());
+        let cfg = PrepConfig::new("leak", 2);
+        let err = preprocess_streamed(4, vec![vec![(0u32, 1u32), (1, 9)]], &cfg, Arc::clone(&disk));
+        assert!(err.is_err());
+        assert_eq!(disk.list(), Vec::<String>::new());
     }
 }

@@ -128,7 +128,6 @@ fn inline_fold_commits_recover_at_every_cut_point() {
         max_deltas: 1, // every append folds inline instead
         max_delta_ratio: f64::INFINITY,
         compaction: Compaction::Inline,
-        ..DynamicConfig::default()
     };
     let mut dg = DynamicGraph::with_config(g, cfg).unwrap();
     let batch: Vec<(u64, u64)> = vec![(0, 1), (4, 4), (8, 2), (3, 6)];

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use nxgraph::core::algo;
-use nxgraph::core::dsss::{SubShard, SubShardView};
+use nxgraph::core::dsss::SubShardView;
 use nxgraph::core::engine::{EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::{EngineError, PreparedGraph};
@@ -146,9 +146,9 @@ fn corrupt_subshard_view_is_rejected_on_every_load() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     disk.write_all_to(&name, &bytes).unwrap();
-    assert!(g.load_subshard_view(1, 0, false).is_err());
+    assert!(g.view_loader().load_subshard(1, 0, false).is_err());
     assert!(
-        g.load_subshard_view(1, 0, false).is_err(),
+        g.view_loader().load_subshard(1, 0, false).is_err(),
         "retry must still verify the never-successfully-loaded file"
     );
 }
@@ -187,8 +187,8 @@ fn corrupt_compressed_subshard_is_rejected() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     disk.write_all_to(&name, &bytes).unwrap();
-    assert!(g.load_subshard_view(1, 0, false).is_err());
-    assert!(g.load_subshard_view(1, 0, false).is_err(), "retry must re-verify");
+    assert!(g.view_loader().load_subshard(1, 0, false).is_err());
+    assert!(g.view_loader().load_subshard(1, 0, false).is_err(), "retry must re-verify");
     assert!(g.load_subshard(1, 0, false).is_err());
 }
 
@@ -201,7 +201,7 @@ fn truncated_compressed_subshard_is_rejected() {
     let bytes = disk.read_all(&name).unwrap();
     for cut in [16usize, 33, bytes.len() - 1] {
         disk.write_all_to(&name, &bytes[..cut]).unwrap();
-        assert!(g.load_subshard_view(1, 0, false).is_err(), "cut at {cut}");
+        assert!(g.view_loader().load_subshard(1, 0, false).is_err(), "cut at {cut}");
         assert!(g.load_subshard(1, 0, false).is_err(), "cut at {cut}");
     }
 }
@@ -278,23 +278,23 @@ fn corrupt_or_truncated_delta_blob_is_rejected() {
     let last = bad.len() - 1;
     bad[last] ^= 0xff;
     disk.write_all_to(&name, &bad).unwrap();
-    assert!(dg.graph().load_subshard_view(i, j, false).is_err());
-    assert!(dg.graph().load_subshard_view(i, j, false).is_err(), "retry must re-verify");
+    assert!(dg.graph().view_loader().load_subshard(i, j, false).is_err());
+    assert!(dg.graph().view_loader().load_subshard(i, j, false).is_err(), "retry must re-verify");
     assert!(dg.graph().load_subshard(i, j, false).is_err());
     // Truncations at several depths are clean errors too.
     for cut in [10usize, 33, good.len() - 2] {
         disk.write_all_to(&name, &good[..cut]).unwrap();
-        assert!(dg.graph().load_subshard_view(i, j, false).is_err(), "cut {cut}");
+        assert!(dg.graph().view_loader().load_subshard(i, j, false).is_err(), "cut {cut}");
     }
     // A blob that is valid but belongs to a *different cell* is rejected
     // by the chain check, not silently merged.
-    let alien = nxgraph::core::dsss::SubShard::from_edges(1, 1, vec![(4, 4)]).encode();
+    let alien = SubShardView::from_edges(1, 1, vec![(4, 4)]).encode_with(EncodingPolicy::Raw);
     disk.write_all_to(&name, &alien).unwrap();
-    let err = dg.graph().load_subshard_view(i, j, false).unwrap_err();
+    let err = dg.graph().view_loader().load_subshard(i, j, false).unwrap_err();
     assert!(err.to_string().contains("chain expects"), "{err}");
     // Restoring the real bytes heals the chain.
     disk.write_all_to(&name, &good).unwrap();
-    assert!(dg.graph().load_subshard_view(i, j, false).is_ok());
+    assert!(dg.graph().view_loader().load_subshard(i, j, false).is_ok());
 }
 
 #[test]
@@ -313,7 +313,7 @@ fn a_fold_never_launders_corruption() {
     bad[last] ^= 0x01;
     disk.write_all_to(&name, &bad).unwrap();
     assert!(
-        dg.graph().load_subshard_view(i, j, false).is_ok(),
+        dg.graph().view_loader().load_subshard(i, j, false).is_ok(),
         "the streamed path verified this name once and skips the hash"
     );
     let manifest = disk.read_all(MANIFEST_FILE).unwrap();
@@ -329,7 +329,7 @@ fn manifest_listing_a_missing_delta_is_a_clean_error() {
     disk.remove(&name).unwrap();
     // Loads and whole runs fail cleanly — no panic, no silently dropped
     // edges.
-    assert!(dg.graph().load_subshard_view(i, j, false).is_err());
+    assert!(dg.graph().view_loader().load_subshard(i, j, false).is_err());
     assert!(dg.graph().load_subshard(i, j, false).is_err());
     let res = algo::pagerank(dg.graph(), 3, &EngineConfig::default());
     assert!(
@@ -340,8 +340,6 @@ fn manifest_listing_a_missing_delta_is_a_clean_error() {
 
 #[test]
 fn stale_compaction_leftovers_never_change_results() {
-    use nxgraph::core::dsss::SubShard;
-
     // Crash window 1: the fold wrote the next-generation base but died
     // before the manifest save. The manifest still references the old
     // chain, so the leftover is invisible and results are unchanged.
@@ -353,7 +351,7 @@ fn stale_compaction_leftovers_never_change_results() {
     // Write plausible-but-wrong content (missing the delta edges) where a
     // crashed fold would have put the merged blob; a *referenced* file
     // with this content would change PageRank.
-    let wrong = SubShard::from_edges(i, j, vec![(0, 0)]).encode();
+    let wrong = SubShardView::from_edges(i, j, vec![(0, 0)]).encode_with(EncodingPolicy::Raw);
     disk.write_all_to(&leftover, &wrong).unwrap();
     let graph = nxgraph::core::PreparedGraph::open(Arc::clone(&disk)).unwrap();
     assert_eq!(algo::pagerank(&graph, 4, &cfg).unwrap().0, want);
@@ -404,12 +402,12 @@ fn golden_v2_subshard_blob_still_loads() {
         0x09, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
         0x05, 0x00, 0x00, 0x00,
     ];
-    let want = SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
+    let want = SubShardView::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
     // Today's raw writer still produces exactly these bytes…
-    assert_eq!(want.encode(), GOLDEN_V2, "raw v2 writer output changed");
+    assert_eq!(want.encode_with(EncodingPolicy::Raw), GOLDEN_V2, "raw v2 writer output changed");
     // …and the view parser loads them with full checksum verification.
     let view = SubShardView::parse(SharedBytes::from(GOLDEN_V2.to_vec()), "golden", true).unwrap();
-    assert_eq!(view.to_subshard(), want);
+    assert_eq!(view, want);
     assert_eq!(view.dsts(), &[2, 3]);
     assert_eq!(view.offsets(), &[0, 2, 5]);
     assert_eq!(view.srcs(), &[5, 9, 4, 4, 5]);
@@ -432,14 +430,14 @@ fn golden_v3_subshard_and_hub_blobs_still_load() {
         // Varint dsts 2 (+1), degrees 2 3, srcs 5 (+4) | 4 (+0) (+1).
         0x02, 0x01, 0x02, 0x03, 0x05, 0x04, 0x04, 0x00, 0x01,
     ];
-    let want = SubShard::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
+    let want = SubShardView::from_edges(2, 1, vec![(5, 3), (4, 3), (5, 2), (4, 3), (9, 2)]);
     assert_eq!(
         want.encode_with(EncodingPolicy::Compressed),
         GOLDEN_V3_SS,
         "v3 sub-shard writer output changed"
     );
     let view = SubShardView::parse(SharedBytes::from(GOLDEN_V3_SS.to_vec()), "golden", true);
-    assert_eq!(view.unwrap().to_subshard(), want);
+    assert_eq!(view.unwrap(), want);
 
     // A 2-entry f64 hub H(0→1): dsts 4, 5 and accumulators 0.25, 0.75.
     const GOLDEN_V3_HUB: [u8; 54] = [

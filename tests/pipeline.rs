@@ -773,3 +773,85 @@ fn run_stats_account_edges_and_io() {
     assert!(stats.io.written_bytes > 0);
     assert!(stats.mteps() > 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Store bytes, pinned through prep, commit and fold.
+// ---------------------------------------------------------------------------
+
+/// Textbook byte-wise 64-bit FNV-1a over every file on `disk`, in name
+/// order: each name, a zero byte, the file's bytes, another zero byte.
+fn store_digest(disk: &dyn Disk) -> u64 {
+    let mut names = disk.list();
+    names.sort();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for name in names {
+        eat(name.as_bytes());
+        eat(&[0]);
+        eat(&disk.read_all(&name).unwrap());
+        eat(&[0]);
+    }
+    h
+}
+
+/// Every file the store holds is pinned, byte for byte, at three points:
+/// after `preprocess`, after `preprocess_streamed` over the same dense
+/// ids, and after 24 known-vertex batches through a default
+/// `DynamicGraph` (inline folds) followed by `compact`. A refactor of the
+/// build, merge or encode side must leave all nine digests unchanged.
+#[test]
+fn store_bytes_are_pinned_through_prep_commit_and_fold() {
+    use nxgraph::core::dynamic::DynamicGraph;
+    use nxgraph::core::prep::{degree, preprocess_streamed};
+
+    // Per policy: after prep, after streamed prep, after the commits and
+    // `compact`. A change to any writer must leave all nine as they are.
+    const POLICIES: [EncodingPolicy; 3] =
+        [EncodingPolicy::Raw, EncodingPolicy::Compressed, EncodingPolicy::Auto];
+    const PINNED: [[u64; 3]; 3] = [
+        [0x98af_8606_55d5_bb1f, 0x8acc_5e5a_a964_e863, 0xb417_814c_f1e0_951b],
+        [0xa84b_8264_dd9f_3d64, 0xbff3_3a8e_6ccd_0848, 0x4bea_fb2b_d57f_87b2],
+        [0x886b_37a2_a1dc_7196, 0xc043_613b_1ad1_81a6, 0x5a19_e748_3585_11e8],
+    ];
+    let raw = rmat_raw(10, 8, 5);
+    let deg = degree(&raw);
+    let n = deg.num_vertices as usize;
+    let mut got = Vec::new();
+    for policy in POLICIES {
+        let cfg = PrepConfig::new("pinned", 4).with_encoding(policy);
+
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        let g = preprocess(&raw, &cfg, Arc::clone(&disk)).unwrap();
+        let prepped = store_digest(disk.as_ref());
+
+        let streamed_disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        let chunks = deg.edges.chunks(1000).map(|c| c.to_vec());
+        preprocess_streamed(deg.num_vertices, chunks, &cfg, Arc::clone(&streamed_disk)).unwrap();
+        let streamed = store_digest(streamed_disk.as_ref());
+
+        let mut dg = DynamicGraph::new(g).unwrap();
+        let mut folded = 0;
+        for k in 0..24usize {
+            let batch: Vec<(u64, u64)> = (0..64usize)
+                .map(|t| {
+                    let s = (k * 131 + t * 17) % n;
+                    let d = (t * t * 7 + k * 3) % n;
+                    (deg.index_of[s], deg.index_of[d])
+                })
+                .collect();
+            let stats = dg.add_edges(&batch).unwrap();
+            assert!(!stats.rebuilt);
+            folded += stats.cells_compacted;
+        }
+        assert!(folded > 0, "{policy:?}: no inline fold ran");
+        dg.compact().unwrap();
+        drop(dg);
+        got.push([prepped, streamed, store_digest(disk.as_ref())]);
+    }
+    assert_eq!(got, PINNED, "store bytes changed: {got:#x?}");
+}

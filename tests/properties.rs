@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use nxgraph::core::algo;
-use nxgraph::core::dsss::{merge_edges, MergedSubShardView, SubShard, SubShardView};
+use nxgraph::core::dsss::{merge_edges, MergedSubShardView, SubShardView};
 use nxgraph::core::dynamic::{DynamicConfig, DynamicGraph};
 use nxgraph::core::engine::{EngineConfig, Strategy as UpdateStrategy};
 use nxgraph::core::parallel::split_ranges;
@@ -79,15 +79,14 @@ proptest! {
         // included), under every write policy: raw v2 words, the adaptive
         // policy and forced delta+varint v3.
         let (_, edges) = dense(&raw);
-        let ss = SubShard::from_edges(0, 0, edges);
+        let ss = SubShardView::from_edges(0, 0, edges);
         for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
             let bytes = ss.encode_with(policy);
-            let view = SubShardView::parse(SharedBytes::from(bytes), "prop", true).unwrap();
-            prop_assert_eq!(view.dsts(), &ss.dsts[..]);
-            prop_assert_eq!(view.offsets(), &ss.offsets[..]);
-            prop_assert_eq!(view.srcs(), &ss.srcs[..]);
+            let view = SubShardView::parse(SharedBytes::from(bytes.clone()), "prop", true).unwrap();
             prop_assert_eq!(view.num_edges(), ss.num_edges());
-            prop_assert_eq!(&view.to_subshard(), &ss);
+            prop_assert_eq!(&view, &ss);
+            // A parsed view re-encodes to its own bytes.
+            prop_assert_eq!(view.encode_with(policy), bytes);
         }
 
         // And the streamed (verify-once) loader agrees with the owned
@@ -99,9 +98,9 @@ proptest! {
             let g = prep::preprocess(&raw, &cfg, disk).unwrap();
             for i in 0..3 {
                 for j in 0..3 {
-                    let v = g.load_subshard_view(i, j, false).unwrap();
+                    let v = g.view_loader().load_subshard(i, j, false).unwrap();
                     let o = g.load_subshard(i, j, false).unwrap();
-                    prop_assert_eq!(v.to_subshard(), o);
+                    prop_assert_eq!(v, o);
                 }
             }
         }
@@ -115,25 +114,25 @@ proptest! {
     ) {
         // A delta blob is an ordinary sub-shard blob: encode→parse must
         // round-trip under every policy…
-        let delta = SubShard::from_edges(0, 0, d1.clone());
+        let delta = SubShardView::from_edges(0, 0, d1.clone());
         for policy in [EncodingPolicy::Raw, EncodingPolicy::Auto, EncodingPolicy::Compressed] {
             let blob = SharedBytes::from(delta.encode_with(policy));
             let view = SubShardView::parse(blob, "prop", true).unwrap();
-            prop_assert_eq!(&view.to_subshard(), &delta);
+            prop_assert_eq!(&view, &delta);
         }
         // …and merge-iterating base + deltas (the read side of a chain)
         // must equal a from-scratch build of the sorted concatenation.
         let parts = [
-            SubShardView::from(&SubShard::from_edges(0, 0, base.clone())),
-            SubShardView::from(&delta),
-            SubShardView::from(&SubShard::from_edges(0, 0, d2.clone())),
+            SubShardView::from_edges(0, 0, base.clone()),
+            delta,
+            SubShardView::from_edges(0, 0, d2.clone()),
         ];
         let mut all = base;
         all.extend(&d1);
         all.extend(&d2);
-        let want = SubShard::from_edges(0, 0, all);
+        let want = SubShardView::from_edges(0, 0, all);
         let merged = MergedSubShardView::merge(&parts).into_view();
-        prop_assert_eq!(&merged.to_subshard(), &want);
+        prop_assert_eq!(&merged, &want);
         prop_assert_eq!(
             merge_edges(&parts).collect::<Vec<_>>(),
             want.iter_edges().collect::<Vec<_>>()
