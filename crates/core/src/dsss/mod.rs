@@ -164,9 +164,8 @@ pub enum Fetch {
 pub enum Fetched<A: Attr> {
     /// The sub-shard, merged across its delta chain.
     Shard(SubShardView),
-    /// The hub; `None` when it was never written (its source row was
-    /// skipped as inactive).
-    Hub(Option<HubView<A>>),
+    /// The hub.
+    Hub(HubView<A>),
 }
 
 /// Cheap cloneable handle for loading zero-copy views off the engine
@@ -238,17 +237,16 @@ impl ViewLoader {
         Ok(MergedSubShardView::merge(&parts).into_view())
     }
 
-    /// Read hub `H(i→j)` as a zero-copy view; `None` when the hub was
-    /// never written. Hubs are *rewritten with fresh content every
-    /// iteration* under the same name, so the verify-once rationale does
-    /// not apply — every hub read verifies.
-    pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
-        let Some(name) = self.hub_part_name(i, j) else {
-            return Ok(None);
-        };
+    /// Read hub `H(i→j)` as a zero-copy view, by name: the caller knows
+    /// it was written (a missing hub is a storage error). Hubs are
+    /// *rewritten with fresh content every iteration* under the same name,
+    /// so the verify-once rationale does not apply — every hub read
+    /// verifies.
+    pub fn read_hub<A: Attr>(&self, i: u32, j: u32) -> EngineResult<HubView<A>> {
+        let name = self.scratch.hub_file(i, j);
         let bytes = self.read(&name)?;
         let verify = self.checksums.should_verify_mutable();
-        Ok(Some(HubView::parse(bytes, &name, verify)?))
+        Ok(HubView::parse(bytes, &name, verify)?)
     }
 
     /// `read_shared` with transient-failure retry (the decode is not
@@ -283,9 +281,8 @@ impl ViewLoader {
         names
     }
 
-    /// The hub file backing `H(i→j)`, or `None` when it was never
-    /// written. Hub files are stable within an engine phase (they are
-    /// written during ToHub and removed only after their column's fold).
+    /// The hub file backing `H(i→j)`, or `None` when no such file exists
+    /// (an existence probe; the engine tracks which hubs it wrote instead).
     pub fn hub_part_name(&self, i: u32, j: u32) -> Option<String> {
         let name = self.scratch.hub_file(i, j);
         self.disk.exists(&name).then_some(name)
@@ -565,10 +562,11 @@ impl PreparedGraph {
         self.view_loader().load_subshard(i, j, reverse)
     }
 
-    /// Read hub `H(i→j)` as a zero-copy [`HubView`]; `None` when the hub
-    /// was never written.
+    /// Read hub `H(i→j)` as a zero-copy [`HubView`]; `None` when no hub
+    /// file exists.
     pub fn read_hub_view<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
-        self.view_loader().read_hub(i, j)
+        let loader = self.view_loader();
+        loader.hub_part_name(i, j).map(|_| loader.read_hub(i, j)).transpose()
     }
 
     /// On-disk size in bytes of a sub-shard cell — base blob plus any

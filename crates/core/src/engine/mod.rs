@@ -16,6 +16,7 @@
 pub mod kernel;
 pub mod mpu;
 pub mod pipeline;
+mod plan;
 pub mod select;
 pub mod state;
 pub mod store;

@@ -4,42 +4,34 @@
 //! `Q` of the `P` intervals stay memory-resident as **ping-pong pairs** (one
 //! copy holds the previous iteration's attributes, the other receives this
 //! iteration's results; they swap at the end of the iteration, so switching
-//! iterations costs nothing); the remaining `P−Q` live on disk. Of the `P²`
-//! sub-shards only the `(P−Q)²` whose source *and* destination are on disk
-//! need **hubs** — per-sub-shard files of (destination id, incremental
-//! value) pairs; every other sub-shard updates SPU-style:
+//! iterations costs nothing); the remaining `P−Q` live on disk, and only the
+//! `(P−Q)²` sub-shards between on-disk intervals pass through **hubs**.
 //!
-//! * **Phase A** — resident rows × resident columns, pure SPU order.
-//! * **Phase B** — each on-disk row `i` is loaded once: resident columns
-//!   update in memory, on-disk columns write hubs (ToHub).
-//! * **Phase C** — each on-disk column `j` is assembled: resident rows
-//!   absorb directly from the resident ping-pong values, on-disk rows fold
-//!   their hubs (FromHub); the interval is written back once.
+//! `run_mpu` is plan, then execute. Each iteration's schedule (phases A,
+//! B and C) is built as a value by `plan::plan`, whose docs map each step
+//! to its Table II term; the executor here is the only engine code that
+//! drives the read pipeline or touches intervals and hubs. It keeps hub
+//! liveness in memory, so phase C reads exactly the hubs phase B wrote
+//! this iteration.
 //!
-//! The caller picks the residency `(Q, cache bytes)` per strategy
-//! ([`super::select::residency`]): at `Q = P` only phase A runs and this is
-//! SPU (§III-B1), whose per-iteration I/O of at most `m·Be + 2n·Ba − B_M` is
-//! the minimum of all strategies; at `Q = 0` only phases B and C run and
-//! this is DPU (§III-B2), whose `Bread ≤ m·Be + n·Ba + m·(Ba+Bv)/d` and
-//! `Bwrite ≤ n·Ba + m·(Ba+Bv)/d` are independent of `P` and the budget, so
-//! DPU "can scale to very large graphs or very small memory budget". In
-//! between the I/O amount interpolates Table II's MPU row.
-//!
-//! Every phase computes through [`absorb`] and traverses row-major: within
-//! one row a destination interval is touched by exactly one direction's
-//! sub-shard, and each destination chunk is folded by one task, so the
-//! fold order per accumulator is the fixed row order and results are
+//! The caller picks `(Q, cache bytes)` per strategy
+//! ([`super::select::residency`]): `Q = P` is SPU (§III-B1), the least I/O
+//! of all strategies; `Q = 0` is DPU (§III-B2), whose I/O depends on
+//! neither `P` nor the budget; in between it interpolates Table II's MPU
+//! row ([`crate::iomodel`]). Every step computes through [`absorb`],
+//! row-major with one task per destination chunk, so results are
 //! bitwise-identical at any thread count.
 
-use std::sync::Arc;
+use std::collections::HashSet;
 
-use crate::dsss::{HubView, PreparedGraph, SubShardView};
+use crate::dsss::PreparedGraph;
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
 use crate::types::VertexId;
 
 use super::kernel::{absorb, EDGES_PER_TASK};
 use super::pipeline::{Fetch, Pipeline};
+use super::plan::{plan, Group, Step};
 use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
@@ -54,41 +46,31 @@ pub(super) fn run_mpu<P: VertexProgram>(
     q: u32,
     cache_bytes: u64,
 ) -> EngineResult<(Vec<P::Value>, usize, u64)> {
-    let p = g.num_intervals();
-
-    // Resident vertex prefix [0, res_end).
-    let res_end: VertexId = if q == 0 { 0 } else { g.interval_range(q - 1).end };
-    let mut prev_res: Vec<P::Value> = (0..res_end).map(|v| prog.init(v)).collect();
-    let mut next_res = prev_res.clone();
-
-    // On-disk intervals initialised on disk.
-    for j in q..p {
+    let (p, threads) = (g.num_intervals(), cfg.threads);
+    let init = |j: u32| -> Vec<P::Value> { g.interval_range(j).map(|v| prog.init(v)).collect() };
+    let new_buf = |j: u32| {
         let r = g.interval_range(j);
-        let vals: Vec<P::Value> = r.map(|v| prog.init(v)).collect();
-        g.write_interval(j, &vals)?;
-    }
+        AccBuf::<P>::new(prog, r.start, (r.end - r.start) as usize)
+    };
 
-    // Leftover budget caches sub-shards.
+    // Resident prefix [0, res_end) as ping-pong pairs, the other intervals
+    // initialised on disk, and the leftover budget caching sub-shards.
+    let res_end: VertexId = if q == 0 { 0 } else { g.interval_range(q - 1).end };
+    let mut prev: Vec<P::Value> = (0..res_end).map(|v| prog.init(v)).collect();
+    let mut next = prev.clone();
+    for j in q..p {
+        g.write_interval(j, &init(j))?;
+    }
     let mut store = ShardStore::new(g);
     store.plan_cache(cache_bytes, cfg.direction)?;
 
     let mut activity = Activity::init(g, prog);
-
-    // One read pipeline for the whole run; each phase drives it through
-    // ordered streams (cache hits resolved up-front, misses fetched).
     let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
     let dirs = ShardStore::dirs(cfg.direction);
-
-    // Accumulators for resident destination intervals (reused).
-    let mut accs_res: Vec<AccBuf<P>> = (0..q)
-        .map(|j| {
-            let r = g.interval_range(j);
-            AccBuf::new(prog, r.start, (r.end - r.start) as usize)
-        })
-        .collect();
-
-    let mut iterations = 0;
-    let mut edges_traversed = 0u64;
+    let mut accs_res: Vec<AccBuf<P>> = (0..q).map(new_buf).collect();
+    // Hubs `(i, j)` written this iteration and not yet folded.
+    let mut written: HashSet<(u32, u32)> = HashSet::new();
+    let (mut iterations, mut edges) = (0, 0u64);
 
     for _ in 0..cfg.max_iterations {
         iterations += 1;
@@ -96,216 +78,100 @@ pub(super) fn run_mpu<P: VertexProgram>(
             a.reset(prog);
         }
         let mut changed = vec![false; p as usize];
-
-        // ------------------------------------------------------------------
-        // Phase A: resident rows into resident columns (SPU order). All
-        // tasks of a row run concurrently and the pipeline decodes row
-        // i+1's streamed sub-shards while row i is absorbed. Misses are
-        // fetched at single sub-shard granularity so the pipeline never
-        // holds more than its ring depth of decoded sub-shards beyond the
-        // row being absorbed.
-        // ------------------------------------------------------------------
-        let rows: Vec<(bool, u32)> = dirs
-            .iter()
-            .flat_map(|&reverse| {
-                (0..q).filter(|&i| !activity.row_skippable(i)).map(move |i| (reverse, i))
-            })
-            .collect();
-        let (mut hits, misses) = store.resolve(
-            rows.iter().flat_map(|&(reverse, i)| (0..q).map(move |j| (i, j, reverse))),
-        );
-        let mut stream = pipe.stream(misses);
-        for &(_, i) in &rows {
-            let mut shards: Vec<Arc<SubShardView>> = Vec::with_capacity(q as usize);
-            for hit in hits.drain(..q as usize) {
-                let ss = stream.shard_or(hit)?;
-                edges_traversed += ss.num_edges() as u64;
-                shards.push(ss);
-            }
-            let r = g.interval_range(i);
-            absorb(
-                prog,
-                shards.iter().zip(&mut accs_res),
-                &prev_res[r.start as usize..r.end as usize],
-                r.start,
-                cfg.threads,
-                EDGES_PER_TASK,
-            );
-        }
-        drop(stream);
-
-        // ------------------------------------------------------------------
-        // Phase B: on-disk rows; resident columns in memory, on-disk
-        // columns to hubs. All of a row's sub-shard loads feed one ordered
-        // stream (cache hits resolved up-front, misses decoded in the
-        // background), so the kernel folds sub-shard (i, j) while (i, j+1)
-        // is already being read and validated.
-        // ------------------------------------------------------------------
-        for i in q..p {
-            if activity.row_skippable(i) {
-                continue;
-            }
-            let src_vals: Vec<P::Value> = g.read_interval(i)?;
-            let r_i = g.interval_range(i);
-            // Keys in exact consumption order: resident destinations per
-            // direction, then hub destinations with both directions folded
-            // per column.
-            let resident = dirs
-                .iter()
-                .flat_map(|&reverse| (0..q).map(move |j| (i, j, reverse)));
-            let to_hub = (q..p).flat_map(|j| dirs.iter().map(move |&reverse| (i, j, reverse)));
-            let (mut hits, misses) = store.resolve(resident.chain(to_hub));
-            let mut stream = pipe.stream(misses);
-            // Resident destinations: SPU-like, straight into accs_res.
-            for _ in dirs {
-                let mut shards: Vec<Arc<SubShardView>> = Vec::with_capacity(q as usize);
-                for hit in hits.drain(..q as usize) {
-                    let ss = stream.shard_or(hit)?;
-                    edges_traversed += ss.num_edges() as u64;
-                    shards.push(ss);
-                }
-                absorb(
-                    prog,
-                    shards.iter().zip(&mut accs_res),
-                    &src_vals,
-                    r_i.start,
-                    cfg.threads,
-                    EDGES_PER_TASK,
-                );
-            }
-            // On-disk destinations: ToHub. Both directions fold into the
-            // same hub before writing.
-            for j in q..p {
-                let r_j = g.interval_range(j);
-                let mut buf: AccBuf<P> =
-                    AccBuf::new(prog, r_j.start, (r_j.end - r_j.start) as usize);
-                for hit in hits.drain(..dirs.len()) {
-                    let ss = stream.shard_or(hit)?;
-                    edges_traversed += ss.num_edges() as u64;
-                    absorb(
-                        prog,
-                        [(&ss, &mut buf)],
-                        &src_vals,
-                        r_i.start,
-                        cfg.threads,
-                        EDGES_PER_TASK,
-                    );
-                }
-                let (dsts, accs) = buf.compact();
-                if !dsts.is_empty() {
-                    g.write_hub(i, j, &dsts, &accs)?;
-                }
-            }
-        }
-
-        // Finalise resident intervals (all their contributions arrived in
-        // phases A and B) as one flat batch. Keep prev_res intact — phase C
-        // reads it.
-        let bufs: Vec<&AccBuf<P>> = accs_res.iter().collect();
-        let flags = finalize_intervals_par(prog, &bufs, &prev_res, &mut next_res, cfg.threads);
-        changed[..q as usize].copy_from_slice(&flags);
-
-        // ------------------------------------------------------------------
-        // Phase C: on-disk columns; resident rows absorb directly, on-disk
-        // rows fold hubs. One mixed stream per column carries the
-        // resident-row sub-shards followed by the column's hubs, so hub
-        // reads overlap the tail of the shard absorbs. Hubs are stable
-        // within the phase: written in phase B, removed only after their
-        // column folds.
-        // ------------------------------------------------------------------
-        let mut any_changed = changed.iter().any(|&c| c);
-        for j in q..p {
-            let r_j = g.interval_range(j);
-            let len = (r_j.end - r_j.start) as usize;
-            // PageRank-style programs never read the old value in apply, so
-            // FromHub skips the extra n·Ba read (matching Table II);
-            // monotone programs (BFS/WCC) need it.
-            let old: Vec<P::Value> = if P::APPLY_NEEDS_OLD {
-                g.read_interval(j)?
-            } else {
-                r_j.clone().map(|v| prog.init(v)).collect()
-            };
-            let mut buf: AccBuf<P> = AccBuf::new(prog, r_j.start, len);
-            // Resident rows in consumption order (activity filter applied
-            // now; flags do not change within an iteration), then the
-            // column's hubs: one fetch list for the whole mixed stream.
-            let keys: Vec<(u32, u32, bool)> = dirs
-                .iter()
-                .flat_map(|&reverse| {
-                    (0..q).filter(|&i| !activity.row_skippable(i)).map(move |i| (i, j, reverse))
-                })
-                .collect();
-            let (hits, mut fetches) = store.resolve(keys.iter().copied());
-            fetches.extend((q..p).map(|i| Fetch::Hub { i, j }));
+        let groups = plan(g, q, &store, &activity, dirs, P::APPLY_NEEDS_OLD).groups;
+        for Group { mut fetches, steps } in groups {
+            fetches.retain(|f| !matches!(*f, Fetch::Hub { i, j } if !written.contains(&(i, j))));
             let mut stream = pipe.stream(fetches);
-            for (&(i, ..), hit) in keys.iter().zip(hits) {
-                let ss = stream.shard_or(hit)?;
-                edges_traversed += ss.num_edges() as u64;
-                let r_i = g.interval_range(i);
-                absorb(
-                    prog,
-                    [(&ss, &mut buf)],
-                    &prev_res[r_i.start as usize..r_i.end as usize],
-                    r_i.start,
-                    cfg.threads,
-                    EDGES_PER_TASK,
-                );
-            }
-            // Collect the column's hubs in row order, then fold them as
-            // one destination-range-parallel batch (bitwise-identical to
-            // the serial fold; see `merge_hub_views_par`). Hubs are sparse
-            // (m·(Ba+Bv)/d per column in Table II terms), so holding one
-            // column's worth is cheap.
-            let mut hubs: Vec<HubView<P::Accum>> = Vec::new();
-            let mut hub_rows: Vec<u32> = Vec::new();
-            for i in q..p {
-                if let Some(hub) = stream.hub()? {
-                    hubs.push(hub);
-                    hub_rows.push(i);
+            // The group's on-disk interval, and its hub or column buffer.
+            let mut vals: Option<Vec<P::Value>> = None;
+            let mut buf: Option<AccBuf<P>> = None;
+            for step in steps {
+                match step {
+                    Step::ReadInterval(j) => vals = Some(g.read_interval(j)?),
+                    Step::Absorb { row, cells, into } => {
+                        let mut shards = Vec::with_capacity(cells.len());
+                        for cell in cells {
+                            shards.push(cell.map_or_else(|| stream.shard(), Ok)?);
+                        }
+                        edges += shards.iter().map(|ss| ss.num_edges() as u64).sum::<u64>();
+                        let r = g.interval_range(row);
+                        let src = if row < q {
+                            &prev[r.start as usize..r.end as usize]
+                        } else {
+                            vals.as_deref().expect("ReadInterval precedes")
+                        };
+                        if let Some(j) = into {
+                            let b = buf.get_or_insert_with(|| new_buf(j));
+                            for s in &shards {
+                                absorb(prog, [(s, &mut *b)], src, r.start, threads, EDGES_PER_TASK);
+                            }
+                        } else {
+                            let pairs = shards.iter().zip(&mut accs_res);
+                            absorb(prog, pairs, src, r.start, threads, EDGES_PER_TASK);
+                        }
+                    }
+                    Step::WriteHub { i, j } => {
+                        let (dsts, accs) = buf.take().expect("Absorb precedes").compact();
+                        if !dsts.is_empty() {
+                            g.write_hub(i, j, &dsts, &accs)?;
+                            written.insert((i, j));
+                        }
+                    }
+                    Step::FoldHubs { j, rows } => {
+                        let rows: Vec<u32> =
+                            rows.into_iter().filter(|&i| written.remove(&(i, j))).collect();
+                        let hubs: Vec<_> =
+                            rows.iter().map(|_| stream.hub()).collect::<EngineResult<_>>()?;
+                        // One destination-range-parallel batch, bitwise
+                        // equal to the serial fold.
+                        let b = buf.get_or_insert_with(|| new_buf(j));
+                        b.merge_hub_views_par(prog, &hubs, threads);
+                        for i in rows {
+                            g.remove_hub(i, j);
+                        }
+                    }
+                    Step::Finalize(None) => {
+                        // prev stays intact: phase C still reads it.
+                        let bufs: Vec<_> = accs_res.iter().collect();
+                        let flags = finalize_intervals_par(prog, &bufs, &prev, &mut next, threads);
+                        changed[..q as usize].copy_from_slice(&flags);
+                    }
+                    Step::Finalize(Some(j)) => {
+                        let old = vals.take().unwrap_or_else(|| init(j));
+                        let col = buf.take().unwrap_or_else(|| new_buf(j));
+                        let mut new = old.clone();
+                        let flags = finalize_intervals_par(prog, &[&col], &old, &mut new, threads);
+                        (changed[j as usize], vals) = (flags[0], Some(new));
+                    }
+                    Step::WriteInterval(j) => g.write_interval(j, &vals.take().expect("Finalize"))?,
                 }
             }
-            buf.merge_hub_views_par(prog, &hubs, cfg.threads);
-            drop(hubs);
-            for i in hub_rows {
-                g.remove_hub(i, j);
-            }
-            let mut new_vals = old.clone();
-            let ch = finalize_intervals_par(prog, &[&buf], &old, &mut new_vals, cfg.threads)[0];
-            g.write_interval(j, &new_vals)?;
-            changed[j as usize] = ch;
-            any_changed |= ch;
         }
+        std::mem::swap(&mut prev, &mut next);
 
-        std::mem::swap(&mut prev_res, &mut next_res);
-
-        let all_inactive = activity.advance(&changed);
-        let done = if P::ALWAYS_APPLY {
-            // Resident intervals have real old values; disk intervals only
-            // when APPLY_NEEDS_OLD. Early termination is sound only when
-            // every change flag is trustworthy; otherwise run the
-            // configured iteration count (the paper also runs PageRank for
-            // a fixed 10 iterations).
-            (q == p || P::APPLY_NEEDS_OLD) && !any_changed
-        } else {
-            all_inactive
-        };
-        if done {
+        // Monotone programs stop once every interval went inactive; the
+        // others once nothing changed, if every change flag is real: an
+        // on-disk interval applies against init values unless the program
+        // needs its old ones (PageRank runs its fixed iteration count).
+        let trusted = q == p || P::APPLY_NEEDS_OLD;
+        let settled = P::ALWAYS_APPLY && trusted && !changed.contains(&true);
+        if activity.advance(&changed) || settled {
             break;
         }
     }
 
     // Gather: resident prefix + on-disk intervals.
-    let mut out = prev_res;
-    out.truncate(res_end as usize);
+    let mut out = prev;
     for j in q..p {
         out.extend(g.read_interval::<P::Value>(j)?);
     }
-    Ok((out, iterations, edges_traversed))
+    Ok((out, iterations, edges))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use crate::algo::pagerank::PageRank;
     use crate::engine::{run, RunStats, Strategy};
     use crate::prep::{preprocess, PrepConfig};

@@ -301,13 +301,8 @@ impl<A: Attr> Stream<'_, A> {
         }
     }
 
-    /// A resolved cache hit, or else the next streamed sub-shard.
-    pub fn shard_or(&mut self, hit: Option<Arc<SubShardView>>) -> EngineResult<Arc<SubShardView>> {
-        hit.map_or_else(|| self.shard(), Ok)
-    }
-
     /// The next item, which the fetch list says is a hub.
-    pub fn hub(&mut self) -> EngineResult<Option<HubView<A>>> {
+    pub fn hub(&mut self) -> EngineResult<HubView<A>> {
         match self.next().expect("stream exhausted before its fetch list")? {
             Fetched::Hub(hub) => Ok(hub),
             Fetched::Shard(_) => unreachable!("fetch list has a shard where a hub is consumed"),
@@ -381,8 +376,13 @@ mod tests {
                         assert_eq!((ss.src_interval(), ss.dst_interval()), (i, j));
                     }
                 }
-                assert_eq!(stream.hub().unwrap().unwrap().dsts(), &[4, 5]);
-                assert!(stream.hub().unwrap().is_none(), "absent hub delivers None");
+                assert_eq!(stream.hub().unwrap().dsts(), &[4, 5]);
+                match stream.hub() {
+                    Err(crate::EngineError::Storage(StorageError::NotFound(name))) => {
+                        assert_eq!(name, "hub_2_1.bin", "hubs are read by name, never probed")
+                    }
+                    other => panic!("expected NotFound, got {:?}", other.map(|_| ())),
+                }
                 assert!(stream.next().is_none());
             }
         }

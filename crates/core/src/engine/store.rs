@@ -2,17 +2,18 @@
 //!
 //! "If there are still memory budget left, sub-shards will also be actively
 //! loaded from disk to memory" (§III-B1). [`ShardStore`] plans a cache from
-//! the leftover budget in row-major traversal order, then resolves each
-//! access either from memory (no I/O counted — the bytes never move again)
-//! or into a [`Fetch`] for the read [pipeline](super::pipeline) to stream
-//! from disk (counted by the disk's [`IoCounters`]).
+//! the leftover budget in row-major traversal order. A cached cell
+//! ([`ShardStore::cached`]) costs no I/O (the bytes never move again); the
+//! iteration plan turns every other access into a `Fetch` for the read
+//! [pipeline](super::pipeline) to stream from disk (counted by the disk's
+//! [`IoCounters`]).
 //!
 //! [`IoCounters`]: nxgraph_storage::IoCounters
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::dsss::{Fetch, PreparedGraph, SubShardView};
+use crate::dsss::{PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::program::Direction;
 
@@ -99,33 +100,14 @@ impl<'g> ShardStore<'g> {
     pub fn cached(&self, i: u32, j: u32, reverse: bool) -> Option<Arc<SubShardView>> {
         self.cache.get(&(i, j, reverse)).map(Arc::clone)
     }
-
-    /// Resolve `keys` (in consumption order) against the cache without
-    /// touching the disk: the hit or `None` per key, plus the fetch list of
-    /// the misses for the read pipeline to stream in the same order.
-    #[allow(clippy::type_complexity)]
-    pub fn resolve(
-        &self,
-        keys: impl IntoIterator<Item = Key>,
-    ) -> (VecDeque<Option<Arc<SubShardView>>>, Vec<Fetch>) {
-        let mut misses = Vec::new();
-        let hits = keys
-            .into_iter()
-            .map(|(i, j, reverse)| {
-                let hit = self.cached(i, j, reverse);
-                if hit.is_none() {
-                    misses.push(Fetch::Shard { i, j, reverse });
-                }
-                hit
-            })
-            .collect();
-        (hits, misses)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsss::Fetch;
+    use crate::engine::plan::{plan, Cell, IterPlan, Step};
+    use crate::engine::Activity;
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
 
@@ -173,20 +155,37 @@ mod tests {
         assert_eq!(store.cached_count(), 16);
     }
 
+    /// Every activity flag up and tracked, so no row is skipped.
+    fn all_active() -> Activity {
+        Activity { active: vec![true; 4], tracks: true }
+    }
+
+    /// The cells of every `Absorb` in `plan`, in execution order.
+    fn cells(plan: &IterPlan) -> Vec<&Cell> {
+        let steps = plan.groups.iter().flat_map(|group| &group.steps);
+        steps
+            .flat_map(|step| match step {
+                Step::Absorb { cells, .. } => cells.as_slice(),
+                _ => &[],
+            })
+            .collect()
+    }
+
     #[test]
     fn zero_budget_streams_everything() {
         let g = graph();
         let mut store = ShardStore::new(&g);
         assert_eq!(store.plan_cache(0, Direction::Forward).unwrap(), 0);
-        let (hits, misses) = store.resolve([(2, 1, false), (0, 3, false)]);
-        assert!(hits.iter().all(Option::is_none));
-        assert_eq!(
-            misses,
-            vec![
-                Fetch::Shard { i: 2, j: 1, reverse: false },
-                Fetch::Shard { i: 0, j: 3, reverse: false },
-            ]
-        );
+        // DPU: every cell streams, and the fetch lists hold them row-major.
+        let plan = plan(&g, 0, &store, &all_active(), &[false], false);
+        assert!(cells(&plan).iter().all(|cell| cell.is_none()));
+        let fetches = plan.groups.iter().flat_map(|group| &group.fetches);
+        let shards: Vec<Fetch> =
+            fetches.copied().filter(|f| matches!(f, Fetch::Shard { .. })).collect();
+        let row_major: Vec<Fetch> = (0..4)
+            .flat_map(|i| (0..4).map(move |j| Fetch::Shard { i, j, reverse: false }))
+            .collect();
+        assert_eq!(shards, row_major);
     }
 
     #[test]
@@ -197,10 +196,10 @@ mod tests {
         assert_eq!(cached, g.total_subshard_bytes().unwrap());
         assert_eq!(store.cached_count(), 16);
         let before = g.disk().counters().read_bytes();
-        let keys = (0..4).flat_map(|i| (0..4).map(move |j| (i, j, false)));
-        let (hits, misses) = store.resolve(keys);
-        assert!(hits.iter().all(Option::is_some));
-        assert!(misses.is_empty());
+        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        assert_eq!(cells(&plan).len(), 16);
+        assert!(cells(&plan).iter().all(|cell| cell.is_some()));
+        assert!(plan.groups.iter().all(|group| group.fetches.is_empty()));
         assert_eq!(g.disk().counters().read_bytes(), before);
     }
 
@@ -233,8 +232,9 @@ mod tests {
         let mut store = ShardStore::new(&g);
         store.plan_cache(u64::MAX, Direction::Forward).unwrap();
         let a = store.cached(1, 2, false).unwrap();
-        let (hits, _) = store.resolve([(1, 2, false)]);
-        assert!(Arc::ptr_eq(&a, hits[0].as_ref().unwrap()));
+        // SPU: row 1's cells are the fifth to eighth the plan absorbs.
+        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        assert!(Arc::ptr_eq(&a, cells(&plan)[4 + 2].as_ref().unwrap()));
     }
 
     #[test]

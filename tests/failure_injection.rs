@@ -63,6 +63,51 @@ fn dpu_run_fails_cleanly_when_disk_dies_mid_run() {
     }
 }
 
+/// A run that fails mid-iteration leaves its hub files behind. The next
+/// run on the same graph must read only the hubs it wrote itself, so its
+/// values are bitwise those of a run on a clean store.
+#[test]
+fn a_failed_run_leaves_no_hub_for_the_next_to_read() {
+    let sssp = |g: &PreparedGraph, threads: usize| {
+        let prog = algo::Sssp::new(3, algo::sssp::unit_weights());
+        let cfg = EngineConfig::default()
+            .with_strategy(Strategy::Dpu)
+            .with_threads(threads)
+            .with_max_iterations(g.num_vertices() as usize + 1);
+        nxgraph::core::engine::run(g, &prog, &cfg).unwrap().0
+    };
+    for threads in [1usize, 3] {
+        let clean = preprocess(
+            &raw_edges(),
+            &PrepConfig::new("clean", 4),
+            Arc::new(MemDisk::new()),
+        )
+        .unwrap();
+        let want = sssp(&clean, threads);
+        assert_eq!(want, [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0]);
+
+        let inner: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        preprocess(&raw_edges(), &PrepConfig::new("poisoned", 4), Arc::clone(&inner)).unwrap();
+        // One failed read of interval 3 kills PageRank after some of its
+        // hubs are written; the fault does not recur.
+        let plan = FaultPlan::new().with_rule(FaultRule {
+            name_contains: "interval_3".into(),
+            op: FaultOp::ReadAll,
+            kind: FaultKind::ReadError,
+            first: 0,
+            count: 1,
+        });
+        let g = PreparedGraph::open(Arc::new(FaultDisk::new(inner, plan))).unwrap();
+        let cfg = EngineConfig::default()
+            .with_strategy(Strategy::Dpu)
+            .with_threads(threads);
+        assert!(algo::pagerank(&g, 5, &cfg).is_err(), "the injected fault must fail the run");
+        let got = sssp(&g, threads);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "threads={threads}: {got:?}");
+    }
+}
+
 #[test]
 fn short_read_is_a_distinct_error_with_lengths() {
     let inner: Arc<dyn Disk> = Arc::new(MemDisk::new());

@@ -9,7 +9,7 @@ use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::reference;
 use nxgraph::core::PreparedGraph;
 use nxgraph::graphgen::{er, rmat};
-use nxgraph::storage::{Disk, EncodingPolicy, MemDisk};
+use nxgraph::storage::{AlignedBuf, Disk, DiskWrite, EncodingPolicy, MemDisk, StorageResult};
 
 fn prepare(raw: &[(u64, u64)], p: u32) -> PreparedGraph {
     prepare_enc(raw, p, EncodingPolicy::Raw)
@@ -854,4 +854,145 @@ fn store_bytes_are_pinned_through_prep_commit_and_fold() {
         got.push([prepped, streamed, store_digest(disk.as_ref())]);
     }
     assert_eq!(got, PINNED, "store bytes changed: {got:#x?}");
+}
+
+// ---------------------------------------------------------------------------
+// The engine's I/O schedule, pinned op by op.
+// ---------------------------------------------------------------------------
+
+/// Logs every whole-file read, write, create and remove that reaches the
+/// disk below it, as `(op, name, bytes)`, in issue order.
+struct OpLog {
+    inner: Arc<dyn Disk>,
+    ops: std::sync::Mutex<Vec<(&'static str, String, u64)>>,
+}
+
+impl OpLog {
+    fn note(&self, op: &'static str, name: &str, bytes: usize) {
+        self.ops.lock().unwrap().push((op, name.to_string(), bytes as u64));
+    }
+}
+
+impl Disk for OpLog {
+    fn inner(&self) -> Option<&dyn Disk> {
+        Some(&*self.inner)
+    }
+    fn read_into(&self, name: &str, buf: &mut AlignedBuf) -> StorageResult<()> {
+        self.inner.read_into(name, buf)?;
+        self.note("read_into", name, buf.len());
+        Ok(())
+    }
+    fn read_all(&self, name: &str) -> StorageResult<Vec<u8>> {
+        let data = self.inner.read_all(name)?;
+        self.note("read_all", name, data.len());
+        Ok(data)
+    }
+    fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
+        self.note("write_all_to", name, data.len());
+        self.inner.write_all_to(name, data)
+    }
+    fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
+        self.note("create", name, 0);
+        self.inner.create(name)
+    }
+    fn remove(&self, name: &str) -> StorageResult<()> {
+        self.note("remove", name, 0);
+        self.inner.remove(name)
+    }
+}
+
+/// Byte-wise 64-bit FNV-1a over an op log: each op, name and the byte
+/// count in little-endian, each field followed by a zero byte.
+fn op_digest(ops: &[(&'static str, String, u64)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes.iter().chain([&0u8]) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (op, name, bytes) in ops {
+        eat(op.as_bytes());
+        eat(name.as_bytes());
+        eat(&bytes.to_le_bytes());
+    }
+    h
+}
+
+/// The order, names and sizes of every disk op an inline (`threads = 1`)
+/// run issues are pinned for PageRank, BFS and WCC (both directions), on
+/// R-MAT 2^10×8 (P = 8) and Fig 1 (P = 4): at every residency
+/// `Q ∈ 0..=P` (each budget keeps exactly `Q` intervals resident, with
+/// the half pair it leaves over offered to the sub-shard cache), plus SPU
+/// with half the store cached, so cache hits and streamed misses mix. A
+/// change to how the driver schedules reads, hub traffic or interval
+/// write-back must leave every digest unchanged.
+#[test]
+fn engine_io_sequence_is_pinned() {
+    let fig1: Vec<(u64, u64)> = nxgraph::core::fig1_example_edges()
+        .into_iter()
+        .map(|(s, d)| (s as u64, d as u64))
+        .collect();
+    let mut got: Vec<[u64; 3]> = Vec::new();
+    for (raw, p) in [(rmat_raw(10, 8, 3), 8u32), (fig1, 4)] {
+        let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        preprocess(&raw, &PrepConfig::new("sched", p), Arc::clone(&mem)).unwrap();
+        let log = Arc::new(OpLog {
+            inner: mem,
+            ops: std::sync::Mutex::new(Vec::new()),
+        });
+        let g = PreparedGraph::open(Arc::clone(&log) as Arc<dyn Disk>).unwrap();
+        let (n, p) = (g.num_vertices() as u64, p as u64);
+        let half_store = g.total_subshard_bytes().unwrap() / 2;
+        // Per row: the strategy and the budget at attribute width `ba`.
+        let rows = (0..=p)
+            .map(|q| (Strategy::Mpu, q))
+            .chain([(Strategy::Spu, p + 1)]);
+        for (strategy, q) in rows {
+            let cfg = |ba: u64| {
+                let pair = 2 * n * ba;
+                let budget = match strategy {
+                    Strategy::Spu => 4 * n + pair + half_store,
+                    _ => 4 * n + (pair * q).div_ceil(p) + pair / p / 2,
+                };
+                EngineConfig::default()
+                    .with_threads(1)
+                    .with_strategy(strategy)
+                    .with_budget(budget)
+            };
+            let mut digests = [0u64; 3];
+            for (k, digest) in digests.iter_mut().enumerate() {
+                log.ops.lock().unwrap().clear();
+                match k {
+                    0 => assert!(algo::pagerank(&g, 5, &cfg(8)).is_ok()),
+                    1 => assert!(algo::bfs(&g, 0, &cfg(4)).is_ok()),
+                    _ => assert!(algo::wcc(&g, &cfg(4)).is_ok()),
+                }
+                let ops = log.ops.lock().unwrap();
+                assert!(!ops.is_empty(), "P={p} Q={q} run {k} issued no I/O");
+                *digest = op_digest(&ops);
+            }
+            got.push(digests);
+        }
+    }
+    const PINNED: [[u64; 3]; 16] = [
+        // [PageRank, BFS, WCC]
+        [0x3977_f81f_a045_7872, 0x933c_1d18_7b75_40a4, 0x2753_ee6f_a660_0965], // R-MAT, P = 8, Q = 0
+        [0xbfa0_84ca_6d7b_51ae, 0x61c6_0904_dda4_9867, 0xa72a_cf63_525e_c514], // R-MAT, P = 8, Q = 1
+        [0xa467_a5f5_f469_fcf2, 0xb001_2d0b_6553_4e8d, 0xb040_8616_22ff_69d1], // R-MAT, P = 8, Q = 2
+        [0x7fed_c88d_4f41_c660, 0x9106_8627_ce8c_bbe3, 0x3744_02c8_f404_f66c], // R-MAT, P = 8, Q = 3
+        [0x392b_61ea_0b79_31d2, 0x45a5_ee68_35a5_9a99, 0x06c0_5fa4_f1f9_abed], // R-MAT, P = 8, Q = 4
+        [0xf184_8d04_6777_e550, 0x89fb_ee4e_26d3_3179, 0xbad6_2d1b_b60b_83b4], // R-MAT, P = 8, Q = 5
+        [0xbf5d_52d1_6019_6550, 0x9628_df74_a7e4_6009, 0x0d4b_bf8b_d13c_b9cb], // R-MAT, P = 8, Q = 6
+        [0x5519_f61c_18cf_e7b2, 0x4de2_0ecf_366d_bf53, 0xc8b5_d68b_13c9_8afc], // R-MAT, P = 8, Q = 7
+        [0x09b9_3441_15fb_3b54, 0x59a4_af75_c418_9805, 0x9fad_d384_8fa7_2745], // R-MAT, P = 8, Q = 8
+        [0x74e4_14d8_ed11_a3a4, 0xc06b_8844_2f80_f2f7, 0xe9a0_d6eb_7883_dcfb], // R-MAT, SPU, half the store cached
+        [0xda38_0db5_39aa_6c03, 0xca50_63a9_f9cd_2efc, 0xb839_41c6_63ee_a6c0], // Fig 1, P = 4, Q = 0
+        [0x7fe8_f1f2_5a51_556d, 0x174b_997d_bc21_cce5, 0x1546_ce59_0d31_f1c9], // Fig 1, P = 4, Q = 1
+        [0x1f06_c330_9010_13d3, 0x5818_2c80_dc95_6cdf, 0x35cd_b51f_5b66_8a0d], // Fig 1, P = 4, Q = 2
+        [0x3775_2e69_388a_f345, 0x5385_f517_243a_70d5, 0x8ad8_90df_902e_b7a9], // Fig 1, P = 4, Q = 3
+        [0xae5a_f601_f440_1301, 0x25a0_922c_6cf6_1879, 0x83cd_e76a_d158_3cf1], // Fig 1, P = 4, Q = 4
+        [0x3cb2_8b4e_8ecf_b139, 0x2026_4817_7666_3bef, 0x4fa7_fd3b_e98b_eb89], // Fig 1, SPU, half the store cached
+    ];
+    assert_eq!(got, PINNED, "engine I/O schedule changed: {got:#x?}");
 }
