@@ -72,7 +72,8 @@ fn prep(args: &Args) -> Result<(), String> {
 
     let file = File::open(input).map_err(|e| format!("open {input}: {e}"))?;
     let edges = gio::read_text(file).map_err(|e| format!("parse {input}: {e}"))?;
-    let raw: Vec<(u64, u64)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+    // Same size and alignment: the collect reuses the parsed list's buffer.
+    let raw: Vec<(u64, u64)> = edges.into_iter().map(|e| (e.src, e.dst)).collect();
 
     let disk: Arc<dyn Disk> = Arc::new(OsDisk::new(dir).map_err(|e| e.to_string())?);
     let cfg = PrepConfig {

@@ -104,9 +104,20 @@ impl SubShardView {
         dst_interval: u32,
         mut edges: Vec<(VertexId, VertexId)>,
     ) -> Self {
-        edges.sort_unstable_by_key(|&(s, d)| (d, s));
+        Self::from_edges_in(src_interval, dst_interval, &mut edges)
+    }
+
+    /// [`SubShardView::from_edges`] over a borrowed slice, sorted in
+    /// place: prep sorts each cell inside its one scatter buffer.
+    pub(crate) fn from_edges_in(
+        src_interval: u32,
+        dst_interval: u32,
+        edges: &mut [(VertexId, VertexId)],
+    ) -> Self {
+        // One `u64` key is the `(dst, src)` order, and cheaper to compare.
+        edges.sort_unstable_by_key(|&(s, d)| u64::from(d) << 32 | u64::from(s));
         let num_dsts = edges.chunk_by(|a, b| a.1 == b.1).count();
-        Self::build(src_interval, dst_interval, num_dsts, edges.len(), edges)
+        Self::build(src_interval, dst_interval, num_dsts, edges.len(), edges.iter().copied())
     }
 
     /// The one CSR builder: lay `num_edges` `(src, dst)` edges over

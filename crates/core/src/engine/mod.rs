@@ -70,29 +70,10 @@ pub struct EngineConfig {
     pub io_deadline: Option<Duration>,
 }
 
-/// `NXGRAPH_THREADS` environment override for the default thread count
-/// (used by CI to exercise the whole suite at a fixed parallelism).
-/// Ignored when unset, empty, unparsable or zero.
-fn env_threads() -> Option<usize> {
-    std::env::var("NXGRAPH_THREADS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&t| t >= 1)
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
-        let threads = env_threads().unwrap_or_else(host_threads);
         Self {
-            threads,
+            threads: crate::parallel::default_threads(),
             memory_budget: u64::MAX,
             strategy: Strategy::Auto,
             max_iterations: 50,
@@ -263,7 +244,7 @@ mod tests {
         let cfg = EngineConfig::default();
         assert!(cfg.threads >= 1);
         assert_eq!(cfg.strategy, Strategy::Auto);
-        assert_eq!(cfg.threads, env_threads().unwrap_or_else(host_threads));
+        assert_eq!(cfg.threads, crate::parallel::default_threads());
         assert_eq!(cfg.io_deadline, None);
     }
 

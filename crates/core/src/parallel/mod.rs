@@ -10,3 +10,14 @@
 pub mod pool;
 
 pub use pool::{run_tasks, split_ranges};
+
+/// The default thread count of the engine and of preprocessing: a positive
+/// `NXGRAPH_THREADS` (CI runs the suite at fixed parallelisms with it),
+/// else the host's available parallelism.
+pub fn default_threads() -> usize {
+    std::env::var("NXGRAPH_THREADS")
+        .ok()
+        .and_then(|t| t.trim().parse().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+}

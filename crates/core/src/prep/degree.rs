@@ -4,9 +4,18 @@
 //! numbers (the real Yahoo-web crawl has far more indices than connected
 //! vertices). Degreeing maps every index that actually appears in an edge
 //! to a dense, contiguous *id* `0..n`, eliminates isolated indices, and
-//! computes in/out degree tables. Ids are assigned in ascending index
+//! computes the out-degree table. Ids are assigned in ascending index
 //! order, preserving whatever locality the input numbering had.
+//!
+//! Two parallel passes over chunks of the raw edges, for dense and sparse
+//! indices alike: **rank** sorts each chunk's endpoints into a run of
+//! `(index, out-degree)` and merges the runs pairwise (the `2m` endpoints
+//! are never held at once); **relabel** rewrites each chunk into its slice
+//! of the pre-shard through a rank directory.
 
+use std::mem::take;
+
+use crate::parallel::{default_threads, run_tasks};
 use crate::types::VertexId;
 
 /// Output of the degreeing step: the "pre-shard" plus mapping tables.
@@ -14,14 +23,12 @@ use crate::types::VertexId;
 pub struct Degreeing {
     /// Number of non-isolated vertices `n`.
     pub num_vertices: u32,
-    /// Edges rewritten to dense ids (the paper's *pre-shard*).
+    /// Edges rewritten to dense ids (the paper's *pre-shard*), input order.
     pub edges: Vec<(VertexId, VertexId)>,
     /// Out-degree per id.
     pub out_degrees: Vec<u32>,
-    /// In-degree per id.
-    pub in_degrees: Vec<u32>,
     /// Reverse mapping: `index_of[id]` is the original index (the paper's
-    /// "reverse-mapping file"). Sorted ascending by construction.
+    /// "reverse-mapping file"). Sorted ascending and exact-size.
     pub index_of: Vec<u64>,
 }
 
@@ -34,46 +41,115 @@ impl Degreeing {
     }
 }
 
-/// Run degreeing over raw index pairs.
+/// Edges per rank task: bounds each task's endpoint buffer (4 MiB) and
+/// so the rank pass's transient memory to `threads` such buffers.
+const CHUNK_EDGES: usize = 1 << 18;
+
+/// Run degreeing over raw index pairs on the default thread count.
 ///
 /// Panics if the input would exceed the `u32` id space.
 pub fn degree(raw_edges: &[(u64, u64)]) -> Degreeing {
-    // Collect every endpoint index, sort, dedup → dense id assignment.
-    let mut indices = Vec::with_capacity(raw_edges.len() * 2);
-    for &(s, d) in raw_edges {
-        indices.push(s);
-        indices.push(d);
+    degree_with(raw_edges, default_threads())
+}
+
+/// [`degree`] on `threads` threads; the result does not depend on them.
+pub(crate) fn degree_with(raw_edges: &[(u64, u64)], threads: usize) -> Degreeing {
+    let tasks = threads.max(raw_edges.len().div_ceil(CHUNK_EDGES)).max(1);
+    let chunk = raw_edges.len().div_ceil(tasks).max(1);
+
+    // Rank pass: per chunk, the sorted sources (with multiplicity) and the
+    // sorted destinations merge into one run of `(index, out-degree)`.
+    let mut runs = vec![Vec::new(); raw_edges.len().div_ceil(chunk)];
+    let rank_tasks: Vec<_> = raw_edges.chunks(chunk).zip(&mut runs).collect();
+    run_tasks(threads, rank_tasks, |(raw, run)| {
+        let mut ends: Vec<u64> = raw.iter().map(|e| e.0).chain(raw.iter().map(|e| e.1)).collect();
+        let (srcs, dsts) = ends.split_at_mut(raw.len());
+        srcs.sort_unstable();
+        dsts.sort_unstable();
+        *run = merge_counted(srcs.iter().map(|&s| (s, 1)), dsts.iter().map(|&d| (d, 0)));
+    });
+    while runs.len() > 1 {
+        run_tasks(threads, runs.chunks_mut(2).collect(), |pair: &mut [Vec<(u64, u32)>]| {
+            if let [a, b] = pair {
+                *a = merge_counted(take(a).into_iter(), take(b).into_iter());
+            }
+        });
+        runs = runs.into_iter().step_by(2).collect();
     }
-    indices.sort_unstable();
-    indices.dedup();
-    assert!(
-        indices.len() <= u32::MAX as usize,
-        "graph exceeds u32 id space"
-    );
-    let n = indices.len() as u32;
+    let (index_of, out_degrees): (Vec<u64>, Vec<u32>) =
+        runs.pop().unwrap_or_default().into_iter().unzip();
+    assert!(index_of.len() <= u32::MAX as usize, "graph exceeds u32 id space");
 
-    let id_of = |index: u64| -> VertexId {
-        indices
-            .binary_search(&index)
-            .expect("endpoint index must be present") as VertexId
-    };
+    // Relabel pass: each chunk into its own slice of the pre-shard.
+    let dir = RankDirectory::new(&index_of);
+    let mut edges = vec![(0, 0); raw_edges.len()];
+    let relabel_tasks: Vec<_> = raw_edges.chunks(chunk).zip(edges.chunks_mut(chunk)).collect();
+    run_tasks(threads, relabel_tasks, |(raw, out)| {
+        for (&(s, d), slot) in raw.iter().zip(out) {
+            *slot = (dir.rank(&index_of, s), dir.rank(&index_of, d));
+        }
+    });
+    Degreeing { num_vertices: index_of.len() as u32, edges, out_degrees, index_of }
+}
 
-    let mut edges = Vec::with_capacity(raw_edges.len());
-    let mut out_degrees = vec![0u32; n as usize];
-    let mut in_degrees = vec![0u32; n as usize];
-    for &(s, d) in raw_edges {
-        let (s, d) = (id_of(s), id_of(d));
-        out_degrees[s as usize] += 1;
-        in_degrees[d as usize] += 1;
-        edges.push((s, d));
+/// Merge two runs of `(index, count)` sorted by index into one run with
+/// each index once, its counts summed.
+fn merge_counted(
+    a: impl Iterator<Item = (u64, u32)>,
+    b: impl Iterator<Item = (u64, u32)>,
+) -> Vec<(u64, u32)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    let mut out: Vec<(u64, u32)> = Vec::new();
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            _ => a.next().or_else(|| b.next()),
+        };
+        let Some((index, count)) = next else { return out };
+        match out.last_mut() {
+            Some(last) if last.0 == index => last.1 += count,
+            _ => out.push((index, count)),
+        }
+    }
+}
+
+/// Index → rank over the sorted unique indices: the indices are bucketed
+/// by the high bits of their offset from the smallest one, about two
+/// buckets per index, so one lookup is one directory read plus a search
+/// inside a bucket of a few entries — for dense and sparse indices alike.
+struct RankDirectory {
+    min: u64,
+    shift: u32,
+    /// `starts[b]` is the rank of the first index in bucket `b` or later.
+    starts: Vec<u32>,
+}
+
+impl RankDirectory {
+    fn new(sorted: &[u64]) -> Self {
+        let (min, max) = (sorted.first().map_or(0, |&x| x), sorted.last().map_or(0, |&x| x));
+        let want_bits = (2 * sorted.len()).next_power_of_two().trailing_zeros();
+        let shift = (u64::BITS - (max - min).leading_zeros()).saturating_sub(want_bits);
+        let mut starts = vec![0u32; ((max - min) >> shift) as usize + 2];
+        for &x in sorted {
+            starts[((x - min) >> shift) as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        Self { min, shift, starts }
     }
 
-    Degreeing {
-        num_vertices: n,
-        edges,
-        out_degrees,
-        in_degrees,
-        index_of: indices,
+    /// The rank of `index`, which must be one of `sorted`: a bucket of one
+    /// index is that index, so a dense lookup reads the directory alone.
+    fn rank(&self, sorted: &[u64], index: u64) -> VertexId {
+        let b = ((index - self.min) >> self.shift) as usize;
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        let rank = match hi - lo {
+            1 => lo,
+            _ => lo + sorted[lo..hi].partition_point(|&x| x < index),
+        };
+        debug_assert_eq!(sorted.get(rank), Some(&index), "endpoint index must be present");
+        rank as VertexId
     }
 }
 
@@ -91,7 +167,6 @@ mod tests {
         // id order follows index order: 77→0, 100→1, 5000→2.
         assert_eq!(d.edges, vec![(1, 2), (0, 1), (2, 0)]);
         assert_eq!(d.out_degrees, vec![1, 1, 1]);
-        assert_eq!(d.in_degrees, vec![1, 1, 1]);
     }
 
     #[test]
@@ -109,7 +184,6 @@ mod tests {
         let raw: Vec<(u64, u64)> = (0..500).map(|k| (k % 17, (k * 3) % 23)).collect();
         let d = degree(&raw);
         assert_eq!(d.out_degrees.iter().sum::<u32>() as usize, raw.len());
-        assert_eq!(d.in_degrees.iter().sum::<u32>() as usize, raw.len());
     }
 
     #[test]
@@ -125,7 +199,7 @@ mod tests {
         let d = degree(&[(4u64, 4u64)]);
         assert_eq!(d.num_vertices, 1);
         assert_eq!(d.out_degrees, vec![1]);
-        assert_eq!(d.in_degrees, vec![1]);
+        assert_eq!(d.edges, vec![(0, 0)]);
     }
 
     #[test]

@@ -6,83 +6,77 @@
 //! manifest. Optionally also writes the transposed sub-shards (needed by
 //! reverse-direction programs: WCC's undirected traversal and SCC's
 //! backward phase).
+//!
+//! Per direction, a parallel counting scatter groups the pre-shard by cell
+//! into one flat buffer (the reverse pass flips each edge as it lands);
+//! then each row's cells are sorted in place, built and encoded in
+//! parallel and written in cell order.
 
 use std::sync::Arc;
 
-use nxgraph_storage::format::EncodingPolicy;
 use nxgraph_storage::manifest::GraphManifest;
 use nxgraph_storage::Disk;
 
 use crate::dsss::PreparedGraph;
 use crate::error::{EngineError, EngineResult};
+use crate::parallel::default_threads;
 use crate::types::VertexId;
 
 use super::degree::Degreeing;
-use super::{write_cell, BlobBytes, PrepConfig};
+use super::{check_shape, scatter, write_row, BlobBytes, PrepConfig};
 
 /// Write the full DSSS representation of `deg` onto `disk`.
 ///
 /// Sub-shard blobs are encoded under `cfg.encoding`; the policy plus the
 /// aggregate raw-vs-on-disk byte totals (the compression ratio) are
-/// recorded as manifest extras.
+/// recorded as manifest extras. An edge with an id outside
+/// `0..deg.num_vertices` is rejected before any file is written.
 pub fn shard(
     deg: &Degreeing,
     cfg: &PrepConfig,
     disk: Arc<dyn Disk>,
 ) -> EngineResult<PreparedGraph> {
-    if cfg.num_intervals == 0 {
-        return Err(EngineError::Invalid("P must be positive".into()));
-    }
-    if deg.num_vertices == 0 {
-        return Err(EngineError::Invalid(
-            "cannot shard an empty graph (no edges)".into(),
-        ));
-    }
+    shard_with(deg, cfg, disk, default_threads())
+}
+
+/// [`shard`] on `threads` threads; the bytes written do not depend on them.
+pub(crate) fn shard_with(
+    deg: &Degreeing,
+    cfg: &PrepConfig,
+    disk: Arc<dyn Disk>,
+    threads: usize,
+) -> EngineResult<PreparedGraph> {
+    let n = deg.num_vertices;
+    check_shape(cfg.num_intervals, n)?;
     let p = cfg.num_intervals;
     let manifest = GraphManifest::new(
         cfg.name.as_str(),
-        deg.num_vertices as u64,
+        n as u64,
         deg.edges.len() as u64,
         p,
         cfg.build_reverse,
     );
     let interval_len = manifest.interval_len() as VertexId;
-    let interval_of = |v: VertexId| (v / interval_len).min(p - 1);
+    let interval_of = |v: VertexId| (v / interval_len).min(p - 1) as usize;
 
-    // Bucket edges into the P×P grid, then build each sub-shard.
     let mut totals = BlobBytes::default();
-    write_grid(&deg.edges, p, interval_of, false, cfg.encoding, disk.as_ref(), &mut totals)?;
-    if cfg.build_reverse {
-        let transposed: Vec<(VertexId, VertexId)> =
-            deg.edges.iter().map(|&(s, d)| (d, s)).collect();
-        write_grid(&transposed, p, interval_of, true, cfg.encoding, disk.as_ref(), &mut totals)?;
+    let mut grid = vec![(0, 0); deg.edges.len()];
+    let dirs: &[bool] = if cfg.build_reverse { &[false, true] } else { &[false] };
+    for &reverse in dirs {
+        let mut cells =
+            scatter(&deg.edges, &mut grid, p as usize * p as usize, threads, |(s, d)| {
+                let (s, d) = if reverse { (d, s) } else { (s, d) };
+                (s < n && d < n).then(|| (interval_of(s) * p as usize + interval_of(d), (s, d)))
+            })
+            .map_err(|(s, d)| {
+                EngineError::Invalid(format!("edge ({s}, {d}) outside dense id space 0..{n}"))
+            })?;
+        for (i, row) in (0..p).zip(cells.chunks_mut(p as usize)) {
+            write_row(disk.as_ref(), (i, reverse), row, cfg.encoding, threads, &mut totals)?;
+        }
     }
     let index_of = deg.index_of.iter().copied();
     super::finish(disk, manifest, cfg.encoding, totals, deg.out_degrees.clone(), index_of)
-}
-
-/// Bucket `edges` by (source interval, destination interval) and write one
-/// sub-shard file per cell, counting its bytes into `totals`.
-fn write_grid(
-    edges: &[(VertexId, VertexId)],
-    p: u32,
-    interval_of: impl Fn(VertexId) -> u32,
-    reverse: bool,
-    encoding: EncodingPolicy,
-    disk: &dyn Disk,
-    totals: &mut BlobBytes,
-) -> EngineResult<()> {
-    let cells = (p as usize) * (p as usize);
-    let mut buckets: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); cells];
-    for &(s, d) in edges {
-        let cell = interval_of(s) as usize * p as usize + interval_of(d) as usize;
-        buckets[cell].push((s, d));
-    }
-    for (cell, bucket) in buckets.into_iter().enumerate() {
-        let (i, j) = (cell as u32 / p, cell as u32 % p);
-        write_cell(disk, (i, j, reverse), bucket, encoding, totals)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -168,6 +162,26 @@ mod tests {
         assert!(shard(&deg, &PrepConfig::forward_only("e", 4), Arc::clone(&disk)).is_err());
         let deg = degree(&[(0, 1)]);
         assert!(shard(&deg, &PrepConfig::forward_only("e", 0), disk).is_err());
+    }
+
+    #[test]
+    fn rejects_ids_outside_the_dense_space() {
+        // Sharded unchecked, id 9 would land in interval 1 and panic the
+        // engine on the first absorb.
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        for edges in [vec![(0, 1), (1, 2), (2, 9)], vec![(9, 0)]] {
+            let deg = Degreeing {
+                num_vertices: 4,
+                edges,
+                out_degrees: vec![1, 1, 1, 0],
+                index_of: vec![0, 1, 2, 3],
+            };
+            for cfg in [PrepConfig::forward_only("bad", 2), PrepConfig::new("bad", 2)] {
+                let res = shard(&deg, &cfg, Arc::clone(&disk));
+                assert!(matches!(res, Err(EngineError::Invalid(_))), "{:?}", res.err());
+            }
+        }
+        assert_eq!(disk.list(), Vec::<String>::new());
     }
 
     #[test]

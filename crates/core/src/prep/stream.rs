@@ -1,10 +1,10 @@
 //! Out-of-core preprocessing — sharding a graph that never fits in memory.
 //!
 //! [`preprocess`](super::preprocess) holds the whole pre-shard (every edge)
-//! resident while degreeing and bucketing, which caps it at graphs that fit
-//! in RAM — exactly what the paper's out-of-core setting rules out. This
-//! module shards from a *stream* of edge chunks instead, holding at most
-//! one interval row's edges plus the `O(n)` degree table at a time:
+//! resident while degreeing and scattering, which caps it at graphs that
+//! fit in RAM — exactly what the paper's out-of-core setting rules out.
+//! This module shards from a *stream* of edge chunks instead, holding at
+//! most one interval row's edges plus the `O(n)` degree table at a time:
 //!
 //! 1. **Spill pass** — each chunk is appended to one of `P` row spill
 //!    files, partitioned by source interval (and, for reverse sub-shards,
@@ -12,10 +12,13 @@
 //!    raw little-endian `(u32, u32)` records. Degrees accumulate on the
 //!    fly. Nothing but the current chunk and `P` write buffers is
 //!    resident.
-//! 2. **Row pass** — each spill is read back, bucketed by destination
-//!    interval, encoded sub-shard by sub-shard under the configured
-//!    [`EncodingPolicy`](nxgraph_storage::EncodingPolicy), written, and the spill deleted. Peak memory is
-//!    one row (`≈ m/P` edges), the knob the paper turns with `P`.
+//! 2. **Row pass** — each spill is read back, grouped by destination
+//!    interval with the same counting scatter and written through the
+//!    same row writer as [`preprocess`](super::preprocess): cells sorted
+//!    in place, built and encoded in parallel under the configured
+//!    [`EncodingPolicy`](nxgraph_storage::EncodingPolicy), written in cell
+//!    order; then the spill is deleted. Peak memory is about two copies
+//!    of one row (`≈ m/P` edges), the knob the paper turns with `P`.
 //!
 //! The stream must use dense ids `0..n` directly (the identity mapping) —
 //! synthetic generators such as R-MAT already do. This skips the global
@@ -30,9 +33,10 @@ use nxgraph_storage::{Disk, DiskWrite, StorageError};
 
 use crate::dsss::PreparedGraph;
 use crate::error::{EngineError, EngineResult};
+use crate::parallel::default_threads;
 use crate::types::VertexId;
 
-use super::{write_cell, BlobBytes, PrepConfig};
+use super::{check_shape, scatter, write_row, BlobBytes, PrepConfig};
 
 /// Spill write-buffer size per row file; 8-byte records are batched into
 /// buffers this large before hitting the disk trait.
@@ -100,14 +104,7 @@ where
     C: IntoIterator<Item = (VertexId, VertexId)>,
     I: IntoIterator<Item = C>,
 {
-    if cfg.num_intervals == 0 {
-        return Err(EngineError::Invalid("P must be positive".into()));
-    }
-    if num_vertices == 0 {
-        return Err(EngineError::Invalid(
-            "cannot shard an empty graph (no vertices)".into(),
-        ));
-    }
+    check_shape(cfg.num_intervals, num_vertices)?;
     let res = shard_streamed(num_vertices, chunks, cfg, Arc::clone(&disk));
     if res.is_err() {
         // The spill writers are dropped by now; a spill the failed pass
@@ -176,21 +173,23 @@ where
 
     // ---- Row pass -------------------------------------------------------
     let mut totals = BlobBytes::default();
+    let threads = default_threads();
     let dirs: &[bool] = if cfg.build_reverse { &[false, true] } else { &[false] };
     for &reverse in dirs {
         for i in 0..p {
             let name = spill_name(reverse, i);
             let records = disk.read_all(&name)?;
-            let mut buckets: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p as usize];
-            for rec in records.chunks_exact(8) {
-                let s = u32::from_le_bytes(rec[..4].try_into().expect("4-byte src"));
-                let d = u32::from_le_bytes(rec[4..].try_into().expect("4-byte dst"));
-                buckets[interval_of(d) as usize].push((s, d));
-            }
+            let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
+            let row: Vec<(VertexId, VertexId)> =
+                records.chunks_exact(8).map(|rec| (word(&rec[..4]), word(&rec[4..]))).collect();
             drop(records);
-            for (j, bucket) in (0..p).zip(buckets) {
-                write_cell(disk.as_ref(), (i, j, reverse), bucket, cfg.encoding, &mut totals)?;
-            }
+            let mut grouped = vec![(0, 0); row.len()];
+            let mut cells = scatter(&row, &mut grouped, p as usize, threads, |e| {
+                Some((interval_of(e.1) as usize, e))
+            })
+            .expect("the spill pass checked every id");
+            drop(row);
+            write_row(disk.as_ref(), (i, reverse), &mut cells, cfg.encoding, threads, &mut totals)?;
             disk.remove(&name)?;
         }
     }

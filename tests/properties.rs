@@ -256,7 +256,40 @@ proptest! {
         }
         // Degrees sum to edge count.
         prop_assert_eq!(deg.out_degrees.iter().sum::<u32>() as usize, raw.len());
-        prop_assert_eq!(deg.in_degrees.iter().sum::<u32>() as usize, raw.len());
+        let mut in_degrees = vec![0u32; deg.num_vertices as usize];
+        for &(_, d) in &deg.edges {
+            in_degrees[d as usize] += 1;
+        }
+        prop_assert_eq!(in_degrees.iter().sum::<u32>() as usize, raw.len());
+    }
+
+    #[test]
+    fn degreeing_equals_a_rank_oracle(
+        pool in proptest::collection::vec(any::<u64>(), 1..40),
+        picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..300),
+    ) {
+        // Arbitrary u64 indices, the extremes of the range always among them.
+        let mut pool = pool;
+        pool.extend([0, 1 << 63, u64::MAX]);
+        let raw: Vec<(u64, u64)> =
+            picks.iter().map(|&(a, b)| (pool[a % pool.len()], pool[b % pool.len()])).collect();
+        let rank: std::collections::BTreeMap<u64, u32> = raw
+            .iter()
+            .flat_map(|&(s, d)| [s, d])
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let edges: Vec<(u32, u32)> = raw.iter().map(|(s, d)| (rank[s], rank[d])).collect();
+        let mut out_degrees = vec![0u32; rank.len()];
+        for &(s, _) in &edges {
+            out_degrees[s as usize] += 1;
+        }
+        let deg = prep::degree(&raw);
+        prop_assert_eq!(deg.num_vertices as usize, rank.len());
+        prop_assert_eq!(&deg.index_of, &rank.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(&deg.edges, &edges);
+        prop_assert_eq!(&deg.out_degrees, &out_degrees);
     }
 
     #[test]
