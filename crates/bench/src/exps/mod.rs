@@ -10,8 +10,6 @@ pub mod exp7_tasks;
 pub mod exp8_limited;
 pub mod exp9_best;
 pub mod fig6;
-pub mod perf;
-pub mod scaling;
 pub mod table2;
 
 use nxgraph_core::engine::EngineConfig;

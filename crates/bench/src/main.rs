@@ -2,9 +2,6 @@
 //!
 //! ```text
 //! nxbench <experiment> [--scale-shift N] [--seed N] [--threads N] [--iters N]
-//!                      [--json] [--out PATH] [--encoding raw|auto|compressed]
-//!                      [--cold-cache] [--ooc-scale N]
-//!                      [--ooc-device ssd-raid0|ssd|hdd]
 //!
 //! experiments:
 //!   table2   Table II  — analytic I/O bounds per strategy
@@ -18,27 +15,15 @@
 //!   exp7     Fig 12    — BFS/SCC/WCC across systems
 //!   exp8     Table V   — limited-resource comparison (+HDD model)
 //!   exp9     Table VI  — best-case comparison
-//!   perf     repo perf baseline — PageRank iters/sec, edges/sec and read
-//!            bytes/iter per encoding × strategy on fixed-seed
-//!            R-MAT at two scales, plus the thread-scaling section;
-//!            `--json` writes BENCH_pagerank.json (`--out` overrides).
-//!            Measures encodings raw *and* auto unless `--encoding` pins
-//!            one. Includes a disk-backed out-of-core section (streamed
-//!            R-MAT prep, O_DIRECT); `--cold-cache`
-//!            drops the page cache between reps so reads hit the disk.
-//!   scaling  repo thread-scaling baseline — PageRank iters/sec per
-//!            strategy at 1/2/4/8 engine threads on the scale-15 fixture,
-//!            plus the bitwise determinism matrix (8 algorithms ×
-//!            {SPU,DPU,MPU} identical at every thread count —
-//!            divergence fails the run). `--json` writes
-//!            BENCH_scaling.json (`--out` overrides).
-//!   all                — run everything
+//!   all                — run every experiment above, in order
 //! ```
 //!
 //! Default scales keep each experiment in seconds; raise `--scale-shift`
-//! toward 0 to approach the paper's dataset sizes (see DESIGN.md §2).
-//! Streaming updates and concurrent serving are measured by nxmark's
-//! `updates-delta` and `serve-mixed` workloads (`benchmark/`), not here.
+//! toward 0 to approach the paper's dataset sizes.
+//! This binary only reproduces the paper. The repo's performance is
+//! measured by nxmark (`BENCHMARK.json`, `benchmark/`): its workloads
+//! time PageRank per strategy, thread scaling, out-of-core reads behind
+//! a paced HDD, streaming updates and concurrent serving.
 
 mod exps;
 
@@ -55,31 +40,6 @@ pub struct Opts {
     pub threads: usize,
     /// PageRank iterations (the paper uses 10).
     pub iters: usize,
-    /// Whether `perf`/`scaling` should write their JSON reports.
-    pub json: bool,
-    /// Output path override for the JSON report; each experiment has its
-    /// own default (`BENCH_pagerank.json`, `BENCH_scaling.json`).
-    pub out: Option<String>,
-    /// On-disk blob encoding for `perf`: `None` measures raw *and* auto
-    /// side by side; `Some` pins a single policy (the CI per-path runs).
-    pub encoding: Option<nxgraph_storage::EncodingPolicy>,
-    /// Cold-cache mode for `perf`: drop the workload's page cache (and
-    /// read via `O_DIRECT` where the platform allows) between measured
-    /// reps, so every run pays real disk reads instead of page-cache
-    /// hits. Falls back to buffered reads with `posix_fadvise` drops on
-    /// filesystems that reject `O_DIRECT`.
-    pub cold_cache: bool,
-    /// Log2 scale override for `perf`'s out-of-core workload, decoupled
-    /// from `--scale-shift` so the disk-bound section can run at large
-    /// scale without dragging the in-memory sections along.
-    pub ooc_scale: Option<u32>,
-    /// Device emulation for `perf`'s out-of-core workload: pace reads to
-    /// a named `DeviceProfile` (`ssd-raid0` — the paper's testbed —
-    /// `ssd`, or `hdd`). Default: the container's real device, unpaced.
-    /// This container pairs a ~2 GB/s NVMe with a single CPU, a regime
-    /// no out-of-core graph paper ever ran in; pacing restores the
-    /// disk-bound balance the paper's Exp 4/8 measured.
-    pub ooc_device: Option<nxgraph_storage::DeviceProfile>,
 }
 
 impl Default for Opts {
@@ -92,15 +52,14 @@ impl Default for Opts {
                 .unwrap_or(4)
                 .min(12),
             iters: 10,
-            json: false,
-            out: None,
-            encoding: None,
-            cold_cache: false,
-            ooc_scale: None,
-            ooc_device: None,
         }
     }
 }
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 11] = [
+    "table2", "fig6", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8", "exp9",
+];
 
 fn parse(args: &[String]) -> Result<(String, Opts), String> {
     let mut opts = Opts::default();
@@ -135,30 +94,6 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
                     .parse()
                     .map_err(|e| format!("bad --iters: {e}"))?
             }
-            "--json" => opts.json = true,
-            "--cold-cache" => opts.cold_cache = true,
-            "--ooc-scale" => {
-                opts.ooc_scale = Some(
-                    take_val(&mut k)?
-                        .parse()
-                        .map_err(|e| format!("bad --ooc-scale: {e}"))?,
-                )
-            }
-            "--ooc-device" => {
-                let name = take_val(&mut k)?;
-                opts.ooc_device =
-                    Some(nxgraph_storage::DeviceProfile::by_name(&name).ok_or_else(|| {
-                        format!("bad --ooc-device {name:?} (ssd-raid0|ssd|hdd|ram)")
-                    })?)
-            }
-            "--out" => opts.out = Some(take_val(&mut k)?),
-            "--encoding" => {
-                opts.encoding = Some(
-                    take_val(&mut k)?
-                        .parse()
-                        .map_err(|e| format!("bad --encoding: {e}"))?,
-                )
-            }
             name if !name.starts_with('-') && exp.is_none() => exp = Some(name.to_string()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -172,20 +107,9 @@ fn main() -> ExitCode {
     let (exp, opts) = match parse(&args) {
         Ok(x) => x,
         Err(e) => {
-            eprintln!("nxbench: {e}\nusage: nxbench <table2|fig6|exp1..exp9|perf|scaling|all> [--scale-shift N] [--seed N] [--threads N] [--iters N] [--json] [--out PATH] [--encoding raw|auto|compressed] [--cold-cache] [--ooc-scale N] [--ooc-device ssd-raid0|ssd|hdd]");
+            eprintln!("nxbench: {e}\nusage: nxbench <table2|fig6|exp1..exp9|all> [--scale-shift N] [--seed N] [--threads N] [--iters N]");
             return ExitCode::FAILURE;
         }
-    };
-    // JSON lands at `--out` when given, else the experiment's own
-    // default. Under `all`, several experiments write JSON — honouring
-    // one `--out` would silently clobber earlier reports, so ignore it.
-    let mut opts = opts;
-    if exp == "all" && opts.out.take().is_some() {
-        eprintln!("nxbench: --out ignored for 'all' (each experiment writes its own default path)");
-    }
-    let json_out = |default: &'static str| -> Option<String> {
-        opts.json
-            .then(|| opts.out.clone().unwrap_or_else(|| default.to_string()))
     };
     let run_one = |name: &str| match name {
         "table2" => exps::table2::run(&opts),
@@ -199,20 +123,13 @@ fn main() -> ExitCode {
         "exp7" => exps::exp7_tasks::run(&opts),
         "exp8" => exps::exp8_limited::run(&opts),
         "exp9" => exps::exp9_best::run(&opts),
-        "perf" => exps::perf::run(&opts, json_out("BENCH_pagerank.json").as_deref()),
-        "scaling" => exps::scaling::run(&opts, json_out("BENCH_scaling.json").as_deref()),
         other => {
             eprintln!("unknown experiment {other:?}");
             false
         }
     };
     let ok = if exp == "all" {
-        [
-            "table2", "fig6", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8",
-            "exp9", "perf", "scaling",
-        ]
-        .iter()
-        .all(|e| run_one(e))
+        EXPERIMENTS.iter().all(|e| run_one(e))
     } else {
         run_one(&exp)
     };

@@ -64,7 +64,7 @@ use parking_lot::Mutex;
 
 use crate::dsss::{self, MergedSubShardView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
-use crate::maintain::{self, MaintenanceThread, ScrubReport, StoreShared, StoreState};
+use crate::maintain::{self, FileClass, MaintenanceThread, ScrubReport, StoreShared, StoreState};
 use crate::prep::{self, PrepConfig};
 use crate::types::VertexId;
 
@@ -626,17 +626,13 @@ impl DynamicGraph {
             if protected.contains(&name) {
                 continue;
             }
-            let stale = if name.starts_with(maintain::QUARANTINE_PREFIX)
-                || name == nxgraph_storage::manifest::MANIFEST_TMP_FILE
-            {
-                true
-            } else if let Some(parsed) = maintain::parse_cell_file(&name) {
-                !maintain::cell_referenced(&manifest, parsed)?
-            } else if let Some(gen) = maintain::parse_degrees_file(&name) {
-                gen != manifest.degrees_gen()?
-            } else {
-                false
-            };
+            // The scrubber skips a manifest tmp (the owner may be mid-save);
+            // here the owner holds the gate, so a stranded one is stale.
+            let stale = name == nxgraph_storage::manifest::MANIFEST_TMP_FILE
+                || matches!(
+                    maintain::classify(&name, &manifest)?,
+                    FileClass::Orphan | FileClass::Quarantined
+                );
             if stale {
                 bytes += disk.len_of(&name).unwrap_or(0);
                 let _ = disk.remove(&name);
@@ -839,31 +835,6 @@ pub(crate) fn fold_chain(
         next,
         superseded: chain_files(i, j, reverse, chain),
     })
-}
-
-/// Parse a generation-tagged chain file name —
-/// `[r]ss_{i}_{j}.g{gen}[.d{k}].bin` — into `(i, j, reverse, gen,
-/// delta_index)`. Plain prep-time names (`ss_i_j.bin`) and every other
-/// file kind return `None` (the scrubber's
-/// [`parse_cell_file`](crate::maintain) layers the plain-name fallback on
-/// top).
-pub(crate) fn parse_chain_file(name: &str) -> Option<(u32, u32, bool, u32, Option<u32>)> {
-    let rest = name.strip_suffix(".bin")?;
-    let (reverse, rest) = match rest.strip_prefix("rss_") {
-        Some(r) => (true, r),
-        None => (false, rest.strip_prefix("ss_")?),
-    };
-    let mut parts = rest.split('.');
-    let (i, j) = parts.next()?.split_once('_')?;
-    let gen = parts.next()?.strip_prefix('g')?.parse().ok()?;
-    let delta = match parts.next() {
-        None => None,
-        Some(d) => Some(d.strip_prefix('d')?.parse().ok()?),
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((i.parse().ok()?, j.parse().ok()?, reverse, gen, delta))
 }
 
 #[cfg(test)]

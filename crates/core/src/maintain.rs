@@ -619,10 +619,12 @@ pub(crate) fn fold_cell(
 // ---------------------------------------------------------------------------
 
 /// What a file name means to the current manifest.
-enum FileClass {
+pub(crate) enum FileClass {
     /// Never examined: the manifest itself (parsed = validated), an
     /// in-flight manifest tmp (sweeping it here could race the owner's
-    /// save between write and rename), or a name this layer doesn't own.
+    /// save between write and rename), a run's interval or hub scratch
+    /// (a live run may be rewriting it in place, and every engine read
+    /// verifies its checksum anyway), or a name this layer doesn't own.
     Skip,
     /// An existing quarantine copy: counted as an orphan, never verified.
     Quarantined,
@@ -632,15 +634,12 @@ enum FileClass {
     RefDegrees,
     /// The mapping tables (always referenced).
     RefMapping,
-    /// Run-scratch files rewritten every iteration (intervals, hubs):
-    /// verified shallowly, swept if corrupt.
-    Scratch(FileKind),
     /// A file this layer owns but the manifest does not reference.
     Orphan,
 }
 
 /// Degree-table generation encoded in a file name, if it is one.
-pub(crate) fn parse_degrees_file(name: &str) -> Option<u32> {
+fn parse_degrees_file(name: &str) -> Option<u32> {
     if name == GraphManifest::degree_file() {
         return Some(0);
     }
@@ -650,24 +649,34 @@ pub(crate) fn parse_degrees_file(name: &str) -> Option<u32> {
         .ok()
 }
 
-/// Parse any sub-shard cell file — generation-tagged chain names *and*
-/// plain prep-time `[r]ss_i_j.bin` names (reported as generation 0) —
-/// into `(i, j, reverse, gen, delta_index)`.
-pub(crate) fn parse_cell_file(name: &str) -> Option<(u32, u32, bool, u32, Option<u32>)> {
-    if let Some(parsed) = crate::dynamic::parse_chain_file(name) {
-        return Some(parsed);
-    }
+/// Parse any sub-shard cell file name — generation-tagged chain names
+/// `[r]ss_{i}_{j}.g{gen}[.d{k}].bin` *and* plain prep-time
+/// `[r]ss_{i}_{j}.bin` names (reported as generation 0) — into
+/// `(i, j, reverse, gen, delta_index)`. Every other name is `None`.
+fn parse_cell_file(name: &str) -> Option<(u32, u32, bool, u32, Option<u32>)> {
     let rest = name.strip_suffix(".bin")?;
     let (reverse, rest) = match rest.strip_prefix("rss_") {
         Some(r) => (true, r),
         None => (false, rest.strip_prefix("ss_")?),
     };
-    let (i, j) = rest.split_once('_')?;
-    Some((i.parse().ok()?, j.parse().ok()?, reverse, 0, None))
+    let mut parts = rest.split('.');
+    let (i, j) = parts.next()?.split_once('_')?;
+    let gen = match parts.next() {
+        None => 0,
+        Some(g) => g.strip_prefix('g')?.parse().ok()?,
+    };
+    let delta = match parts.next() {
+        None => None,
+        Some(d) => Some(d.strip_prefix('d')?.parse().ok()?),
+    };
+    if parts.next().is_some() {
+        return None;
+    }
+    Some((i.parse().ok()?, j.parse().ok()?, reverse, gen, delta))
 }
 
 /// Whether a parsed cell file is referenced by `manifest`'s chain state.
-pub(crate) fn cell_referenced(
+fn cell_referenced(
     manifest: &GraphManifest,
     (i, j, reverse, gen, delta): (u32, u32, bool, u32, Option<u32>),
 ) -> EngineResult<bool> {
@@ -683,7 +692,9 @@ pub(crate) fn cell_referenced(
         })
 }
 
-fn classify(name: &str, manifest: &GraphManifest) -> EngineResult<FileClass> {
+/// Class `name` against `manifest`: the one reading of this layer's
+/// file namespace, shared by the scrubber and the owner's orphan sweep.
+pub(crate) fn classify(name: &str, manifest: &GraphManifest) -> EngineResult<FileClass> {
     if name == MANIFEST_FILE || name == MANIFEST_TMP_FILE {
         return Ok(FileClass::Skip);
     }
@@ -707,12 +718,6 @@ fn classify(name: &str, manifest: &GraphManifest) -> EngineResult<FileClass> {
     }
     if name == GraphManifest::mapping_file() || name == GraphManifest::reverse_mapping_file() {
         return Ok(FileClass::RefMapping);
-    }
-    if name.starts_with("interval_") && name.ends_with(".bin") {
-        return Ok(FileClass::Scratch(FileKind::Interval));
-    }
-    if name.starts_with("hub_") && name.ends_with(".bin") {
-        return Ok(FileClass::Scratch(FileKind::Hub));
     }
     Ok(FileClass::Skip)
 }
@@ -791,7 +796,6 @@ fn verify_file(
             }
             Ok(())
         }
-        FileClass::Scratch(want) => expect_kind(*want),
         // Orphans get the kind-agnostic header + checksum check only: the
         // name may be a leftover from any generation, so there is no
         // manifest state to deep-check against.
@@ -843,10 +847,9 @@ pub(crate) fn scrub_files(
         match (verdict, &class) {
             (Ok(()), FileClass::Orphan) => report.orphans += 1,
             (Ok(()), _) => report.clean += 1,
-            (Err(_), FileClass::Orphan) | (Err(_), FileClass::Scratch(_)) => {
-                // Nothing references it (orphan) or the next iteration
-                // rewrites it wholesale (scratch): corrupt copies are
-                // safe to drop on the spot.
+            (Err(_), FileClass::Orphan) => {
+                // Nothing references it: a corrupt copy is safe to drop
+                // on the spot.
                 let _ = disk.remove(&name);
                 invalidate(&name);
                 report.swept.push(name);
@@ -874,4 +877,35 @@ pub fn scrub(disk: &dyn Disk) -> EngineResult<ScrubReport> {
     let manifest = GraphManifest::load(disk)?;
     Ok(scrub_files(disk, &manifest, None, &mut || false)?
         .expect("an un-yieldable scrub always completes"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prep::{self, PrepConfig};
+    use nxgraph_storage::MemDisk;
+
+    /// A run rewrites its interval and hub scratch in place (truncate,
+    /// then write), so a scrub can meet one empty or half-written. It
+    /// must leave such files alone and keep them out of the report.
+    #[test]
+    fn scrub_leaves_run_scratch_untouched() {
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        let raw: Vec<(u64, u64)> = (0..64u64).map(|v| (v, (v * 7 + 3) % 64)).collect();
+        prep::preprocess(&raw, &PrepConfig::new("scrub", 3), Arc::clone(&disk)).unwrap();
+        let before = scrub(disk.as_ref()).unwrap();
+        let scratch: [(&str, &[u8]); 2] = [
+            ("interval_q7_1.bin", b""),
+            ("hub_0_1.bin", b"not a blob"),
+        ];
+        for (name, bytes) in scratch {
+            disk.write_all_to(name, bytes).unwrap();
+        }
+        let after = scrub(disk.as_ref()).unwrap();
+        for (name, bytes) in scratch {
+            assert_eq!(disk.read_all(name).unwrap(), bytes, "{name} was touched");
+        }
+        assert_eq!(after, before, "scratch files showed up in the report");
+        assert!(after.swept.is_empty() && after.corrupt.is_empty());
+    }
 }

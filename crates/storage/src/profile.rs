@@ -248,17 +248,6 @@ impl DeviceProfile {
         let seek = self.seek_latency * io.seeks as u32;
         Duration::from_secs_f64(read_s + write_s) + seek
     }
-
-    /// Look up a built-in profile by name.
-    pub fn by_name(name: &str) -> Option<DeviceProfile> {
-        match name {
-            "ssd-raid0" => Some(Self::SSD_RAID0),
-            "ssd" => Some(Self::SSD),
-            "hdd" => Some(Self::HDD),
-            "ram" => Some(Self::RAM),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,13 +339,5 @@ mod tests {
         assert_eq!(d.giveups, 0);
         assert_eq!(d.injected_faults, 0);
         assert_eq!(d.stalls, 0);
-    }
-
-    #[test]
-    fn by_name_roundtrip() {
-        for name in ["ssd-raid0", "ssd", "hdd", "ram"] {
-            assert_eq!(DeviceProfile::by_name(name).unwrap().name, name);
-        }
-        assert!(DeviceProfile::by_name("floppy").is_none());
     }
 }

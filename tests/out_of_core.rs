@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use nxgraph::core::algo;
 use nxgraph::core::engine::{EngineConfig, Strategy};
-use nxgraph::core::prep::{preprocess, PrepConfig};
+use nxgraph::core::prep::{preprocess, preprocess_streamed, PrepConfig};
 use nxgraph::core::PreparedGraph;
 use nxgraph::graphgen::rmat::{self, RmatConfig};
 use nxgraph::storage::{BufferPool, Disk, DiskConfig, EncodingPolicy, OsDisk, ScratchDir};
@@ -74,8 +74,38 @@ fn direct_and_buffered_reads_are_byte_identical() {
 }
 
 #[test]
+fn streamed_rmat_store_builds_on_a_direct_disk() {
+    // The out-of-core store recipe: R-MAT generated in chunks and sharded
+    // by streamed prep, so the whole edge list is never resident, onto a
+    // disk that reads through `O_DIRECT`.
+    let scratch = ScratchDir::new("ooc-stream");
+    let disk = Arc::new(
+        OsDisk::with_config(scratch.path(), DiskConfig { direct_reads: true }).unwrap(),
+    );
+    let rcfg = RmatConfig::graph500(6, 4, 7);
+    let chunks = rmat::generate_chunked(&rcfg, 64).map(|chunk| {
+        chunk
+            .into_iter()
+            .map(|e| (e.src as u32, e.dst as u32))
+            .collect::<Vec<_>>()
+    });
+    let cfg = PrepConfig::forward_only("stream", 4).with_encoding(EncodingPolicy::Auto);
+    let g = preprocess_streamed(
+        rcfg.num_vertices() as u32,
+        chunks,
+        &cfg,
+        Arc::clone(&disk) as Arc<dyn Disk>,
+    )
+    .unwrap();
+    assert_eq!(g.num_vertices(), 1 << 6);
+    assert_eq!(g.num_edges(), 4 << 6);
+    assert!(!g.has_reverse());
+    assert!(disk.config().direct_reads);
+}
+
+#[test]
 fn cold_cache_drops_are_graceful_mid_run() {
-    // Dropping the page cache between runs (the bench's cold-cache mode)
+    // Dropping the page cache between runs (a cold-cache measurement)
     // must never change results — only timings.
     let scratch = ScratchDir::new("ooc-cold");
     let dir = scratch.path();

@@ -461,37 +461,53 @@ fn inline_vs_ring_same_io_totals() {
 
 #[test]
 fn matrix_thread_counts_bitwise_identical() {
-    const ALGOS: [&str; 8] = [
-        "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
+    // Each algorithm with the per-vertex value width that sets its
+    // half-resident MPU budget (degree table + half of 2·n·value).
+    const ALGOS: [(&str, u64); 8] = [
+        ("pagerank", 8),
+        ("bfs", 4),
+        ("sssp", 8),
+        ("wcc", 4),
+        ("scc", 4),
+        ("kcore", 4),
+        ("hits", 8),
+        ("ppr", 8),
     ];
     let raw = rmat_raw(8, 6, 41);
     let sym: Vec<(u64, u64)> = raw
         .iter()
         .flat_map(|&(s, d)| [(s, d), (d, s)])
         .collect();
-    let g = prepare(&raw, 5);
-    let g_sym = prepare(&sym, 5);
-    let n = g.num_vertices() as u64;
-    for algo_name in ALGOS {
-        let graph = if algo_name == "kcore" { &g_sym } else { &g };
-        // Zero-budget SPU streams every sub-shard (the read pipeline's
-        // workers engage at threads > 1); DPU exercises the hub write/merge path;
-        // MPU half-resident mixes the resident and hub phases.
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let base = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget);
-            let one = algo_fingerprint(algo_name, graph, &base.clone().with_threads(1));
-            for threads in [2usize, 4] {
-                let fp = algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
-                assert_eq!(
-                    one, fp,
-                    "{algo_name}/{strategy:?}: {threads} threads diverged from 1"
-                );
+    // Raw blobs are cast in place; auto ones inflate through the decoder.
+    for encoding in [EncodingPolicy::Raw, EncodingPolicy::Auto] {
+        let g = prepare_enc(&raw, 5, encoding);
+        let g_sym = prepare_enc(&sym, 5, encoding);
+        for (algo_name, value_size) in ALGOS {
+            let graph = if algo_name == "kcore" { &g_sym } else { &g };
+            let n = graph.num_vertices() as u64;
+            // Unlimited SPU caches every sub-shard; zero-budget SPU streams
+            // them (the read pipeline's workers engage at threads > 1); DPU
+            // exercises the hub write/merge path; MPU half-resident mixes
+            // the resident and hub phases.
+            for (strategy, budget) in [
+                (Strategy::Spu, u64::MAX),
+                (Strategy::Spu, 0),
+                (Strategy::Dpu, 0),
+                (Strategy::Mpu, 4 * n + n * value_size),
+            ] {
+                let base = EngineConfig::default()
+                    .with_strategy(strategy)
+                    .with_budget(budget);
+                let one = algo_fingerprint(algo_name, graph, &base.clone().with_threads(1));
+                for threads in [2usize, 4, 8] {
+                    let fp =
+                        algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
+                    assert_eq!(
+                        one, fp,
+                        "{encoding:?}/{algo_name}/{strategy:?}@{budget}: \
+                         {threads} threads diverged from 1"
+                    );
+                }
             }
         }
     }
