@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for three of the paper's design choices (the
+//! reproduction's own choices, dataset substitution and modeled device
+//! time, are argued in the module docs of `crates/bench/src/exps/mod.rs`):
 //!
 //! * **edge ordering** — (dst, src)-sorted vs dst-sorted-only sub-shards:
 //!   the §III-A claim that sorting sources within a destination improves

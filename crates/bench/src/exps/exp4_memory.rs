@@ -2,11 +2,11 @@
 //! PageRank on the three graphs; NXgraph vs GraphChi-like vs
 //! TurboGraph-like.
 //!
-//! The budget knob is modelled explicitly (DESIGN.md §2): it selects
-//! SPU/MPU/DPU and the shard cache, and the modeled-SSD column converts
-//! the counted traffic into device time so the saturation shape of Fig 9
-//! (time falls until everything fits, then flattens) is visible on any
-//! host.
+//! The budget knob is modelled explicitly (`exps` module docs, "Modeled
+//! device time"): it selects SPU/MPU/DPU and the shard cache, and the
+//! modeled-SSD column converts the counted traffic into device time so the
+//! saturation shape of Fig 9 (time falls until everything fits, then
+//! flattens) is visible on any host.
 
 use std::sync::Arc;
 

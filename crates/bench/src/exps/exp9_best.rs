@@ -2,8 +2,9 @@
 //! graph with full resources (SPU).
 //!
 //! PowerGraph is a distributed system and out of scope for
-//! re-implementation (DESIGN.md §2); the paper's cited 3.6 s / 1.79×
-//! figure is printed alongside for context.
+//! re-implementation, as are the paper's real graphs (`exps` module docs,
+//! "Dataset substitution"); the paper's cited 3.6 s / 1.79× figure is
+//! printed alongside for context.
 
 use std::sync::Arc;
 

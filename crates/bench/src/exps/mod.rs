@@ -1,4 +1,37 @@
 //! One module per paper table/figure.
+//!
+//! Two choices shape every table these experiments print; the other
+//! modules and crates cite them here.
+//!
+//! ## Dataset substitution
+//!
+//! The paper's real graphs (LiveJournal, Twitter, Yahoo-web) are not
+//! redistributable, and at 69 M to 6.64 B edges too large for a run of
+//! seconds. `graphgen::datasets` generates reduced-scale stand-ins that keep
+//! what the experiments exercise: the edge/vertex ratio (R-MAT at edge
+//! factor 14, 35 and 9), power-law skew, Yahoo-web's sparse index space
+//! (spread over a 64× larger id range, so degreeing must compact it), and
+//! constant-degree triangulated meshes for `delaunay_n*`. `--scale-shift`
+//! (default −6) moves all of them toward the paper's sizes. So absolute
+//! times and MTEPS are not the paper's; a table compares systems on the
+//! same stand-in, and a claim that depends on scale (Fig 9, Fig 11) is to
+//! be read at `--scale-shift 0`.
+//!
+//! ## Modeled device time
+//!
+//! The paper times its systems on an HDD and an SSD array; these
+//! experiments run on whatever disk the host has, often the page cache. So
+//! the I/O-bound columns report [`modeled_secs`]: wall time plus
+//! `DeviceProfile::modeled_time` of the counted traffic, that is bytes
+//! read ÷ read bandwidth + bytes written ÷ write bandwidth + one
+//! `seek_latency` per seek, where every file open or create counts as one
+//! seek, whatever the order of the files. That seek term charges a schedule
+//! of many small files (P² sub-shards, hubs, intervals) one seek each, and
+//! it dominates NXgraph's modeled HDD time in Table V. It is not the model
+//! nxmark's `PacedDisk` uses (a seek only where a read jumps backward in
+//! layout order); ROADMAP item 18 replaces both with one device clock.
+//! The memory budget is modelled the same way: it selects SPU, MPU or DPU
+//! and the sub-shard cache, and no OS limit enforces it.
 
 pub mod exp1_ordering;
 pub mod exp2_partitioning;
@@ -37,7 +70,7 @@ pub fn nx_cfg(opts: &Opts) -> EngineConfig {
 
 /// Wall time plus the modeled device time for counted traffic — the
 /// quantity that stands in for the paper's measured elapsed time on a
-/// given storage device (DESIGN.md §2).
+/// given storage device (module docs, "Modeled device time").
 pub fn modeled_secs(wall: std::time::Duration, io: &IoSnapshot, dev: &DeviceProfile) -> f64 {
     wall.as_secs_f64() + dev.modeled_time(io).as_secs_f64()
 }

@@ -12,7 +12,12 @@
 //! to its Table II term; the executor here is the only engine code that
 //! drives the read pipeline or touches intervals and hubs. It keeps hub
 //! liveness in memory, so phase C reads exactly the hubs phase B wrote
-//! this iteration.
+//! this iteration. It pays only for what can change a value: a streamed
+//! cell that held no edge is memoised and never fetched again; a frontier
+//! program's phase C column that no message reached is not read, applied
+//! or written (Table II's two `n·Ba/P` interval terms are upper bounds for
+//! such programs); and an interval applied against its old values is
+//! written back only if its bits changed.
 //!
 //! The caller picks `(Q, cache bytes)` per strategy
 //! ([`super::select::residency`]): `Q = P` is SPU (§III-B1), the least I/O
@@ -27,11 +32,11 @@ use std::collections::HashSet;
 use crate::dsss::PreparedGraph;
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
-use crate::types::VertexId;
+use crate::types::{Attr, VertexId};
 
 use super::kernel::{absorb, EDGES_PER_TASK};
 use super::pipeline::{Fetch, Pipeline};
-use super::plan::{plan, Group, Step};
+use super::plan::{plan, Cell, Group, Step};
 use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
@@ -85,13 +90,26 @@ pub(super) fn run_mpu<P: VertexProgram>(
             // The group's on-disk interval, and its hub or column buffer.
             let mut vals: Option<Vec<P::Value>> = None;
             let mut buf: Option<AccBuf<P>> = None;
+            // A frontier program's column that no message reached keeps
+            // its old values: nothing to read or apply, so nothing to write.
+            let mut quiet = false;
             for step in steps {
                 match step {
+                    Step::ReadInterval(_) | Step::Finalize(Some(_)) if quiet => {}
                     Step::ReadInterval(j) => vals = Some(g.read_interval(j)?),
                     Step::Absorb { row, cells, into } => {
                         let mut shards = Vec::with_capacity(cells.len());
                         for cell in cells {
-                            shards.push(cell.map_or_else(|| stream.shard(), Ok)?);
+                            shards.push(match cell {
+                                Cell::Held(view) => view,
+                                Cell::Streamed(key) => {
+                                    let view = stream.shard()?;
+                                    if view.is_empty() {
+                                        store.note_empty(key);
+                                    }
+                                    view
+                                }
+                            });
                         }
                         edges += shards.iter().map(|ss| ss.num_edges() as u64).sum::<u64>();
                         let r = g.interval_range(row);
@@ -129,6 +147,8 @@ pub(super) fn run_mpu<P: VertexProgram>(
                         for i in rows {
                             g.remove_hub(i, j);
                         }
+                        quiet =
+                            !P::ALWAYS_APPLY && P::APPLY_NEEDS_OLD && b.has.iter().all(|&h| h == 0);
                     }
                     Step::Finalize(None) => {
                         // prev stays intact: phase C still reads it.
@@ -141,9 +161,17 @@ pub(super) fn run_mpu<P: VertexProgram>(
                         let col = buf.take().unwrap_or_else(|| new_buf(j));
                         let mut new = old.clone();
                         let flags = finalize_intervals_par(prog, &[&col], &old, &mut new, threads);
-                        (changed[j as usize], vals) = (flags[0], Some(new));
+                        // Old values read from the file: an unchanged bit
+                        // pattern is already on disk.
+                        let encode = P::Value::encode_slice;
+                        let same = P::APPLY_NEEDS_OLD && encode(&old) == encode(&new);
+                        (changed[j as usize], vals) = (flags[0], (!same).then_some(new));
                     }
-                    Step::WriteInterval(j) => g.write_interval(j, &vals.take().expect("Finalize"))?,
+                    Step::WriteInterval(j) => {
+                        if let Some(new) = vals.take() {
+                            g.write_interval(j, &new)?;
+                        }
+                    }
                 }
             }
         }
@@ -172,10 +200,12 @@ pub(super) fn run_mpu<P: VertexProgram>(
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use crate::algo::pagerank::PageRank;
+    use crate::algo::sssp::{hash_weights, Sssp};
     use crate::engine::{run, RunStats, Strategy};
     use crate::prep::{preprocess, PrepConfig};
-    use nxgraph_storage::{Disk, MemDisk};
+    use nxgraph_storage::{Disk, MemDisk, StorageResult};
 
     fn graph(p: u32) -> PreparedGraph {
         let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
@@ -200,13 +230,40 @@ mod tests {
         }
     }
 
-    /// Budget that yields Q resident intervals out of P for the Fig 1
-    /// graph with f64 values.
-    fn budget_for_q(g: &PreparedGraph, q: u32) -> u64 {
+    /// Budget that yields Q resident intervals out of P for values of
+    /// `ba` bytes.
+    fn budget_for_q(g: &PreparedGraph, q: u32, ba: u64) -> u64 {
         let n = g.num_vertices() as u64;
         let p = g.num_intervals() as u64;
         // effective = q/p * 2*n*Ba (+ degree table 4n).
-        4 * n + (2 * n * 8) * q as u64 / p + 1
+        4 * n + (2 * n * ba) * q as u64 / p + 1
+    }
+
+    /// Counts the interval write-backs that reach the disk below it.
+    struct IntervalWrites(Arc<dyn Disk>, AtomicU64);
+
+    impl Disk for IntervalWrites {
+        fn inner(&self) -> Option<&dyn Disk> {
+            Some(&*self.0)
+        }
+        fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
+            if name.starts_with("interval_") {
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
+            self.0.write_all_to(name, data)
+        }
+    }
+
+    /// A 32×32 triangulated mesh at P = 8 behind an interval-write counter.
+    fn mesh() -> (PreparedGraph, Arc<IntervalWrites>) {
+        use nxgraph_graphgen::mesh::{generate, MeshConfig};
+        let edges: Vec<(u64, u64)> = generate(&MeshConfig { rows: 32, cols: 32 })
+            .into_iter()
+            .map(|e| (e.src, e.dst))
+            .collect();
+        let disk = Arc::new(IntervalWrites(Arc::new(MemDisk::new()), AtomicU64::new(0)));
+        let g = preprocess(&edges, &PrepConfig::new("mesh", 8), Arc::clone(&disk) as _).unwrap();
+        (g, disk)
     }
 
     #[test]
@@ -286,7 +343,7 @@ mod tests {
             let cfg = cfg0
                 .clone()
                 .with_strategy(Strategy::Mpu)
-                .with_budget(budget_for_q(&g, q));
+                .with_budget(budget_for_q(&g, q, 8));
             let (vals, stats) = pagerank(4, &cfg);
             assert_eq!(stats.edges_traversed, spu.edges_traversed, "q={q}");
             assert_close(&vals, &want, &format!("q={q}"));
@@ -304,6 +361,53 @@ mod tests {
             assert_eq!(sa.io, sb.io, "{forced:?} vs Mpu at budget {budget}");
             assert_eq!(sa.strategy, forced);
             assert_eq!(sb.strategy, Strategy::Mpu);
+        }
+
+        // Frontier programs on the mesh: every Q, inline and on the ring,
+        // equals a one-thread SPU run bit for bit, and at Q = P/2 the
+        // columns no message reached are not written back.
+        let (g, writes) = mesh();
+        // Per program: its value width, and a run returning its value bits.
+        type Algo = fn(&PreparedGraph, &EngineConfig) -> (Vec<u64>, RunStats);
+        let runs: [(u64, Algo); 3] = [
+            (4, |g, cfg| {
+                let (v, stats) = crate::algo::bfs(g, 0, cfg).unwrap();
+                (v.into_iter().map(u64::from).collect(), stats)
+            }),
+            (4, |g, cfg| {
+                let (v, stats) = crate::algo::wcc(g, cfg).unwrap();
+                (v.into_iter().map(u64::from).collect(), stats)
+            }),
+            (8, |g, cfg| {
+                let prog = Sssp::new(0, hash_weights(0.5, 2.5));
+                let cfg = cfg.clone().with_max_iterations(g.num_vertices() as usize + 1);
+                let (v, stats) = run(g, &prog, &cfg).unwrap();
+                (v.into_iter().map(f64::to_bits).collect(), stats)
+            }),
+        ];
+        for (k, (ba, algo)) in runs.into_iter().enumerate() {
+            let one = EngineConfig::default().with_threads(1);
+            let (want, spu) = algo(&g, &one.clone().with_strategy(Strategy::Spu));
+            for (q, threads) in (0..=8).flat_map(|q| [(q, 1), (q, 3)]) {
+                let cfg = one
+                    .clone()
+                    .with_threads(threads)
+                    .with_strategy(Strategy::Mpu)
+                    .with_budget(budget_for_q(&g, q, ba));
+                let before = writes.1.load(Ordering::Relaxed);
+                let (vals, stats) = algo(&g, &cfg);
+                let label = format!("program {k}, q={q}, threads={threads}");
+                assert!(vals == want, "{label}: values differ from SPU");
+                assert_eq!(stats.iterations, spu.iterations, "{label}");
+                assert_eq!(stats.edges_traversed, spu.edges_traversed, "{label}");
+                // Past the set-up write of each on-disk interval's init
+                // values, every write is one column's write-back.
+                let write_backs = writes.1.load(Ordering::Relaxed) - before - (8 - q) as u64;
+                if q == 4 {
+                    let every_column = stats.iterations as u64 * 4;
+                    assert!(write_backs < every_column, "{label}: {write_backs} write-backs");
+                }
+            }
         }
     }
 }

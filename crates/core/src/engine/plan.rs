@@ -10,7 +10,8 @@
 //!   B's sources or as phase C's old values (only when the program applies
 //!   against them; PageRank skips it).
 //! * [`Step::Absorb`]: the `m·Be` sub-shard term. A cached cell holds its
-//!   view and costs no I/O; a streamed cell is the group's next `Fetch`.
+//!   view and costs no I/O; a streamed cell is the group's next `Fetch`,
+//!   unless an earlier read this run found it empty (the store's memo).
 //! * [`Step::WriteHub`] / [`Step::FoldHubs`]: the `m·(Ba+Bv)/d` hub term,
 //!   written by ToHub in phase B and read back by FromHub in phase C.
 //! * [`Step::Finalize`]: apply, no I/O.
@@ -18,18 +19,29 @@
 //!
 //! Planning touches no disk: hits come from the [`ShardStore`], so a fetch
 //! list holds only misses, then the hubs its column may fold.
+//!
+//! For a frontier program (`!ALWAYS_APPLY`, `APPLY_NEEDS_OLD`: BFS, WCC,
+//! SSSP, SCC) the plan is an upper bound, so Table II is one too: the
+//! executor skips the `ReadInterval`, `Finalize` and `WriteInterval` of a
+//! phase C column that no message reached, and any program that reads old
+//! values writes an interval back only if its bits changed. Empty cells
+//! drop out of the `m·Be` term for every program.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dsss::{Fetch, PreparedGraph, SubShardView};
 
-use super::store::ShardStore;
+use super::store::{Key, ShardStore};
 use super::Activity;
 
-/// A cell an [`Step::Absorb`] folds: its cached view, or `None` for the
-/// group's next streamed sub-shard.
-pub type Cell = Option<Arc<SubShardView>>;
+/// A cell an [`Step::Absorb`] folds.
+pub enum Cell {
+    /// A cached (or memoised empty) view: no I/O.
+    Held(Arc<SubShardView>),
+    /// The group's next streamed sub-shard, which is cell `Key`.
+    Streamed(Key),
+}
 
 /// One step of an iteration.
 pub enum Step {
@@ -81,11 +93,13 @@ pub fn plan(
         let mut cells = Vec::with_capacity(cols.len() * dirs.len());
         for &reverse in dirs {
             for j in cols.clone() {
-                let hit = store.cached(i, j, reverse);
-                if hit.is_none() {
-                    group.fetches.push(Fetch::Shard { i, j, reverse });
-                }
-                cells.push(hit);
+                cells.push(match store.cached(i, j, reverse) {
+                    Some(view) => Cell::Held(view),
+                    None => {
+                        group.fetches.push(Fetch::Shard { i, j, reverse });
+                        Cell::Streamed((i, j, reverse))
+                    }
+                });
             }
         }
         group.steps.push(Step::Absorb { row: i, cells, into });
@@ -116,18 +130,20 @@ pub fn plan(
     groups.push(Group { fetches: Vec::new(), steps: vec![Step::Finalize(None)] });
 
     // Phase C: each on-disk column; resident rows absorb their previous
-    // values, on-disk rows arrive through their hubs.
+    // values, on-disk rows arrive through their hubs. The old values are
+    // read only once every message is in, so a column none reached can
+    // skip its read, finalize and write.
     for j in q..p {
         let mut c = Group::default();
-        c.steps.extend(read_old.then_some(Step::ReadInterval(j)));
         for &reverse in dirs {
             for &i in &res_rows {
                 absorb(&mut c, i, j..j + 1, &[reverse], Some(j));
             }
         }
         c.fetches.extend(disk_rows.iter().map(|&i| Fetch::Hub { i, j }));
-        let fold = Step::FoldHubs { j, rows: disk_rows.clone() };
-        c.steps.extend([fold, Step::Finalize(Some(j)), Step::WriteInterval(j)]);
+        c.steps.push(Step::FoldHubs { j, rows: disk_rows.clone() });
+        c.steps.extend(read_old.then_some(Step::ReadInterval(j)));
+        c.steps.extend([Step::Finalize(Some(j)), Step::WriteInterval(j)]);
         groups.push(c);
     }
     IterPlan { groups }

@@ -8,9 +8,15 @@
 //! [pipeline](super::pipeline) to stream from disk (counted by the disk's
 //! [`IoCounters`]).
 //!
+//!
+//! Beside the cache, the store memoises the run's empty cells: a streamed
+//! sub-shard that delivered no edge (`ShardStore::note_empty`) is
+//! planned as free for the rest of the run. The memo is a key set of at
+//! most `P²` entries outside the budget, holding no read buffer.
+//!
 //! [`IoCounters`]: nxgraph_storage::IoCounters
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::dsss::{PreparedGraph, SubShardView};
@@ -25,6 +31,9 @@ pub struct ShardStore<'g> {
     graph: &'g PreparedGraph,
     cache: HashMap<Key, Arc<SubShardView>>,
     cached_bytes: u64,
+    /// Cells streamed this run with no edge, all served by `empty`.
+    memo: HashSet<Key>,
+    empty: Arc<SubShardView>,
 }
 
 impl<'g> ShardStore<'g> {
@@ -34,6 +43,8 @@ impl<'g> ShardStore<'g> {
             graph,
             cache: HashMap::new(),
             cached_bytes: 0,
+            memo: HashSet::new(),
+            empty: Arc::new(SubShardView::from_edges(0, 0, Vec::new())),
         }
     }
 
@@ -96,9 +107,17 @@ impl<'g> ShardStore<'g> {
         self.cache.len()
     }
 
-    /// The cached copy of `(i, j)`, if any — never touches the disk.
+    /// The cached copy of `(i, j)`, an empty view if the cell is memoised
+    /// as empty, or `None` — never touches the disk.
     pub fn cached(&self, i: u32, j: u32, reverse: bool) -> Option<Arc<SubShardView>> {
-        self.cache.get(&(i, j, reverse)).map(Arc::clone)
+        let key = (i, j, reverse);
+        let empty = self.memo.contains(&key).then_some(&self.empty);
+        self.cache.get(&key).or(empty).map(Arc::clone)
+    }
+
+    /// Remember that cell `key` holds no edge, so it is never fetched again.
+    pub(crate) fn note_empty(&mut self, key: Key) {
+        self.memo.insert(key);
     }
 }
 
@@ -178,7 +197,7 @@ mod tests {
         assert_eq!(store.plan_cache(0, Direction::Forward).unwrap(), 0);
         // DPU: every cell streams, and the fetch lists hold them row-major.
         let plan = plan(&g, 0, &store, &all_active(), &[false], false);
-        assert!(cells(&plan).iter().all(|cell| cell.is_none()));
+        assert!(cells(&plan).iter().all(|cell| matches!(cell, Cell::Streamed(_))));
         let fetches = plan.groups.iter().flat_map(|group| &group.fetches);
         let shards: Vec<Fetch> =
             fetches.copied().filter(|f| matches!(f, Fetch::Shard { .. })).collect();
@@ -198,9 +217,27 @@ mod tests {
         let before = g.disk().counters().read_bytes();
         let plan = plan(&g, 4, &store, &all_active(), &[false], false);
         assert_eq!(cells(&plan).len(), 16);
-        assert!(cells(&plan).iter().all(|cell| cell.is_some()));
+        assert!(cells(&plan).iter().all(|cell| matches!(cell, Cell::Held(_))));
         assert!(plan.groups.iter().all(|group| group.fetches.is_empty()));
         assert_eq!(g.disk().counters().read_bytes(), before);
+    }
+
+    #[test]
+    fn a_memoised_empty_cell_is_planned_free_in_place() {
+        let g = graph();
+        let mut store = ShardStore::new(&g);
+        // Fig 1 at P = 4: cell (0, 0) holds no edge.
+        assert!(g.load_subshard(0, 0, false).unwrap().is_empty());
+        store.note_empty((0, 0, false));
+        assert_eq!((store.cached_count(), store.cached_bytes()), (0, 0));
+        // SPU, nothing cached: the memoised cell keeps its place among the
+        // row's cells (it pairs with accumulator 0) and is not fetched.
+        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        let cells = cells(&plan);
+        assert!(matches!(cells[0], Cell::Held(view) if view.is_empty()));
+        assert!(cells[1..].iter().all(|cell| matches!(cell, Cell::Streamed(_))));
+        let fetches = plan.groups.iter().flat_map(|group| &group.fetches);
+        assert_eq!(fetches.count(), 15);
     }
 
     #[test]
@@ -234,7 +271,7 @@ mod tests {
         let a = store.cached(1, 2, false).unwrap();
         // SPU: row 1's cells are the fifth to eighth the plan absorbs.
         let plan = plan(&g, 4, &store, &all_active(), &[false], false);
-        assert!(Arc::ptr_eq(&a, cells(&plan)[4 + 2].as_ref().unwrap()));
+        assert!(matches!(cells(&plan)[4 + 2], Cell::Held(b) if Arc::ptr_eq(&a, b)));
     }
 
     #[test]

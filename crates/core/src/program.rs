@@ -39,12 +39,17 @@ pub trait VertexProgram: Send + Sync {
 
     /// Whether `apply` reads the previous value. When `false` (PageRank),
     /// DPU's FromHub phase skips re-reading interval files, matching the
-    /// paper's Table II byte counts.
+    /// paper's Table II byte counts. When `true`, an on-disk interval's
+    /// old values come from its file, so the engine writes the finalised
+    /// interval back only if its bits changed.
     const APPLY_NEEDS_OLD: bool;
 
     /// Whether `apply` must run for every vertex each iteration even
     /// without incoming messages (global recompute programs). When `false`
-    /// (BFS/WCC/SCC), vertices without messages keep their value.
+    /// (BFS/WCC/SCC), vertices without messages keep their value, so for a
+    /// program that also has [`APPLY_NEEDS_OLD`](Self::APPLY_NEEDS_OLD) the
+    /// engine skips the read, apply and write-back of an on-disk column
+    /// that no message reached.
     const ALWAYS_APPLY: bool;
 
     /// Initial attribute of vertex `v` (the paper's `Initialize`).

@@ -6,7 +6,8 @@
 //! stand-ins whose *structural* properties — power-law degree skew, edge/
 //! vertex ratio, sparse index spaces with isolated vertices, constant-degree
 //! planar-like meshes — match what the paper's experiments actually exercise
-//! (see DESIGN.md §2 for the substitution rationale).
+//! (the substitution rationale is in the module docs of `nxgraph-bench`'s
+//! `exps`, `crates/bench/src/exps/mod.rs`, "Dataset substitution").
 //!
 //! * [`rmat`] — R-MAT recursive-matrix generator (power-law, web/social-like).
 //! * [`er`] — Erdős–Rényi uniform random graphs (test workloads).

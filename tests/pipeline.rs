@@ -1,6 +1,9 @@
 //! End-to-end pipeline tests: generate → preprocess → run every engine →
 //! compare against the in-memory oracles.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use nxgraph::core::algo::{self, pagerank::PageRank, ppr::PersonalizedPageRank, sssp};
@@ -877,15 +880,28 @@ fn store_bytes_are_pinned_through_prep_commit_and_fold() {
 // ---------------------------------------------------------------------------
 
 /// Logs every whole-file read, write, create and remove that reaches the
-/// disk below it, as `(op, name, bytes)`, in issue order.
+/// disk below it, as `(op, name, bytes)`, in the order issued. A write of the
+/// bytes its file already holds (since the last [`OpLog::reset`], judged by
+/// a digest of each file's last-written bytes) is logged as `rewrite`.
 struct OpLog {
     inner: Arc<dyn Disk>,
     ops: std::sync::Mutex<Vec<(&'static str, String, u64)>>,
+    written: std::sync::Mutex<HashMap<String, u64>>,
 }
 
 impl OpLog {
+    fn new(inner: Arc<dyn Disk>) -> Self {
+        Self { inner, ops: Default::default(), written: Default::default() }
+    }
+
     fn note(&self, op: &'static str, name: &str, bytes: usize) {
         self.ops.lock().unwrap().push((op, name.to_string(), bytes as u64));
+    }
+
+    /// Forget the log and the written digests: a new run starts.
+    fn reset(&self) {
+        self.ops.lock().unwrap().clear();
+        self.written.lock().unwrap().clear();
     }
 }
 
@@ -904,7 +920,12 @@ impl Disk for OpLog {
         Ok(data)
     }
     fn write_all_to(&self, name: &str, data: &[u8]) -> StorageResult<()> {
-        self.note("write_all_to", name, data.len());
+        let mut hasher = DefaultHasher::new();
+        data.hash(&mut hasher);
+        let digest = hasher.finish();
+        let before = self.written.lock().unwrap().insert(name.to_string(), digest);
+        let op = if before == Some(digest) { "rewrite" } else { "write_all_to" };
+        self.note(op, name, data.len());
         self.inner.write_all_to(name, data)
     }
     fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
@@ -912,6 +933,7 @@ impl Disk for OpLog {
         self.inner.create(name)
     }
     fn remove(&self, name: &str) -> StorageResult<()> {
+        self.written.lock().unwrap().remove(name);
         self.note("remove", name, 0);
         self.inner.remove(name)
     }
@@ -940,9 +962,14 @@ fn op_digest(ops: &[(&'static str, String, u64)]) -> u64 {
 /// R-MAT 2^10×8 (P = 8) and Fig 1 (P = 4): at every residency
 /// `Q ∈ 0..=P` (each budget keeps exactly `Q` intervals resident, with
 /// the half pair it leaves over offered to the sub-shard cache), plus SPU
-/// with half the store cached, so cache hits and streamed misses mix. A
-/// change to how the driver schedules reads, hub traffic or interval
-/// write-back must leave every digest unchanged.
+/// with half the store cached, so cache hits and streamed misses mix.
+///
+/// A change to how the engine schedules reads, hub traffic or interval
+/// write-back must either leave every digest unchanged or re-pin them by
+/// protocol: dump the `(op, name, bytes)` log of each of the 48 runs at
+/// the parent and at the change, show with a script that each new log is
+/// the parent's after exactly the edits the change intends (and record
+/// how many of each, per row), and only then replace the constants.
 #[test]
 fn engine_io_sequence_is_pinned() {
     let fig1: Vec<(u64, u64)> = nxgraph::core::fig1_example_edges()
@@ -953,10 +980,7 @@ fn engine_io_sequence_is_pinned() {
     for (raw, p) in [(rmat_raw(10, 8, 3), 8u32), (fig1, 4)] {
         let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
         preprocess(&raw, &PrepConfig::new("sched", p), Arc::clone(&mem)).unwrap();
-        let log = Arc::new(OpLog {
-            inner: mem,
-            ops: std::sync::Mutex::new(Vec::new()),
-        });
+        let log = Arc::new(OpLog::new(mem));
         let g = PreparedGraph::open(Arc::clone(&log) as Arc<dyn Disk>).unwrap();
         let (n, p) = (g.num_vertices() as u64, p as u64);
         let half_store = g.total_subshard_bytes().unwrap() / 2;
@@ -978,7 +1002,7 @@ fn engine_io_sequence_is_pinned() {
             };
             let mut digests = [0u64; 3];
             for (k, digest) in digests.iter_mut().enumerate() {
-                log.ops.lock().unwrap().clear();
+                log.reset();
                 match k {
                     0 => assert!(algo::pagerank(&g, 5, &cfg(8)).is_ok()),
                     1 => assert!(algo::bfs(&g, 0, &cfg(4)).is_ok()),
@@ -993,22 +1017,89 @@ fn engine_io_sequence_is_pinned() {
     }
     const PINNED: [[u64; 3]; 16] = [
         // [PageRank, BFS, WCC]
-        [0x3977_f81f_a045_7872, 0x933c_1d18_7b75_40a4, 0x2753_ee6f_a660_0965], // R-MAT, P = 8, Q = 0
-        [0xbfa0_84ca_6d7b_51ae, 0x61c6_0904_dda4_9867, 0xa72a_cf63_525e_c514], // R-MAT, P = 8, Q = 1
-        [0xa467_a5f5_f469_fcf2, 0xb001_2d0b_6553_4e8d, 0xb040_8616_22ff_69d1], // R-MAT, P = 8, Q = 2
-        [0x7fed_c88d_4f41_c660, 0x9106_8627_ce8c_bbe3, 0x3744_02c8_f404_f66c], // R-MAT, P = 8, Q = 3
-        [0x392b_61ea_0b79_31d2, 0x45a5_ee68_35a5_9a99, 0x06c0_5fa4_f1f9_abed], // R-MAT, P = 8, Q = 4
-        [0xf184_8d04_6777_e550, 0x89fb_ee4e_26d3_3179, 0xbad6_2d1b_b60b_83b4], // R-MAT, P = 8, Q = 5
-        [0xbf5d_52d1_6019_6550, 0x9628_df74_a7e4_6009, 0x0d4b_bf8b_d13c_b9cb], // R-MAT, P = 8, Q = 6
-        [0x5519_f61c_18cf_e7b2, 0x4de2_0ecf_366d_bf53, 0xc8b5_d68b_13c9_8afc], // R-MAT, P = 8, Q = 7
-        [0x09b9_3441_15fb_3b54, 0x59a4_af75_c418_9805, 0x9fad_d384_8fa7_2745], // R-MAT, P = 8, Q = 8
-        [0x74e4_14d8_ed11_a3a4, 0xc06b_8844_2f80_f2f7, 0xe9a0_d6eb_7883_dcfb], // R-MAT, SPU, half the store cached
-        [0xda38_0db5_39aa_6c03, 0xca50_63a9_f9cd_2efc, 0xb839_41c6_63ee_a6c0], // Fig 1, P = 4, Q = 0
-        [0x7fe8_f1f2_5a51_556d, 0x174b_997d_bc21_cce5, 0x1546_ce59_0d31_f1c9], // Fig 1, P = 4, Q = 1
-        [0x1f06_c330_9010_13d3, 0x5818_2c80_dc95_6cdf, 0x35cd_b51f_5b66_8a0d], // Fig 1, P = 4, Q = 2
-        [0x3775_2e69_388a_f345, 0x5385_f517_243a_70d5, 0x8ad8_90df_902e_b7a9], // Fig 1, P = 4, Q = 3
-        [0xae5a_f601_f440_1301, 0x25a0_922c_6cf6_1879, 0x83cd_e76a_d158_3cf1], // Fig 1, P = 4, Q = 4
-        [0x3cb2_8b4e_8ecf_b139, 0x2026_4817_7666_3bef, 0x4fa7_fd3b_e98b_eb89], // Fig 1, SPU, half the store cached
+        [0x5ad3_123c_58eb_6a5a, 0xbf74_4ba8_3251_2dee, 0xf0e4_06ec_5e57_4eb2], // R-MAT, P = 8, Q = 0
+        [0x27e3_acfb_34cb_f11e, 0x5317_e523_187a_08d0, 0x8bde_e85b_1aa3_b93f], // R-MAT, P = 8, Q = 1
+        [0x5f8f_30aa_2136_5382, 0xf29f_3dc9_b01b_c450, 0x16b6_b368_8ff8_1d78], // R-MAT, P = 8, Q = 2
+        [0xdad1_cbf1_3da8_f1a8, 0x0190_533c_6c24_f437, 0x3237_c017_f80d_944e], // R-MAT, P = 8, Q = 3
+        [0x827f_0b58_d952_68aa, 0xd1bf_726a_b530_fc05, 0x99c6_7bdc_8bae_65a7], // R-MAT, P = 8, Q = 4
+        [0x2f98_aabd_5eb6_b7c8, 0x0701_5de2_bf61_7180, 0xc33e_9916_e62d_9557], // R-MAT, P = 8, Q = 5
+        [0xee56_b0e9_5813_bf88, 0xd7cd_dc3b_e703_2ea0, 0xd0d0_d79c_9a2a_aa1c], // R-MAT, P = 8, Q = 6
+        [0x803b_6d87_3f01_62f2, 0x7882_1b48_accf_ef7b, 0xd1fc_30b6_e44a_9fce], // R-MAT, P = 8, Q = 7
+        [0xc9fb_fdde_0136_4cc4, 0x00c2_1677_8454_cadd, 0x72b8_b1de_8d5c_450f], // R-MAT, P = 8, Q = 8
+        [0xc61c_908d_b347_a5ac, 0xea40_47c1_dfee_0f47, 0x2c35_694a_97ff_9ad1], // R-MAT, SPU, half the store cached
+        [0xe2d2_b9a5_f3df_03a3, 0xe3b5_669e_02cd_96d4, 0x08c1_bb5e_1fb9_63e9], // Fig 1, P = 4, Q = 0
+        [0xc62b_4150_f429_e3c5, 0x8586_60ce_c530_2cda, 0x592f_ee08_ac6d_6476], // Fig 1, P = 4, Q = 1
+        [0xb83a_7f48_6620_a793, 0x1937_0b6c_efb0_2305, 0x1aec_27b8_058b_6bdb], // Fig 1, P = 4, Q = 2
+        [0x53dd_6b8e_dc79_12dd, 0xeb81_5e03_8c88_b08d, 0x5108_ba1d_fc60_68e1], // Fig 1, P = 4, Q = 3
+        [0xe9b7_cd03_1b05_e321, 0x3437_dfc9_2489_9583, 0xb9f9_e555_9247_d87d], // Fig 1, P = 4, Q = 4
+        [0x92a3_706c_104b_e151, 0xf37b_0562_bd58_a669, 0xc1bc_9fc6_9aa3_65c5], // Fig 1, SPU, half the store cached
     ];
     assert_eq!(got, PINNED, "engine I/O schedule changed: {got:#x?}");
+}
+
+/// A run pays only for what can change a value. For PageRank, BFS, WCC
+/// and SSSP on a 32×32 mesh (P = 8) and on Fig 1 (P = 4), at every
+/// residency `Q ∈ 0..=P`, inline and on the ring: no zero-edge cell's file
+/// is read twice in one run (the store memoises it after its first
+/// delivery), and no file is written with the bytes it already holds (a
+/// column no message reached is not written back, nor is an unchanged
+/// one).
+#[test]
+fn frontier_schedule_wastes_nothing() {
+    use nxgraph::graphgen::mesh::{self, MeshConfig};
+    let mesh: Vec<(u64, u64)> = mesh::generate(&MeshConfig { rows: 32, cols: 32 })
+        .into_iter()
+        .map(|e| (e.src, e.dst))
+        .collect();
+    let fig1: Vec<(u64, u64)> = nxgraph::core::fig1_example_edges()
+        .into_iter()
+        .map(|(s, d)| (s as u64, d as u64))
+        .collect();
+    for (gname, raw, p) in [("mesh", mesh, 8u32), ("fig1", fig1, 4)] {
+        let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
+        preprocess(&raw, &PrepConfig::new("frontier", p), Arc::clone(&mem)).unwrap();
+        let log = Arc::new(OpLog::new(mem));
+        let g = PreparedGraph::open(Arc::clone(&log) as Arc<dyn Disk>).unwrap();
+        let loader = g.view_loader();
+        let mut empty = HashSet::new();
+        for (i, j) in (0..p).flat_map(|i| (0..p).map(move |j| (i, j))) {
+            for reverse in [false, true] {
+                if g.load_subshard(i, j, reverse).unwrap().is_empty() {
+                    empty.extend(loader.subshard_part_names(i, j, reverse));
+                }
+            }
+        }
+        assert!(!empty.is_empty(), "{gname}: no zero-edge cell to memoise");
+        let (n, p) = (g.num_vertices() as u64, p as u64);
+        for (q, threads) in (0..=p).flat_map(|q| [(q, 1), (q, 3)]) {
+            let cfg = |ba: u64| {
+                let pair = 2 * n * ba;
+                EngineConfig::default()
+                    .with_threads(threads)
+                    .with_strategy(Strategy::Mpu)
+                    .with_budget(4 * n + (pair * q).div_ceil(p) + pair / p / 2)
+            };
+            for algo_name in ["pagerank", "bfs", "wcc", "sssp"] {
+                log.reset();
+                match algo_name {
+                    "pagerank" => assert!(algo::pagerank(&g, 5, &cfg(8)).is_ok()),
+                    "bfs" => assert!(algo::bfs(&g, 0, &cfg(4)).is_ok()),
+                    "wcc" => assert!(algo::wcc(&g, &cfg(4)).is_ok()),
+                    _ => {
+                        let prog = algo::Sssp::new(0, sssp::hash_weights(0.5, 2.5));
+                        let cfg = cfg(8).with_max_iterations(n as usize + 1);
+                        assert!(engine::run(&g, &prog, &cfg).is_ok());
+                    }
+                }
+                let label = format!("{gname} Q={q} threads={threads} {algo_name}");
+                let mut read = HashSet::new();
+                for (op, name, _) in log.ops.lock().unwrap().iter() {
+                    assert_ne!(*op, "rewrite", "{label}: {name} written with the bytes it holds");
+                    if op.starts_with("read") && empty.contains(name) {
+                        assert!(read.insert(name.clone()), "{label}: empty cell {name} read twice");
+                    }
+                }
+            }
+        }
+    }
 }
