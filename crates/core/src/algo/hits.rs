@@ -36,6 +36,8 @@ pub struct HitsOutcome {
 struct SumNeighbors {
     /// Scores of the *other* side from the previous half-step.
     companion: Arc<Vec<f64>>,
+    /// Forward for authorities (in-edges), reverse for hubs (out-edges).
+    direction: Direction,
 }
 
 impl VertexProgram for SumNeighbors {
@@ -85,6 +87,10 @@ impl VertexProgram for SumNeighbors {
     fn apply(&self, _v: VertexId, _old: &f64, acc: &f64, _got: bool) -> f64 {
         *acc
     }
+
+    fn direction(&self) -> Direction {
+        self.direction
+    }
 }
 
 fn l2_normalise(v: &mut [f64]) {
@@ -117,23 +123,22 @@ pub fn hits(
     let mut auth = vec![1.0 / (n as f64).sqrt(); n];
     let mut hub = auth.clone();
 
-    let mut step_cfg = cfg.clone();
-    step_cfg.max_iterations = 1;
+    let step_cfg = cfg.clone().with_max_iterations(1);
 
     for _ in 0..iterations {
         // auth(v) = Σ hub(u) over in-edges: forward direction.
-        step_cfg.direction = Direction::Forward;
         let prog = SumNeighbors {
             companion: Arc::new(hub.clone()),
+            direction: Direction::Forward,
         };
         let (mut new_auth, _) = engine::run(g, &prog, &step_cfg)?;
         l2_normalise(&mut new_auth);
         auth = new_auth;
 
         // hub(v) = Σ auth(w) over out-edges: reverse direction.
-        step_cfg.direction = Direction::Reverse;
         let prog = SumNeighbors {
             companion: Arc::new(auth.clone()),
+            direction: Direction::Reverse,
         };
         let (mut new_hub, _) = engine::run(g, &prog, &step_cfg)?;
         l2_normalise(&mut new_hub);

@@ -14,7 +14,7 @@
 use crate::dsss::PreparedGraph;
 use crate::engine::{self, EngineConfig, RunStats};
 use crate::error::EngineResult;
-use crate::program::{Direction, VertexProgram};
+use crate::program::VertexProgram;
 use crate::types::VertexId;
 
 /// Value: 1 while the vertex survives, 0 once peeled.
@@ -73,7 +73,6 @@ impl VertexProgram for KCore {
 pub fn kcore(g: &PreparedGraph, k: u32, cfg: &EngineConfig) -> EngineResult<(Vec<u32>, RunStats)> {
     let prog = KCore::new(k);
     let mut cfg = cfg.clone();
-    cfg.direction = Direction::Forward;
     cfg.max_iterations = cfg.max_iterations.max(g.num_vertices() as usize + 1);
     engine::run(g, &prog, &cfg)
 }

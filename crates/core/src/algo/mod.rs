@@ -22,7 +22,6 @@ pub mod wcc;
 use crate::dsss::PreparedGraph;
 use crate::engine::{self, EngineConfig, RunStats};
 use crate::error::EngineResult;
-use crate::program::Direction;
 use crate::types::VertexId;
 
 pub use bfs::Bfs;
@@ -69,7 +68,6 @@ pub fn pagerank(
     let prog = PageRank::new(g.num_vertices(), std::sync::Arc::clone(g.out_degrees()));
     let mut cfg = cfg.clone();
     cfg.max_iterations = iterations;
-    cfg.direction = Direction::Forward;
     engine::run(g, &prog, &cfg)
 }
 
@@ -81,7 +79,6 @@ pub fn bfs(
 ) -> EngineResult<(Vec<u32>, RunStats)> {
     let prog = Bfs::new(root);
     let mut cfg = cfg.clone();
-    cfg.direction = Direction::Forward;
     // BFS needs depth-of-graph iterations; the engine's activity tracking
     // terminates as soon as no interval changes.
     cfg.max_iterations = cfg.max_iterations.max(g.num_vertices() as usize + 1);
@@ -91,11 +88,9 @@ pub fn bfs(
 /// Weakly connected components; labels are the minimum vertex id of each
 /// component.
 pub fn wcc(g: &PreparedGraph, cfg: &EngineConfig) -> EngineResult<(Vec<u32>, RunStats)> {
-    let prog = Wcc;
     let mut cfg = cfg.clone();
-    cfg.direction = Direction::Both;
     cfg.max_iterations = cfg.max_iterations.max(g.num_vertices() as usize + 1);
-    engine::run(g, &prog, &cfg)
+    engine::run(g, &Wcc, &cfg)
 }
 
 /// Strongly connected components; labels are the maximum vertex id of each

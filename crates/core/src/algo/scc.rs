@@ -150,6 +150,10 @@ impl VertexProgram for BwConfirm {
     fn apply(&self, _v: VertexId, old: &u32, acc: &u32, _got: bool) -> u32 {
         (*old).max(*acc)
     }
+
+    fn direction(&self) -> Direction {
+        Direction::Reverse
+    }
 }
 
 /// Compute SCC labels for a prepared graph (requires reverse sub-shards).
@@ -169,7 +173,9 @@ pub fn run(g: &PreparedGraph, cfg: &EngineConfig) -> EngineResult<SccOutcome> {
     let mut edges_traversed = 0;
 
     // Inner runs need diameter-many iterations; cap generously.
-    let inner_iters = (n + 1).max(cfg.max_iterations);
+    let run_cfg = cfg
+        .clone()
+        .with_max_iterations((n + 1).max(cfg.max_iterations));
 
     while assigned.contains(&UNASSIGNED) {
         rounds += 1;
@@ -179,10 +185,7 @@ pub fn run(g: &PreparedGraph, cfg: &EngineConfig) -> EngineResult<SccOutcome> {
         let fw = FwColor {
             assigned: Arc::clone(&frozen),
         };
-        let mut fw_cfg = cfg.clone();
-        fw_cfg.direction = Direction::Forward;
-        fw_cfg.max_iterations = inner_iters;
-        let (colors, fw_stats) = engine::run(g, &fw, &fw_cfg)?;
+        let (colors, fw_stats) = engine::run(g, &fw, &run_cfg)?;
         iterations += fw_stats.iterations;
         edges_traversed += fw_stats.edges_traversed;
 
@@ -191,10 +194,7 @@ pub fn run(g: &PreparedGraph, cfg: &EngineConfig) -> EngineResult<SccOutcome> {
             assigned: Arc::clone(&frozen),
             colors: Arc::new(colors),
         };
-        let mut bw_cfg = cfg.clone();
-        bw_cfg.direction = Direction::Reverse;
-        bw_cfg.max_iterations = inner_iters;
-        let (confirmed, bw_stats) = engine::run(g, &bw, &bw_cfg)?;
+        let (confirmed, bw_stats) = engine::run(g, &bw, &run_cfg)?;
         iterations += bw_stats.iterations;
         edges_traversed += bw_stats.edges_traversed;
 

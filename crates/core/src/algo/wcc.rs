@@ -9,7 +9,7 @@
 //!
 //! [`Direction::Both`]: crate::program::Direction::Both
 
-use crate::program::VertexProgram;
+use crate::program::{Direction, VertexProgram};
 use crate::types::VertexId;
 
 /// WCC min-label propagation program.
@@ -42,6 +42,10 @@ impl VertexProgram for Wcc {
 
     fn apply(&self, _v: VertexId, old: &u32, acc: &u32, _got: bool) -> u32 {
         (*old).min(*acc)
+    }
+
+    fn direction(&self) -> Direction {
+        Direction::Both
     }
 }
 

@@ -562,11 +562,10 @@ impl PreparedGraph {
         self.view_loader().load_subshard(i, j, reverse)
     }
 
-    /// Read hub `H(i→j)` as a zero-copy [`HubView`]; `None` when no hub
-    /// file exists.
-    pub fn read_hub_view<A: Attr>(&self, i: u32, j: u32) -> EngineResult<Option<HubView<A>>> {
-        let loader = self.view_loader();
-        loader.hub_part_name(i, j).map(|_| loader.read_hub(i, j)).transpose()
+    /// Read hub `H(i→j)` as a zero-copy [`HubView`]; a hub that was never
+    /// written, or was consumed, reads as `StorageError::NotFound`.
+    pub fn read_hub_view<A: Attr>(&self, i: u32, j: u32) -> EngineResult<HubView<A>> {
+        self.view_loader().read_hub(i, j)
     }
 
     /// On-disk size in bytes of a sub-shard cell — base blob plus any
@@ -727,13 +726,19 @@ mod tests {
     #[test]
     fn hub_io_roundtrip_and_missing() {
         let g = prepared();
-        assert!(g.read_hub_view::<f64>(1, 2).unwrap().is_none());
+        let missing = |g: &PreparedGraph| {
+            matches!(
+                g.read_hub_view::<f64>(1, 2),
+                Err(EngineError::Storage(StorageError::NotFound(_)))
+            )
+        };
+        assert!(missing(&g));
         g.write_hub(1, 2, &[4, 5], &[0.25f64, 0.75]).unwrap();
-        let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
+        let hub = g.read_hub_view::<f64>(1, 2).unwrap();
         assert_eq!(hub.dsts(), &[4, 5]);
         assert_eq!((hub.acc(0), hub.acc(1)), (0.25, 0.75));
         g.remove_hub(1, 2);
-        assert!(g.read_hub_view::<f64>(1, 2).unwrap().is_none());
+        assert!(missing(&g));
     }
 
     #[test]
@@ -751,7 +756,7 @@ mod tests {
         assert!(comp_len < raw_len, "{comp_len} !< {raw_len}");
 
         // The view reader sniffs v3 and reloads every value bit-for-bit.
-        let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
+        let hub = g.read_hub_view::<f64>(1, 2).unwrap();
         assert_eq!(hub.dsts(), &dsts[..]);
         for (k, &want) in accs.iter().enumerate() {
             assert_eq!(hub.acc(k).to_bits(), want.to_bits());
@@ -759,7 +764,7 @@ mod tests {
 
         // Unsorted caller input falls back to raw rather than corrupting.
         g.write_hub(1, 2, &[9, 4], &[1.0f64, 2.0]).unwrap();
-        let hub = g.read_hub_view::<f64>(1, 2).unwrap().unwrap();
+        let hub = g.read_hub_view::<f64>(1, 2).unwrap();
         assert_eq!((hub.dsts(), hub.acc(0), hub.acc(1)), (&[9, 4][..], 1.0, 2.0));
     }
 

@@ -61,8 +61,6 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// Hard iteration cap (PageRank in the paper runs a fixed 10).
     pub max_iterations: usize,
-    /// Edge direction the program consumes.
-    pub direction: Direction,
     /// Hung-I/O watchdog: how long the engine waits for the read
     /// [`pipeline`] to deliver the next sub-shard or hub before the wait
     /// converts into a typed `StorageError::Stalled` and the run cancels
@@ -77,7 +75,6 @@ impl Default for EngineConfig {
             memory_budget: u64::MAX,
             strategy: Strategy::Auto,
             max_iterations: 50,
-            direction: Direction::Forward,
             io_deadline: None,
         }
     }
@@ -113,12 +110,6 @@ impl EngineConfig {
     /// Builder-style iteration cap.
     pub fn with_max_iterations(mut self, iters: usize) -> Self {
         self.max_iterations = iters;
-        self
-    }
-
-    /// Builder-style direction override.
-    pub fn with_direction(mut self, d: Direction) -> Self {
-        self.direction = d;
         self
     }
 
@@ -162,7 +153,7 @@ pub fn run<P: VertexProgram>(
     prog: &P,
     cfg: &EngineConfig,
 ) -> EngineResult<(Vec<P::Value>, RunStats)> {
-    if cfg.direction != Direction::Forward && !graph.has_reverse() {
+    if prog.direction() != Direction::Forward && !graph.has_reverse() {
         return Err(EngineError::Invalid(
             "program needs reverse sub-shards; preprocess with build_reverse".into(),
         ));
@@ -263,13 +254,11 @@ mod tests {
             .with_budget(1024)
             .with_strategy(Strategy::Dpu)
             .with_max_iterations(7)
-            .with_direction(Direction::Both)
             .with_io_deadline(Some(Duration::from_millis(250)));
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.memory_budget, 1024);
         assert_eq!(cfg.strategy, Strategy::Dpu);
         assert_eq!(cfg.max_iterations, 7);
-        assert_eq!(cfg.direction, Direction::Both);
         assert_eq!(cfg.io_deadline, Some(Duration::from_millis(250)));
     }
 

@@ -67,11 +67,11 @@ pub(super) fn run_mpu<P: VertexProgram>(
         g.write_interval(j, &init(j))?;
     }
     let mut store = ShardStore::new(g);
-    store.plan_cache(cache_bytes, cfg.direction)?;
+    store.plan_cache(cache_bytes, prog.direction())?;
 
     let mut activity = Activity::init(g, prog);
     let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
-    let dirs = ShardStore::dirs(cfg.direction);
+    let dirs = ShardStore::dirs(prog.direction());
     let mut accs_res: Vec<AccBuf<P>> = (0..q).map(new_buf).collect();
     // Hubs `(i, j)` written this iteration and not yet folded.
     let mut written: HashSet<(u32, u32)> = HashSet::new();
@@ -205,7 +205,8 @@ mod tests {
     use crate::algo::sssp::{hash_weights, Sssp};
     use crate::engine::{run, RunStats, Strategy};
     use crate::prep::{preprocess, PrepConfig};
-    use nxgraph_storage::{Disk, MemDisk, StorageResult};
+    use crate::error::EngineError;
+    use nxgraph_storage::{Disk, MemDisk, StorageError, StorageResult};
 
     fn graph(p: u32) -> PreparedGraph {
         let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
@@ -326,7 +327,11 @@ mod tests {
         // All hubs consumed and removed by FromHub.
         for i in 0..4 {
             for j in 0..4 {
-                assert!(g.read_hub_view::<f64>(i, j).unwrap().is_none());
+                let hub = g.read_hub_view::<f64>(i, j);
+                assert!(matches!(
+                    hub,
+                    Err(EngineError::Storage(StorageError::NotFound(_)))
+                ));
             }
         }
         // Interval traffic happened.

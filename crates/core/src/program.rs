@@ -135,6 +135,13 @@ pub trait VertexProgram: Send + Sync {
     fn changed(&self, old: &Self::Value, new: &Self::Value) -> bool {
         old != new
     }
+
+    /// The sub-shards the program reads: forward by default; reverse or
+    /// both for programs that need the transposed graph, which must then
+    /// be preprocessed with reverse sub-shards.
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
 }
 
 /// Direction in which a program consumes edges.
@@ -212,5 +219,6 @@ mod tests {
         let p = CountIncoming;
         assert!(p.initially_active(0));
         assert!(p.source_active(0, &0));
+        assert_eq!(p.direction(), Direction::Forward);
     }
 }

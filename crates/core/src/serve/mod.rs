@@ -37,7 +37,6 @@ use crate::dynamic::{CommitStats, DynamicGraph};
 use crate::engine::{self, EngineConfig, Strategy};
 use crate::error::{EngineError, EngineResult};
 use crate::maintain::StoreShared;
-use crate::program::Direction;
 use crate::types::VertexId;
 
 /// Process-wide scratch-tag counter; every snapshot gets a fresh
@@ -541,7 +540,6 @@ impl GraphService {
                 let prog = PersonalizedPageRank::new([seed], Arc::clone(g.out_degrees()));
                 let mut cfg = cfg;
                 cfg.max_iterations = iterations;
-                cfg.direction = Direction::Forward;
                 let (ranks, _) = engine::run(g, &prog, &cfg)?;
                 Ok(QueryOutput::Ranked(top_k(&ranks, k)))
             }
@@ -553,7 +551,6 @@ impl GraphService {
             Query::Sssp { root, target } => {
                 let prog = Sssp::new(root, algo::sssp::hash_weights(1.0, 10.0));
                 let mut cfg = cfg;
-                cfg.direction = Direction::Forward;
                 cfg.max_iterations = cfg.max_iterations.max(g.num_vertices() as usize + 1);
                 let (dist, _) = engine::run(g, &prog, &cfg)?;
                 let d = dist.get(target as usize).copied();

@@ -354,7 +354,13 @@ impl GraphManifest {
                 "name" => name = Some(value.to_string()),
                 "num_vertices" => num_vertices = Some(parse_u64(value)?),
                 "num_edges" => num_edges = Some(parse_u64(value)?),
-                "num_intervals" => num_intervals = Some(parse_u64(value)? as u32),
+                "num_intervals" => {
+                    let p = u32::try_from(parse_u64(value)?).ok().filter(|&p| p > 0);
+                    num_intervals = Some(p.ok_or_else(|| StorageError::Manifest {
+                        line: lineno + 1,
+                        reason: format!("interval count {value:?} is not in 1..=2^32-1"),
+                    })?)
+                }
                 "has_reverse" => {
                     has_reverse =
                         Some(value.parse::<bool>().map_err(|e| StorageError::Manifest {

@@ -4,11 +4,10 @@
 
 use std::sync::Arc;
 
-use nxgraph::core::algo::{self, ppr::PersonalizedPageRank, sssp};
+use nxgraph::core::algo::{self, ppr::PersonalizedPageRank};
 use nxgraph::core::dynamic::DynamicGraph;
 use nxgraph::core::engine::{self, EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
-use nxgraph::core::reference;
 use nxgraph::core::PreparedGraph;
 use nxgraph::graphgen::rmat;
 use nxgraph::storage::{Disk, MemDisk};
@@ -28,34 +27,6 @@ fn strategies(n: u64) -> Vec<(Strategy, u64)> {
         (Strategy::Dpu, 0),
         (Strategy::Mpu, 4 * n + n * 8),
     ]
-}
-
-#[test]
-fn sssp_agrees_across_strategies() {
-    let g = workload(8, 4, 31);
-    let n = g.num_vertices() as u64;
-    let w = sssp::hash_weights(0.5, 3.0);
-    let mut baseline: Option<Vec<f64>> = None;
-    for (strategy, budget) in strategies(n) {
-        let prog = algo::Sssp::new(0, Arc::clone(&w));
-        let cfg = EngineConfig::default()
-            .with_strategy(strategy)
-            .with_budget(budget)
-            .with_max_iterations(g.num_vertices() as usize + 1);
-        let (dist, _) = engine::run(&g, &prog, &cfg).unwrap();
-        match &baseline {
-            None => baseline = Some(dist),
-            Some(b) => {
-                for (x, y) in dist.iter().zip(b) {
-                    if y.is_finite() {
-                        assert!((x - y).abs() < 1e-9, "{strategy:?}: {x} vs {y}");
-                    } else {
-                        assert!(x.is_infinite());
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -79,44 +50,6 @@ fn ppr_agrees_across_strategies() {
             }
         }
     }
-}
-
-#[test]
-fn kcore_agrees_across_strategies() {
-    // Symmetrised random graph.
-    let raw_base: Vec<(u64, u64)> = rmat::generate(&rmat::RmatConfig::graph500(8, 4, 33))
-        .into_iter()
-        .flat_map(|e| [(e.src, e.dst), (e.dst, e.src)])
-        .collect();
-    let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let g = preprocess(&raw_base, &PrepConfig::new("kc", 4), disk).unwrap();
-    let n = g.num_vertices() as u64;
-    let mut baseline: Option<Vec<u32>> = None;
-    for (strategy, budget) in strategies(n) {
-        let cfg = EngineConfig::default()
-            .with_strategy(strategy)
-            .with_budget(budget);
-        let (flags, _) = algo::kcore(&g, 4, &cfg).unwrap();
-        match &baseline {
-            None => baseline = Some(flags),
-            Some(b) => assert_eq!(&flags, b, "{strategy:?}"),
-        }
-    }
-    // The agreed-upon result must also match the peeling oracle.
-    let mut idx: Vec<u64> = raw_base.iter().flat_map(|&(s, d)| [s, d]).collect();
-    idx.sort_unstable();
-    idx.dedup();
-    let dense: Vec<(u32, u32)> = raw_base
-        .iter()
-        .map(|&(s, d)| {
-            (
-                idx.binary_search(&s).unwrap() as u32,
-                idx.binary_search(&d).unwrap() as u32,
-            )
-        })
-        .collect();
-    let expect = reference::kcore(g.num_vertices(), &dense, 4);
-    assert_eq!(baseline.unwrap(), expect);
 }
 
 #[test]

@@ -206,7 +206,7 @@ fn corrupt_hub_is_rejected_even_after_prior_reads() {
     let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
     let g = preprocess(&raw_edges(), &PrepConfig::new("ch", 2), Arc::clone(&disk)).unwrap();
     g.write_hub(0, 1, &[4, 5], &[0.25f64, 0.75]).unwrap();
-    assert!(g.read_hub_view::<f64>(0, 1).unwrap().is_some());
+    assert!(g.read_hub_view::<f64>(0, 1).is_ok());
     // "Next iteration": same name, fresh (corrupt) content.
     let name = GraphManifest::hub_file(0, 1);
     let mut bytes = disk.read_all(&name).unwrap();
@@ -501,7 +501,7 @@ fn golden_v3_subshard_and_hub_blobs_still_load() {
     g.write_hub(0, 1, &[4, 5], &[0.25f64, 0.75]).unwrap();
     let name = GraphManifest::hub_file(0, 1);
     assert_eq!(disk.read_all(&name).unwrap(), GOLDEN_V3_HUB, "v3 hub writer output changed");
-    let hub = g.read_hub_view::<f64>(0, 1).unwrap().unwrap();
+    let hub = g.read_hub_view::<f64>(0, 1).unwrap();
     assert_eq!(hub.dsts(), &[4, 5]);
     assert_eq!((hub.acc(0), hub.acc(1)), (0.25, 0.75));
 }
@@ -509,10 +509,23 @@ fn golden_v3_subshard_and_hub_blobs_still_load() {
 #[test]
 fn corrupt_manifest_is_rejected() {
     let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    preprocess(&raw_edges(), &PrepConfig::new("m", 2), Arc::clone(&disk)).unwrap();
-    disk.write_all_to("graph.manifest", b"name = broken\nnot a manifest")
-        .unwrap();
-    assert!(PreparedGraph::open(disk).is_err());
+    preprocess(&raw_edges(), &PrepConfig::new("m", 4), Arc::clone(&disk)).unwrap();
+    let good = String::from_utf8(disk.read_all(MANIFEST_FILE).unwrap()).unwrap();
+    let intervals = |p: &str| good.replace("num_intervals = 4", &format!("num_intervals = {p}"));
+    // A garbled line, and interval counts of 0 and of 2^32 + 1 (which an
+    // `as u32` cast would read as 1).
+    for text in [
+        "name = broken\nnot a manifest".to_string(),
+        intervals("0"),
+        intervals("4294967297"),
+    ] {
+        assert_ne!(text, good);
+        disk.write_all_to(MANIFEST_FILE, text.as_bytes()).unwrap();
+        match PreparedGraph::open(Arc::clone(&disk)) {
+            Err(EngineError::Storage(StorageError::Manifest { line, .. })) => assert!(line > 0),
+            other => panic!("{text:?}: expected a manifest error, got {:?}", other.err()),
+        }
+    }
 }
 
 #[test]

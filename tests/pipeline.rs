@@ -347,86 +347,6 @@ fn matrix_ppr_matches_oracle() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Read-pipeline equivalence: the worker ring reorders *when* files are
-// read, never what is computed, so every algorithm of the oracle matrix
-// must produce bitwise-identical results inline (threads 1: each fetch runs
-// synchronously at the point of use) and on the ring (threads 3).
-// ---------------------------------------------------------------------------
-
-/// Run one algorithm and collapse its output to a bit-exact fingerprint.
-fn algo_fingerprint(
-    algo_name: &str,
-    g: &PreparedGraph,
-    cfg: &EngineConfig,
-) -> Vec<u64> {
-    let f64_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
-    let u32_words = |v: Vec<u32>| v.into_iter().map(u64::from).collect::<Vec<u64>>();
-    match algo_name {
-        "pagerank" => f64_bits(algo::pagerank(g, 6, &cfg.clone().with_max_iterations(6)).unwrap().0),
-        "bfs" => u32_words(algo::bfs(g, 0, cfg).unwrap().0),
-        "sssp" => {
-            let w = sssp::hash_weights(0.5, 2.5);
-            let prog = algo::Sssp::new(0, w);
-            let cfg = cfg.clone().with_max_iterations(g.num_vertices() as usize + 1);
-            f64_bits(engine::run(g, &prog, &cfg).unwrap().0)
-        }
-        "wcc" => u32_words(algo::wcc(g, cfg).unwrap().0),
-        "scc" => u32_words(algo::scc(g, cfg).unwrap().labels),
-        "kcore" => u32_words(algo::kcore(g, 3, cfg).unwrap().0),
-        "hits" => {
-            let out = algo::hits(g, 6, cfg).unwrap();
-            let mut bits = f64_bits(out.authorities);
-            bits.extend(f64_bits(out.hubs));
-            bits
-        }
-        "ppr" => {
-            let prog = PersonalizedPageRank::new([0u32, 3], Arc::clone(g.out_degrees()));
-            f64_bits(engine::run(g, &prog, &cfg.clone().with_max_iterations(8)).unwrap().0)
-        }
-        other => unreachable!("unknown algorithm {other}"),
-    }
-}
-
-#[test]
-fn matrix_inline_vs_ring_bitwise_identical() {
-    const ALGOS: [&str; 8] = [
-        "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
-    ];
-    for (gname, g, edges) in matrix_graphs() {
-        // k-core needs an undirected (symmetrised) graph; everything else
-        // runs on the matrix graph as-is.
-        let sym: Vec<(u64, u64)> = edges
-            .iter()
-            .flat_map(|&(s, d)| [(s as u64, d as u64), (d as u64, s as u64)])
-            .collect();
-        let g_sym = prepare(&sym, 5);
-        let n = g.num_vertices() as u64;
-        for algo_name in ALGOS {
-            let graph = if algo_name == "kcore" { &g_sym } else { &g };
-            // SPU with a zero budget streams every sub-shard; DPU streams
-            // by construction; MPU half-resident mixes cached-free shard
-            // and hub streams. Chunk accumulation order is fixed, making
-            // bitwise comparison meaningful under threads > 1.
-            for (strategy, budget) in [
-                (Strategy::Spu, 0),
-                (Strategy::Dpu, 0),
-                (Strategy::Mpu, 4 * n + n * 8),
-            ] {
-                let base = EngineConfig::default()
-                    .with_strategy(strategy)
-                    .with_budget(budget);
-                let ring = algo_fingerprint(algo_name, graph, &base.clone().with_threads(3));
-                let inline = algo_fingerprint(algo_name, graph, &base.with_threads(1));
-                assert_eq!(
-                    ring, inline,
-                    "{gname}/{algo_name}/{strategy:?}: inline and ring diverged"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn inline_vs_ring_same_io_totals() {
     // Running ahead must not change *what* is read, only when: I/O totals
@@ -456,111 +376,9 @@ fn inline_vs_ring_same_io_totals() {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count determinism: the parallel absorb/finalize/hub-merge paths
-// partition work into destination-disjoint chunks whose per-slot fold
-// order is fixed (row order), so results must be *bitwise*-identical at
-// every thread count.
+// Encoding: the delta+varint blobs cut the counted disk traffic of the
+// streamed strategies.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn matrix_thread_counts_bitwise_identical() {
-    // Each algorithm with the per-vertex value width that sets its
-    // half-resident MPU budget (degree table + half of 2·n·value).
-    const ALGOS: [(&str, u64); 8] = [
-        ("pagerank", 8),
-        ("bfs", 4),
-        ("sssp", 8),
-        ("wcc", 4),
-        ("scc", 4),
-        ("kcore", 4),
-        ("hits", 8),
-        ("ppr", 8),
-    ];
-    let raw = rmat_raw(8, 6, 41);
-    let sym: Vec<(u64, u64)> = raw
-        .iter()
-        .flat_map(|&(s, d)| [(s, d), (d, s)])
-        .collect();
-    // Raw blobs are cast in place; auto ones inflate through the decoder.
-    for encoding in [EncodingPolicy::Raw, EncodingPolicy::Auto] {
-        let g = prepare_enc(&raw, 5, encoding);
-        let g_sym = prepare_enc(&sym, 5, encoding);
-        for (algo_name, value_size) in ALGOS {
-            let graph = if algo_name == "kcore" { &g_sym } else { &g };
-            let n = graph.num_vertices() as u64;
-            // Unlimited SPU caches every sub-shard; zero-budget SPU streams
-            // them (the read pipeline's workers engage at threads > 1); DPU
-            // exercises the hub write/merge path; MPU half-resident mixes
-            // the resident and hub phases.
-            for (strategy, budget) in [
-                (Strategy::Spu, u64::MAX),
-                (Strategy::Spu, 0),
-                (Strategy::Dpu, 0),
-                (Strategy::Mpu, 4 * n + n * value_size),
-            ] {
-                let base = EngineConfig::default()
-                    .with_strategy(strategy)
-                    .with_budget(budget);
-                let one = algo_fingerprint(algo_name, graph, &base.clone().with_threads(1));
-                for threads in [2usize, 4, 8] {
-                    let fp =
-                        algo_fingerprint(algo_name, graph, &base.clone().with_threads(threads));
-                    assert_eq!(
-                        one, fp,
-                        "{encoding:?}/{algo_name}/{strategy:?}@{budget}: \
-                         {threads} threads diverged from 1"
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Encoding equivalence (format v3): the delta+varint blobs inflate to the
-// same words a raw load casts in place, so the choice of on-disk encoding
-// can never change computed results — pinned bitwise across the full
-// algorithm × strategy matrix — while the counted disk traffic of the
-// streamed strategies must drop.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn matrix_raw_and_auto_encodings_bitwise_identical() {
-    const ALGOS: [&str; 8] = [
-        "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
-    ];
-    let raw_edges = rmat_raw(8, 6, 41);
-    let sym: Vec<(u64, u64)> = raw_edges
-        .iter()
-        .flat_map(|&(s, d)| [(s, d), (d, s)])
-        .collect();
-    for algo_name in ALGOS {
-        let edges: &[(u64, u64)] = if algo_name == "kcore" { &sym } else { &raw_edges };
-        let g_raw = prepare_enc(edges, 5, EncodingPolicy::Raw);
-        let g_auto = prepare_enc(edges, 5, EncodingPolicy::Auto);
-        assert!(
-            g_auto.total_subshard_bytes().unwrap() < g_raw.total_subshard_bytes().unwrap(),
-            "auto encoding must shrink the on-disk sub-shards"
-        );
-        let n = g_raw.num_vertices() as u64;
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_threads(3);
-            let raw_fp = algo_fingerprint(algo_name, &g_raw, &cfg);
-            let auto_fp = algo_fingerprint(algo_name, &g_auto, &cfg);
-            assert_eq!(
-                raw_fp, auto_fp,
-                "{algo_name}/{strategy:?}: raw vs auto encoding diverged"
-            );
-        }
-    }
-}
 
 #[test]
 fn auto_encoding_cuts_streamed_read_bytes() {
@@ -582,180 +400,6 @@ fn auto_encoding_cuts_streamed_read_bytes() {
             reads[0],
             reads[1]
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic-graph equivalence (delta log): after K randomized add_edges
-// batches, every algorithm under every strategy must be bitwise-identical
-// across (a) the delta-log graph with its chains still pending, (b) the
-// same graph after compaction folded every chain, and (c) a from-scratch
-// preparation of the final edge set. The merge-iterated chain, the folded
-// base blob and the prep-time blob must expose byte-identical CSR columns,
-// so this matrix pins the whole streaming-update subsystem at once.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn matrix_dynamic_delta_compacted_and_fresh_bitwise_identical() {
-    use nxgraph::core::dynamic::{DynamicConfig, DynamicGraph};
-    use rand::{Rng, SeedableRng};
-
-    const ALGOS: [&str; 8] = [
-        "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
-    ];
-    let base = rmat_raw(8, 6, 97);
-    // K randomized batches over the existing vertex set (so every commit
-    // takes the incremental path).
-    let mut known: Vec<u64> = base.iter().flat_map(|&(s, d)| [s, d]).collect();
-    known.sort_unstable();
-    known.dedup();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
-    let batches: Vec<Vec<(u64, u64)>> = (0..6)
-        .map(|_| {
-            (0..40)
-                .map(|_| {
-                    (
-                        known[rng.random_range(0..known.len())],
-                        known[rng.random_range(0..known.len())],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
-    // (a) delta-log graph, compaction held off so chains stay pending.
-    let disk_a: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let g = preprocess(&base, &PrepConfig::new("dyn-a", 5), disk_a).unwrap();
-    let mut dg_chained = DynamicGraph::with_config(g, DynamicConfig::never_compact()).unwrap();
-    // (b) same stream, then an explicit fold of every chain.
-    let disk_b: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let g = preprocess(&base, &PrepConfig::new("dyn-b", 5), disk_b).unwrap();
-    let mut dg_compacted = DynamicGraph::with_config(g, DynamicConfig::never_compact()).unwrap();
-    for batch in &batches {
-        assert!(!dg_chained.add_edges(batch).unwrap().rebuilt);
-        assert!(!dg_compacted.add_edges(batch).unwrap().rebuilt);
-    }
-    assert!(
-        dg_chained.graph().manifest().chains().unwrap().iter().any(|c| c.3.deltas > 0),
-        "variant (a) must actually carry pending delta chains"
-    );
-    assert!(dg_compacted.compact().unwrap().cells_folded > 0);
-    assert!(
-        dg_compacted.graph().manifest().chains().unwrap().iter().all(|c| c.3.deltas == 0),
-        "variant (b) must have folded every chain"
-    );
-    // (c) from-scratch preparation of the final edge set.
-    let mut full = base.clone();
-    full.extend(batches.iter().flatten());
-    let disk_c: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let fresh = preprocess(&full, &PrepConfig::new("dyn-c", 5), disk_c).unwrap();
-    assert_eq!(fresh.num_edges(), dg_chained.graph().num_edges());
-
-    let n = fresh.num_vertices() as u64;
-    for algo_name in ALGOS {
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_threads(3);
-            let chained = algo_fingerprint(algo_name, dg_chained.graph(), &cfg);
-            let compacted = algo_fingerprint(algo_name, dg_compacted.graph(), &cfg);
-            let scratch = algo_fingerprint(algo_name, &fresh, &cfg);
-            assert_eq!(
-                chained, scratch,
-                "{algo_name}/{strategy:?}: delta-log chain diverged from fresh prep"
-            );
-            assert_eq!(
-                compacted, scratch,
-                "{algo_name}/{strategy:?}: compacted graph diverged from fresh prep"
-            );
-        }
-    }
-}
-
-#[test]
-fn matrix_dynamic_background_maintenance_bitwise_identical() {
-    use nxgraph::core::dynamic::{DynamicConfig, DynamicGraph};
-    use rand::{Rng, SeedableRng};
-
-    const ALGOS: [&str; 8] = [
-        "pagerank", "bfs", "sssp", "wcc", "scc", "kcore", "hits", "ppr",
-    ];
-    let base = rmat_raw(8, 6, 97);
-    let mut known: Vec<u64> = base.iter().flat_map(|&(s, d)| [s, d]).collect();
-    known.sort_unstable();
-    known.dedup();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(4321);
-    let batches: Vec<Vec<(u64, u64)>> = (0..6)
-        .map(|_| {
-            (0..40)
-                .map(|_| {
-                    (
-                        known[rng.random_range(0..known.len())],
-                        known[rng.random_range(0..known.len())],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
-    // The same stream committed twice: with every fold (and an auto-scrub
-    // after each) running on the maintenance thread, and never at all.
-    let disk_bg: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let g = preprocess(&base, &PrepConfig::new("dyn-bg", 5), disk_bg).unwrap();
-    let cfg = DynamicConfig {
-        max_deltas: 2, // folds keep firing mid-stream
-        max_delta_ratio: f64::INFINITY,
-        ..DynamicConfig::background()
-    };
-    let mut dg_bg = DynamicGraph::with_config(g, cfg).unwrap();
-    let disk_inl: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let g = preprocess(&base, &PrepConfig::new("dyn-inline", 5), disk_inl).unwrap();
-    let mut dg_inline = DynamicGraph::with_config(g, DynamicConfig::never_compact()).unwrap();
-    for batch in &batches {
-        let stats = dg_bg.add_edges(batch).unwrap();
-        assert!(!stats.rebuilt && stats.cells_compacted == 0);
-        assert!(!dg_inline.add_edges(batch).unwrap().rebuilt);
-    }
-    dg_bg.wait_maintenance_idle().unwrap();
-    let stats = dg_bg.maintenance().unwrap().stats();
-    assert!(stats.cells_folded > 0, "background folds must have run: {stats:?}");
-    assert!(stats.scrubs > 0, "auto-scrub must have run: {stats:?}");
-    assert!(dg_bg.maintenance().unwrap().last_scrub().unwrap().is_clean());
-
-    let mut full = base.clone();
-    full.extend(batches.iter().flatten());
-    let disk_c: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let fresh = preprocess(&full, &PrepConfig::new("dyn-fresh", 5), disk_c).unwrap();
-    assert_eq!(fresh.num_edges(), dg_bg.graph().num_edges());
-
-    let n = fresh.num_vertices() as u64;
-    for algo_name in ALGOS {
-        for (strategy, budget) in [
-            (Strategy::Spu, 0),
-            (Strategy::Dpu, 0),
-            (Strategy::Mpu, 4 * n + n * 8),
-        ] {
-            let cfg = EngineConfig::default()
-                .with_strategy(strategy)
-                .with_budget(budget)
-                .with_threads(3);
-            let bg = algo_fingerprint(algo_name, dg_bg.graph(), &cfg);
-            let chained = algo_fingerprint(algo_name, dg_inline.graph(), &cfg);
-            let scratch = algo_fingerprint(algo_name, &fresh, &cfg);
-            assert_eq!(
-                bg, scratch,
-                "{algo_name}/{strategy:?}: background-folded graph diverged from fresh prep"
-            );
-            assert_eq!(
-                chained, scratch,
-                "{algo_name}/{strategy:?}: unfolded chain diverged from fresh prep"
-            );
-        }
     }
 }
 

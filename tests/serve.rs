@@ -8,9 +8,8 @@
 //!   files alive);
 //! * no file is swept while *any* snapshot references its generation —
 //!   asserted through the pin refcount, not timing;
-//! * queries pinned at G are bitwise-identical before, during and after
-//!   a compaction that supersedes G, across SPU, DPU and MPU, and match
-//!   a fresh one-shot preparation of the same edges;
+//! * queries pinned at G are bitwise-identical after a compaction that
+//!   supersedes G (the reader axis of `tests/contract.rs`);
 //! * admission control rejects with typed errors (`Busy`,
 //!   `OutOfMemory`) and a concurrent read/update stream completes with
 //!   zero query errors.
@@ -28,9 +27,9 @@ use nxgraph::storage::{Disk, MemDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// R-MAT base edges, a background-maintenance service over them, and the
-/// original vertex ids (so update batches never force a rebuild).
-fn fixture(scale: u32, seed: u64) -> (Vec<(u64, u64)>, GraphService, Vec<u64>) {
+/// A background-maintenance service over R-MAT edges, and the original
+/// vertex ids (so update batches never force a rebuild).
+fn fixture(scale: u32, seed: u64) -> (GraphService, Vec<u64>) {
     let raw: Vec<(u64, u64)> = rmat::generate(&RmatConfig::graph500(scale, 6, seed))
         .into_iter()
         .map(|e| (e.src, e.dst))
@@ -40,7 +39,7 @@ fn fixture(scale: u32, seed: u64) -> (Vec<(u64, u64)>, GraphService, Vec<u64>) {
     let known = base.load_reverse_mapping().unwrap();
     let dg = DynamicGraph::with_config(base, DynamicConfig::background()).unwrap();
     let svc = GraphService::new(dg, ServeConfig::default()).unwrap();
-    (raw, svc, known)
+    (svc, known)
 }
 
 /// An update batch over already-known vertices.
@@ -54,27 +53,6 @@ fn batch(known: &[u64], rng: &mut StdRng, len: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// PageRank bits under one explicit strategy — the isolation comparator.
-fn strategy_bits(g: &PreparedGraph, strategy: Strategy, budget: u64) -> Vec<u64> {
-    let cfg = EngineConfig::default()
-        .with_strategy(strategy)
-        .with_budget(budget)
-        .with_threads(2)
-        .with_max_iterations(5);
-    let (ranks, _) = algo::pagerank(g, 5, &cfg).unwrap();
-    ranks.into_iter().map(f64::to_bits).collect()
-}
-
-/// The three paper strategies with budgets that force each one: SPU
-/// (everything resident), DPU (nothing resident), MPU (half resident).
-fn strategy_cases(n: u64) -> [(Strategy, u64); 3] {
-    [
-        (Strategy::Spu, u64::MAX),
-        (Strategy::Dpu, 0),
-        (Strategy::Mpu, 4 * n + n * 8),
-    ]
-}
-
 // Satellite: a reader pinned before the stream keeps streaming its
 // generation's sub-shard chains (full PageRank touches every cell) while
 // the writer commits, background maintenance folds, and `refresh()`
@@ -82,7 +60,7 @@ fn strategy_cases(n: u64) -> [(Strategy, u64); 3] {
 // error; divergence would show up in the bit comparison.
 #[test]
 fn pinned_reader_streams_across_concurrent_fold_and_refresh() {
-    let (_raw, svc, known) = fixture(8, 21);
+    let (svc, known) = fixture(8, 21);
     let snap = svc.snapshot().unwrap();
     let e0 = snap.epoch();
     let stop = AtomicBool::new(false);
@@ -132,7 +110,7 @@ fn pinned_reader_streams_across_concurrent_fold_and_refresh() {
 // generation — asserted via the refcount, one pin at a time.
 #[test]
 fn no_sweep_while_any_snapshot_pins_the_generation() {
-    let (_raw, svc, known) = fixture(7, 5);
+    let (svc, known) = fixture(7, 5);
     let s1 = svc.snapshot().unwrap();
     let s2 = svc.snapshot().unwrap();
     let e0 = s1.epoch();
@@ -149,7 +127,14 @@ fn no_sweep_while_any_snapshot_pins_the_generation() {
         dg.compact().unwrap();
     });
 
-    let bits = strategy_bits(s1.graph(), Strategy::Spu, u64::MAX);
+    let bits = |g: &PreparedGraph| {
+        let cfg = EngineConfig::default()
+            .with_strategy(Strategy::Spu)
+            .with_threads(2);
+        let ranks = algo::pagerank(g, 5, &cfg).unwrap().0;
+        ranks.into_iter().map(f64::to_bits).collect::<Vec<u64>>()
+    };
+    let want = bits(s1.graph());
     let pending = svc.with_writer(|dg| {
         dg.refresh().unwrap();
         dg.pending_sweeps()
@@ -167,7 +152,7 @@ fn no_sweep_while_any_snapshot_pins_the_generation() {
     });
     assert!(pending > 0, "one pin is enough to hold the generation");
     // The surviving pin still answers, identically.
-    assert_eq!(strategy_bits(s2.graph(), Strategy::Spu, u64::MAX), bits);
+    assert_eq!(bits(s2.graph()), want);
 
     drop(s2);
     assert_eq!(svc.pin_count(e0), 0);
@@ -178,65 +163,12 @@ fn no_sweep_while_any_snapshot_pins_the_generation() {
     assert_eq!(pending, 0, "last unpin must release the whole generation");
 }
 
-// Satellite: a snapshot pinned at generation G answers bitwise-
-// identically before, during and after a compaction that supersedes G,
-// under each of SPU, DPU and MPU — and matches a fresh one-shot
-// preparation of the same base edges.
-#[test]
-fn pinned_generation_is_bitwise_isolated_across_strategies() {
-    let (raw, svc, known) = fixture(8, 33);
-    let snap = svc.snapshot().unwrap();
-    let n = snap.graph().num_vertices() as u64;
-    let cases = strategy_cases(n);
-    let before: Vec<Vec<u64>> = cases
-        .iter()
-        .map(|&(s, b)| strategy_bits(snap.graph(), s, b))
-        .collect();
-
-    // During: re-run one strategy after each commit while chains grow
-    // and background folds land.
-    let mut rng = StdRng::seed_from_u64(17);
-    for step in 0..4usize {
-        svc.add_edges(&batch(&known, &mut rng, 64)).unwrap();
-        let (s, b) = cases[step % cases.len()];
-        assert_eq!(
-            strategy_bits(snap.graph(), s, b),
-            before[step % cases.len()],
-            "{s:?} diverged during the update stream"
-        );
-    }
-
-    // After: an explicit compaction supersedes every file of G.
-    svc.with_writer(|dg| {
-        dg.wait_maintenance_idle().unwrap();
-        dg.compact().unwrap();
-    });
-    for (k, &(s, b)) in cases.iter().enumerate() {
-        assert_eq!(
-            strategy_bits(snap.graph(), s, b),
-            before[k],
-            "{s:?} diverged after compaction superseded the pinned generation"
-        );
-    }
-
-    // Ground truth: a fresh preparation of the base edge set.
-    let fresh_disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-    let fresh = preprocess(&raw, &PrepConfig::new("serve-it", 4), fresh_disk).unwrap();
-    for (k, &(s, b)) in cases.iter().enumerate() {
-        assert_eq!(
-            strategy_bits(&fresh, s, b),
-            before[k],
-            "{s:?} on the pinned snapshot disagrees with a fresh prep"
-        );
-    }
-}
-
 // Acceptance: a concurrent read/update stream through the service
 // completes with zero query errors, and both rejection paths surface as
 // typed errors through the facade.
 #[test]
 fn concurrent_stream_is_error_free_and_rejections_are_typed() {
-    let (_raw, svc, known) = fixture(7, 9);
+    let (svc, known) = fixture(7, 9);
     let n = svc.snapshot().unwrap().graph().num_vertices();
     const PER_READER: u64 = 8;
     std::thread::scope(|scope| {
