@@ -5,9 +5,15 @@
 //! probabilities produce the power-law in/out-degree distributions of web
 //! and social graphs — the property that drives sub-shard imbalance and hub
 //! in-degree `d` in the NXgraph evaluation.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//!
+//! **Stream contract.** Every edge is sampled from one SplitMix64 stream
+//! (the `rand` shim's `StdRng`, bit for bit, though this module does not
+//! draw through `rand`). Edge `e` uses exactly draws `[e·k, (e+1)·k)`,
+//! where `k = scale · (1 + 4·[noise > 0])`: one draw per level picks the
+//! quadrant, and with noise on four more perturb `(a, b, c, d)`. SplitMix64
+//! jumps ahead in O(1), so any range of edges can be filled on its own;
+//! [`generate`] fills slices on every available core and the result does
+//! not depend on the number of threads.
 
 use crate::RawEdge;
 
@@ -62,18 +68,18 @@ impl RmatConfig {
 }
 
 /// Generate the full edge list for `cfg`.
+///
+/// The list is allocated once and filled in contiguous slices, one per
+/// available core, by scoped threads that are joined before this returns.
+/// The result does not depend on the number of threads.
 pub fn generate(cfg: &RmatConfig) -> Vec<RawEdge> {
     assert!(cfg.scale > 0 && cfg.scale < 40, "scale out of range");
     assert!(
         cfg.a > 0.0 && cfg.b >= 0.0 && cfg.c >= 0.0 && cfg.d() >= 0.0,
         "invalid quadrant probabilities"
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let m = cfg.num_edges() as usize;
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        edges.push(sample_edge(cfg, &mut rng));
-    }
+    let mut edges = vec![RawEdge::new(0, 0); cfg.num_edges() as usize];
+    fill_parallel(cfg, cfg.seed, &mut edges);
     edges
 }
 
@@ -81,7 +87,7 @@ pub fn generate(cfg: &RmatConfig) -> Vec<RawEdge> {
 /// whole list in memory — the source for out-of-core preprocessing, where
 /// the graph must not fit in RAM.
 ///
-/// Each chunk reseeds from `cfg.seed + chunk_index`, so chunk `k` is
+/// Chunk `k` is the stream seeded with `cfg.seed + k`, so it is
 /// deterministic and independent of every other chunk; the union follows
 /// the same R-MAT distribution as [`generate`] (each edge is an i.i.d.
 /// sample), though not the identical edge sequence.
@@ -94,54 +100,160 @@ pub fn generate_chunked(
     let m = cfg.num_edges();
     let chunks = m.div_ceil(chunk_edges);
     (0..chunks).map(move |k| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(k));
         let len = chunk_edges.min(m - k * chunk_edges) as usize;
-        let mut edges = Vec::with_capacity(len);
-        for _ in 0..len {
-            edges.push(sample_edge(cfg, &mut rng));
-        }
+        let mut edges = vec![RawEdge::new(0, 0); len];
+        fill_parallel(cfg, cfg.seed.wrapping_add(k), &mut edges);
         edges
     })
 }
 
-/// Sample a single R-MAT edge.
-fn sample_edge(cfg: &RmatConfig, rng: &mut StdRng) -> RawEdge {
-    let mut src = 0u64;
-    let mut dst = 0u64;
-    let (mut a, mut b, mut c) = (cfg.a, cfg.b, cfg.c);
-    for level in 0..cfg.scale {
-        let r: f64 = rng.random();
-        let bit = 1u64 << (cfg.scale - 1 - level);
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            dst |= bit;
-        } else if r < a + b + c {
-            src |= bit;
-        } else {
-            src |= bit;
-            dst |= bit;
+/// [`fill`] `out` (edges `0..out.len()` of the stream) in one contiguous
+/// slice per available core.
+fn fill_parallel(cfg: &RmatConfig, stream_seed: u64, out: &mut [RawEdge]) {
+    if out.is_empty() {
+        return;
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per = out.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        let mut slices = out.chunks_mut(per).enumerate();
+        let (_, first) = slices.next().expect("out is not empty");
+        for (i, slice) in slices {
+            s.spawn(move || fill(cfg, stream_seed, (i * per) as u64, slice));
         }
-        if cfg.noise > 0.0 {
-            // Multiplicative noise, renormalised, keeps expected skew.
-            let na = a * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.random::<f64>());
-            let nb = b * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.random::<f64>());
-            let nc = c * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.random::<f64>());
-            let nd = (1.0 - a - b - c)
-                * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.random::<f64>());
-            let sum = na + nb + nc + nd;
-            a = na / sum;
-            b = nb / sum;
-            c = nc / sum;
+        fill(cfg, stream_seed, 0, first);
+    });
+}
+
+/// SplitMix64's increment: the state after `n` draws is `seed + n·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The next uniform `f64` in `[0, 1)` of a SplitMix64 stream: the same
+/// words and the same 53-bit conversion as the `rand` shim's `StdRng`.
+#[inline(always)]
+fn unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(GAMMA);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Fill `out` with edges `first_edge..first_edge + out.len()` of the
+/// stream seeded with `stream_seed`: edge `e` uses draws `[e·k, (e+1)·k)`
+/// (the module's stream contract), so any split of a range fills the same
+/// edges as one call over it. Edges are sampled two at a time.
+fn fill(cfg: &RmatConfig, stream_seed: u64, first_edge: u64, out: &mut [RawEdge]) {
+    // k draws per edge: one per level, plus four noise draws per level.
+    let k = cfg.scale as u64 * if cfg.noise > 0.0 { 5 } else { 1 };
+    let stride = k.wrapping_mul(GAMMA);
+    let mut state = stream_seed.wrapping_add(first_edge.wrapping_mul(stride));
+    let mut pairs = out.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        let next = state.wrapping_add(stride);
+        pair.copy_from_slice(&sample(cfg, [state, next]));
+        state = next.wrapping_add(stride);
+    }
+    if let [last] = pairs.into_remainder() {
+        [*last] = sample(cfg, [state]);
+    }
+}
+
+/// Sample `L` independent edges in lockstep, lane `l` drawing from the
+/// SplitMix64 state `state[l]`. The quadrant is picked without branches;
+/// the float operations are the classic sampler's, in its order.
+#[inline(always)]
+fn sample<const L: usize>(cfg: &RmatConfig, mut state: [u64; L]) -> [RawEdge; L] {
+    let (lo, span) = (1.0 - cfg.noise, 2.0 * cfg.noise);
+    let (mut src, mut dst) = ([0u64; L], [0u64; L]);
+    let (mut a, mut b, mut c) = ([cfg.a; L], [cfg.b; L], [cfg.c; L]);
+    for _ in 0..cfg.scale {
+        for l in 0..L {
+            let r = unit(&mut state[l]);
+            let ab = a[l] + b[l];
+            // Quadrants in order a (none), b (dst), c (src), d (both).
+            let (in_a, in_ab, in_abc) = (r < a[l], r < ab, r < ab + c[l]);
+            src[l] = src[l] << 1 | u64::from(!in_a & !in_ab);
+            dst[l] = dst[l] << 1 | u64::from(!in_a & (in_ab | !in_abc));
+            if cfg.noise > 0.0 {
+                // Multiplicative noise, renormalised, keeps expected skew.
+                let na = a[l] * (lo + span * unit(&mut state[l]));
+                let nb = b[l] * (lo + span * unit(&mut state[l]));
+                let nc = c[l] * (lo + span * unit(&mut state[l]));
+                let nd = (1.0 - a[l] - b[l] - c[l]) * (lo + span * unit(&mut state[l]));
+                let sum = na + nb + nc + nd;
+                a[l] = na / sum;
+                b[l] = nb / sum;
+                c[l] = nc / sum;
+            }
         }
     }
-    RawEdge::new(src, dst)
+    std::array::from_fn(|l| RawEdge::new(src[l], dst[l]))
 }
+
+#[cfg(test)]
+#[path = "../tests/rmat_oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats;
+
+    /// FNV-1a over each edge's `src` then `dst`, little-endian.
+    fn digest<'a>(edges: impl IntoIterator<Item = &'a RawEdge>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for e in edges {
+            for byte in e.src.to_le_bytes().into_iter().chain(e.dst.to_le_bytes()) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn fill_over_any_split_equals_the_oracle() {
+        let m = 1001u64;
+        // Cut points: 1 to 5 pieces, with pieces of length 0, 1 and odd.
+        let splits: [&[u64]; 7] = [
+            &[],
+            &[0],
+            &[1],
+            &[m],
+            &[7, 7, 8],
+            &[2, 501, 1000],
+            &[333, 334, 667, 1000],
+        ];
+        for noise in [0.05, 0.0] {
+            for seed in [42, u64::MAX - 3] {
+                let cfg = RmatConfig {
+                    noise,
+                    ..RmatConfig::graph500(10, 1, seed)
+                };
+                let want = oracle::edges(&cfg, seed, m);
+                for cuts in splits {
+                    let mut got = vec![RawEdge::new(0, 0); m as usize];
+                    let mut from = 0;
+                    for &to in cuts.iter().chain([&m]) {
+                        fill(&cfg, seed, from, &mut got[from as usize..to as usize]);
+                        from = to;
+                    }
+                    assert_eq!(got, want, "noise {noise}, seed {seed}, cuts {cuts:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_graphs_are_pinned() {
+        // Digests of the classic serial sampler's output; `generate` spans
+        // several threads wherever more than one core is available.
+        let edges = generate(&RmatConfig::graph500(16, 4, 42));
+        assert_eq!(digest(&edges), 0x671a_fee9_d130_850a);
+        let chunks: Vec<Vec<RawEdge>> =
+            generate_chunked(&RmatConfig::graph500(12, 4, 9), 1000).collect();
+        assert_eq!(digest(chunks.iter().flatten()), 0xf4d8_4b2a_8609_61da);
+    }
 
     #[test]
     fn deterministic_given_seed() {

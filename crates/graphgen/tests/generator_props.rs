@@ -7,6 +7,8 @@ use nxgraph_graphgen::mesh::MeshConfig;
 use nxgraph_graphgen::rmat::RmatConfig;
 use nxgraph_graphgen::{ba, er, io, mesh, rmat, RawEdge};
 
+mod rmat_oracle;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -18,6 +20,12 @@ proptest! {
         let n = cfg.num_vertices();
         prop_assert!(a.iter().all(|e| e.src < n && e.dst < n));
         prop_assert_eq!(rmat::generate(&cfg), a);
+    }
+
+    #[test]
+    fn rmat_equals_the_classic_sampler(scale in 1u32..12, ef in 1u32..8, seed in any::<u64>()) {
+        let cfg = RmatConfig::graph500(scale, ef, seed);
+        prop_assert_eq!(rmat::generate(&cfg), rmat_oracle::edges(&cfg, seed, cfg.num_edges()));
     }
 
     #[test]
