@@ -9,7 +9,7 @@
 //!   kernel ("several thousands of edges", §III-D), ending at one task per
 //!   whole sub-shard: the granularity of the paper's interval-lock flavour.
 //! * **hub indirection** — direct in-memory accumulation vs the
-//!   compact→write→read→merge hub path (the DPU overhead SPU avoids).
+//!   ToHub→write→read→merge hub path (the DPU overhead SPU avoids).
 
 use std::sync::Arc;
 

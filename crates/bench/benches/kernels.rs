@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the update kernels — the ablation behind Table IV:
 //! destination-sorted fine-grained absorb vs source-sorted coarse-grained
-//! absorb, plus hub compaction/merging, the scalar vs 4-way-unrolled
-//! flat-edge absorb, the task-dispatch slot comparison (mutex slots vs
-//! the pool's cursor-claimed lock-free slots), the word-wise FNV-1a blob
-//! checksum, and the one sub-shard decoder, `SubShardView::parse`, on raw
-//! and delta+varint blobs.
+//! absorb, plus hub building (`to_hub`, the engine's ToHub, beside the
+//! interval-wide `compact` it replaced) and merging, the scalar vs
+//! 4-way-unrolled flat-edge absorb, the task-dispatch slot comparison
+//! (mutex slots vs the pool's cursor-claimed lock-free slots), the
+//! word-wise FNV-1a blob checksum, and the one sub-shard decoder,
+//! `SubShardView::parse`, on raw and delta+varint blobs.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -16,7 +17,7 @@ use std::hint::black_box;
 use nxgraph_baselines::common::coarse_absorb;
 use nxgraph_core::algo::pagerank::PageRank;
 use nxgraph_core::dsss::SubShardView;
-use nxgraph_core::engine::kernel::{absorb, EDGES_PER_TASK};
+use nxgraph_core::engine::kernel::{absorb, to_hub, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::parallel::run_tasks;
 use nxgraph_core::program::VertexProgram;
@@ -153,6 +154,12 @@ fn bench_kernels(c: &mut Criterion) {
     absorb(&prog, [(&ss, &mut buf)], &vals, 0, threads, EDGES_PER_TASK);
     group.bench_function("compact", |b| {
         b.iter(|| black_box(buf.compact()))
+    });
+    // The whole ToHub of the same cell: fold and keep the messaged
+    // destinations, with no interval-wide buffer.
+    let cells = [Arc::clone(&ss)];
+    group.bench_function("to_hub", |b| {
+        b.iter(|| black_box(to_hub(&prog, &cells, &vals, 0, threads, EDGES_PER_TASK)))
     });
     let (dsts, accs) = buf.compact();
     group.bench_function("merge", |b| {

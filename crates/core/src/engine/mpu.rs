@@ -5,7 +5,9 @@
 //! copy holds the previous iteration's attributes, the other receives this
 //! iteration's results; they swap at the end of the iteration, so switching
 //! iterations costs nothing); the remaining `P−Q` live on disk, and only the
-//! `(P−Q)²` sub-shards between on-disk intervals pass through **hubs**.
+//! `(P−Q)²` sub-shards between on-disk intervals pass through **hubs**. Each
+//! hub `(i, j)` is built straight from its own cells by ToHub
+//! ([`to_hub`]), sized by their destination lists, never by the interval.
 //!
 //! `run_mpu` is plan, then execute. Each iteration's schedule (phases A,
 //! B and C) is built as a value by `plan::plan`, whose docs map each step
@@ -23,19 +25,21 @@
 //! ([`super::select::residency`]): `Q = P` is SPU (§III-B1), the least I/O
 //! of all strategies; `Q = 0` is DPU (§III-B2), whose I/O depends on
 //! neither `P` nor the budget; in between it interpolates Table II's MPU
-//! row ([`crate::iomodel`]). Every step computes through [`absorb`],
-//! row-major with one task per destination chunk, so results are
-//! bitwise-identical at any thread count.
+//! row ([`crate::iomodel`]). Every step computes through [`absorb`] or
+//! [`to_hub`], row-major with one task per destination chunk and a fixed
+//! fold order per destination, so results are bitwise-identical at any
+//! thread count.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use crate::dsss::PreparedGraph;
+use crate::dsss::{PreparedGraph, SubShardView};
 use crate::error::EngineResult;
 use crate::program::VertexProgram;
 use crate::types::{Attr, VertexId};
 
-use super::kernel::{absorb, EDGES_PER_TASK};
-use super::pipeline::{Fetch, Pipeline};
+use super::kernel::{absorb, to_hub, EDGES_PER_TASK};
+use super::pipeline::{Fetch, Pipeline, Stream};
 use super::plan::{plan, Cell, Group, Step};
 use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
@@ -87,7 +91,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
         for Group { mut fetches, steps } in groups {
             fetches.retain(|f| !matches!(*f, Fetch::Hub { i, j } if !written.contains(&(i, j))));
             let mut stream = pipe.stream(fetches);
-            // The group's on-disk interval, and its hub or column buffer.
+            // The group's on-disk interval, and its column buffer.
             let mut vals: Option<Vec<P::Value>> = None;
             let mut buf: Option<AccBuf<P>> = None;
             // A frontier program's column that no message reached keeps
@@ -98,20 +102,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
                     Step::ReadInterval(_) | Step::Finalize(Some(_)) if quiet => {}
                     Step::ReadInterval(j) => vals = Some(g.read_interval(j)?),
                     Step::Absorb { row, cells, into } => {
-                        let mut shards = Vec::with_capacity(cells.len());
-                        for cell in cells {
-                            shards.push(match cell {
-                                Cell::Held(view) => view,
-                                Cell::Streamed(key) => {
-                                    let view = stream.shard()?;
-                                    if view.is_empty() {
-                                        store.note_empty(key);
-                                    }
-                                    view
-                                }
-                            });
-                        }
-                        edges += shards.iter().map(|ss| ss.num_edges() as u64).sum::<u64>();
+                        let shards = views(cells, &mut stream, &mut store, &mut edges)?;
                         let r = g.interval_range(row);
                         let src = if row < q {
                             &prev[r.start as usize..r.end as usize]
@@ -128,8 +119,12 @@ pub(super) fn run_mpu<P: VertexProgram>(
                             absorb(prog, pairs, src, r.start, threads, EDGES_PER_TASK);
                         }
                     }
-                    Step::WriteHub { i, j } => {
-                        let (dsts, accs) = buf.take().expect("Absorb precedes").compact();
+                    Step::ToHub { i, j, cells } => {
+                        let shards = views(cells, &mut stream, &mut store, &mut edges)?;
+                        let src = vals.as_deref().expect("ReadInterval precedes");
+                        let base = g.interval_range(i).start;
+                        let (dsts, accs) =
+                            to_hub(prog, &shards, src, base, threads, EDGES_PER_TASK);
                         if !dsts.is_empty() {
                             g.write_hub(i, j, &dsts, &accs)?;
                             written.insert((i, j));
@@ -194,6 +189,32 @@ pub(super) fn run_mpu<P: VertexProgram>(
         out.extend(g.read_interval::<P::Value>(j)?);
     }
     Ok((out, iterations, edges))
+}
+
+/// The views of a step's `cells`, counted into `edges`: a held cell as
+/// it is, a streamed one as the group's next delivery, memoised in the
+/// store if it held no edge.
+fn views<A: Attr>(
+    cells: Vec<Cell>,
+    stream: &mut Stream<'_, A>,
+    store: &mut ShardStore,
+    edges: &mut u64,
+) -> EngineResult<Vec<Arc<SubShardView>>> {
+    let mut shards = Vec::with_capacity(cells.len());
+    for cell in cells {
+        shards.push(match cell {
+            Cell::Held(view) => view,
+            Cell::Streamed(key) => {
+                let view = stream.shard()?;
+                if view.is_empty() {
+                    store.note_empty(key);
+                }
+                view
+            }
+        });
+    }
+    *edges += shards.iter().map(|ss| ss.num_edges() as u64).sum::<u64>();
+    Ok(shards)
 }
 
 #[cfg(test)]

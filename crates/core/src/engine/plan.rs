@@ -12,8 +12,10 @@
 //! * [`Step::Absorb`]: the `m·Be` sub-shard term. A cached cell holds its
 //!   view and costs no I/O; a streamed cell is the group's next `Fetch`,
 //!   unless an earlier read this run found it empty (the store's memo).
-//! * [`Step::WriteHub`] / [`Step::FoldHubs`]: the `m·(Ba+Bv)/d` hub term,
-//!   written by ToHub in phase B and read back by FromHub in phase C.
+//! * [`Step::ToHub`] / [`Step::FoldHubs`]: the `m·(Ba+Bv)/d` hub term.
+//!   ToHub folds the `m·Be` cells between two on-disk intervals (both
+//!   directions of one `(i, j)`) straight into hub `H(i→j)` in phase B,
+//!   and FromHub reads the hubs back into their column in phase C.
 //! * [`Step::Finalize`]: apply, no I/O.
 //! * [`Step::WriteInterval`]: an on-disk column's `n·Ba/P` write-back.
 //!
@@ -35,7 +37,7 @@ use crate::dsss::{Fetch, PreparedGraph, SubShardView};
 use super::store::{Key, ShardStore};
 use super::Activity;
 
-/// A cell an [`Step::Absorb`] folds.
+/// A cell an [`Step::Absorb`] or a [`Step::ToHub`] folds.
 pub enum Cell {
     /// A cached (or memoised empty) view: no I/O.
     Held(Arc<SubShardView>),
@@ -48,10 +50,12 @@ pub enum Step {
     /// Load on-disk interval `j`'s values into the group.
     ReadInterval(u32),
     /// Fold row `row`'s `cells` into the resident accumulators (`None`:
-    /// one task list) or interval `j`'s buffer (`Some(j)`: one per cell).
+    /// one task list) or column `j`'s buffer (`Some(j)`: one per cell).
     Absorb { row: u32, cells: Vec<Cell>, into: Option<u32> },
-    /// ToHub: compact the buffer into hub `H(i→j)`, written if non-empty.
-    WriteHub { i: u32, j: u32 },
+    /// ToHub: fold on-disk row `i`'s `cells` of column `j` (one per
+    /// direction, forward first) into hub `H(i→j)`, written if any
+    /// destination got a message.
+    ToHub { i: u32, j: u32, cells: Vec<Cell> },
     /// FromHub: fold the written hubs of `rows` into column `j`, remove them.
     FoldHubs { j: u32, rows: Vec<u32> },
     /// Apply the resident intervals (`None`) or on-disk column `j`.
@@ -87,9 +91,9 @@ pub fn plan(
     let live = |i: &u32| !activity.row_skippable(*i);
     let res_rows: Vec<u32> = (0..q).filter(live).collect();
     let disk_rows: Vec<u32> = (q..p).filter(live).collect();
-    // Append an `Absorb` of row `i`'s cells `cols × dirs`, direction-major,
-    // listing each cache miss for the group's stream.
-    let absorb = |group: &mut Group, i: u32, cols: Range<u32>, dirs: &[bool], into| {
+    // Row `i`'s cells `cols × dirs`, direction-major, listing each cache
+    // miss for the group's stream.
+    let list_cells = |group: &mut Group, i: u32, cols: Range<u32>, dirs: &[bool]| {
         let mut cells = Vec::with_capacity(cols.len() * dirs.len());
         for &reverse in dirs {
             for j in cols.clone() {
@@ -102,6 +106,10 @@ pub fn plan(
                 });
             }
         }
+        cells
+    };
+    let absorb = |group: &mut Group, i: u32, cols: Range<u32>, dirs: &[bool], into| {
+        let cells = list_cells(group, i, cols, dirs);
         group.steps.push(Step::Absorb { row: i, cells, into });
     };
 
@@ -115,15 +123,15 @@ pub fn plan(
     let mut groups = vec![a];
 
     // Phase B: each on-disk row, loaded once; resident columns absorb in
-    // memory, each on-disk column folds both directions into one hub.
+    // memory, each on-disk column's cells (both directions) become one hub.
     for &i in &disk_rows {
         let mut b = Group { fetches: Vec::new(), steps: vec![Step::ReadInterval(i)] };
         for &reverse in dirs {
             absorb(&mut b, i, 0..q, &[reverse], None);
         }
         for j in q..p {
-            absorb(&mut b, i, j..j + 1, dirs, Some(j));
-            b.steps.push(Step::WriteHub { i, j });
+            let cells = list_cells(&mut b, i, j..j + 1, dirs);
+            b.steps.push(Step::ToHub { i, j, cells });
         }
         groups.push(b);
     }
@@ -171,7 +179,7 @@ mod tests {
         assert_eq!(plan.groups.len(), 5);
         assert!(matches!(plan.groups[1].steps[0], Step::ReadInterval(3)));
         for step in plan.groups.iter().flat_map(|group| &group.steps) {
-            if let Step::Absorb { row: i, .. } | Step::WriteHub { i, .. } = *step {
+            if let Step::Absorb { row: i, .. } | Step::ToHub { i, .. } = *step {
                 assert_ne!(i, 2, "the skipped row has a step");
             }
         }

@@ -9,9 +9,11 @@ use crate::types::VertexId;
 
 /// Accumulators (and has-message flags) for one destination interval.
 ///
-/// `acc[k]` belongs to vertex `base + k`. In SPU these live for the whole
-/// run; in DPU they are compacted into hubs after each `(i, j)` sub-shard
-/// pass; in MPU both uses coexist.
+/// `acc[k]` belongs to vertex `base + k`. The resident intervals' buffers
+/// live for the whole run (all of SPU, MPU's resident part); an on-disk
+/// column gets one for its phase C fold (FromHub) in DPU and MPU. Hubs are
+/// not built through it: ToHub ([`super::kernel::to_hub`]) accumulates by
+/// position in each hub's own destination list.
 pub struct AccBuf<P: VertexProgram> {
     /// First vertex id of the interval.
     pub base: VertexId,
@@ -53,6 +55,11 @@ impl<P: VertexProgram> AccBuf<P> {
     /// vertices that received messages. Destination ids come out sorted
     /// because the buffer is id-ordered.
     ///
+    /// The engine no longer calls this: it scans the whole interval, which
+    /// ToHub ([`super::kernel::to_hub`]) avoids. Only the benchmark's layer
+    /// walk (`benchmark/src/walk.rs`) and the `hub/compact` bench still do,
+    /// and the kernel's tests keep it as `to_hub`'s oracle.
+    ///
     /// Branch-free: after counting the messaged vertices, every slot up to
     /// the last messaged one is written unconditionally at the fill cursor,
     /// which then advances by that slot's flag — so an unmessaged slot is
@@ -75,8 +82,8 @@ impl<P: VertexProgram> AccBuf<P> {
         (dsts, accs)
     }
 
-    /// Merge a hub (written by [`AccBuf::compact`]) back in via the
-    /// program's `combine`.
+    /// Merge a hub (ascending destinations and their accumulators) back
+    /// in via the program's `combine`.
     pub fn merge_hub(&mut self, prog: &P, dsts: &[VertexId], accs: &[P::Accum]) {
         debug_assert_eq!(dsts.len(), accs.len());
         for (&d, a) in dsts.iter().zip(accs) {

@@ -531,11 +531,18 @@ struct OpLog {
     inner: Arc<dyn Disk>,
     ops: std::sync::Mutex<Vec<(&'static str, String, u64)>>,
     written: std::sync::Mutex<HashMap<String, u64>>,
+    /// Every hub blob written, as `(name, stored checksum)`, in order.
+    hubs: std::sync::Mutex<Vec<(String, u64)>>,
 }
 
 impl OpLog {
     fn new(inner: Arc<dyn Disk>) -> Self {
-        Self { inner, ops: Default::default(), written: Default::default() }
+        Self {
+            inner,
+            ops: Default::default(),
+            written: Default::default(),
+            hubs: Default::default(),
+        }
     }
 
     fn note(&self, op: &'static str, name: &str, bytes: usize) {
@@ -546,6 +553,7 @@ impl OpLog {
     fn reset(&self) {
         self.ops.lock().unwrap().clear();
         self.written.lock().unwrap().clear();
+        self.hubs.lock().unwrap().clear();
     }
 }
 
@@ -570,6 +578,11 @@ impl Disk for OpLog {
         let before = self.written.lock().unwrap().insert(name.to_string(), digest);
         let op = if before == Some(digest) { "rewrite" } else { "write_all_to" };
         self.note(op, name, data.len());
+        if name.starts_with("hub_") {
+            // Header bytes 24..32: the checksum of the stored payload.
+            let sum = u64::from_le_bytes(data[24..32].try_into().unwrap());
+            self.hubs.lock().unwrap().push((name.to_string(), sum));
+        }
         self.inner.write_all_to(name, data)
     }
     fn create(&self, name: &str) -> StorageResult<Box<dyn DiskWrite>> {
@@ -679,6 +692,54 @@ fn engine_io_sequence_is_pinned() {
         [0x92a3_706c_104b_e151, 0xf37b_0562_bd58_a669, 0xc1bc_9fc6_9aa3_65c5], // Fig 1, SPU, half the store cached
     ];
     assert_eq!(got, PINNED, "engine I/O schedule changed: {got:#x?}");
+}
+
+/// What every hub holds, not just its size: the stored checksum of each
+/// hub blob (header bytes 24..32), in write order, is pinned for PageRank
+/// (5 iterations, forward) and WCC (both directions, so two cells per hub)
+/// on R-MAT 2^10×8 (P = 8), under DPU and under MPU at Q = P/2 with half a
+/// pair of cache, inline and at three threads. The accumulators' bits, the
+/// hub order and the destination lists all sit under the checksum, so a
+/// change to how phase B builds its hubs must keep every byte.
+#[test]
+fn hub_contents_are_pinned() {
+    let raw = rmat_raw(10, 8, 3);
+    let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
+    preprocess(&raw, &PrepConfig::new("hubs", 8), Arc::clone(&mem)).unwrap();
+    let log = Arc::new(OpLog::new(mem));
+    let g = PreparedGraph::open(Arc::clone(&log) as Arc<dyn Disk>).unwrap();
+    let (n, p) = (g.num_vertices() as u64, 8u64);
+    for threads in [1usize, 3] {
+        let mut got: Vec<[(usize, u64); 2]> = Vec::new();
+        for strategy in [Strategy::Dpu, Strategy::Mpu] {
+            let cfg = |ba: u64| {
+                let pair = 2 * n * ba;
+                EngineConfig::default()
+                    .with_threads(threads)
+                    .with_strategy(strategy)
+                    .with_budget(4 * n + (pair * p / 2).div_ceil(p) + pair / p / 2)
+            };
+            let mut row = [(0usize, 0u64); 2];
+            for (k, slot) in row.iter_mut().enumerate() {
+                log.reset();
+                match k {
+                    0 => assert!(algo::pagerank(&g, 5, &cfg(8)).is_ok()),
+                    _ => assert!(algo::wcc(&g, &cfg(4)).is_ok()),
+                }
+                let hubs = log.hubs.lock().unwrap();
+                let flat: Vec<(&'static str, String, u64)> =
+                    hubs.iter().map(|(name, sum)| ("hub", name.clone(), *sum)).collect();
+                *slot = (hubs.len(), op_digest(&flat));
+            }
+            got.push(row);
+        }
+        const PINNED: [[(usize, u64); 2]; 2] = [
+            // [PageRank, WCC]: (hub writes, digest of names and checksums)
+            [(315, 0xa859_28b6_08eb_7ba4), (244, 0x1686_28e9_82b4_d2a2)], // DPU
+            [(75, 0x8872_1453_8f72_d8fd), (60, 0xa559_b999_0639_e304)], // MPU, Q = 4
+        ];
+        assert_eq!(got, PINNED, "hub contents changed at threads={threads}: {got:#x?}");
+    }
 }
 
 /// A run pays only for what can change a value. For PageRank, BFS, WCC
