@@ -96,6 +96,7 @@ pub fn run<P: VertexProgram>(
                     [(&ss, &mut buf)],
                     &src_vals,
                     r_i.start,
+                    None,
                     cfg.threads,
                     EDGES_PER_TASK,
                 );

@@ -71,7 +71,7 @@ fn bench_edge_ordering(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb(&prog, [(ss, &mut buf)], &vals, 0, 4, EDGES_PER_TASK);
+                absorb(&prog, [(ss, &mut buf)], &vals, 0, None, 4, EDGES_PER_TASK);
                 black_box(buf.acc[0]);
             })
         });
@@ -91,7 +91,7 @@ fn bench_task_granularity(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb(&prog, [(&ss, &mut buf)], &vals, 0, 8, ept);
+                absorb(&prog, [(&ss, &mut buf)], &vals, 0, None, 8, ept);
                 black_box(buf.acc[0]);
             })
         });

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the update kernels — the ablation behind Table IV:
 //! destination-sorted fine-grained absorb vs source-sorted coarse-grained
-//! absorb, plus hub building (`to_hub`, the engine's ToHub, beside the
+//! absorb (and a frontier program's absorb from 1 % of the sources), plus
+//! hub building (`to_hub`, the engine's ToHub, beside the
 //! interval-wide `compact` it replaced) and merging, the scalar vs
 //! 4-way-unrolled flat-edge absorb, the task-dispatch slot comparison
 //! (mutex slots vs the pool's cursor-claimed lock-free slots), the
@@ -16,6 +17,7 @@ use std::hint::black_box;
 
 use nxgraph_baselines::common::coarse_absorb;
 use nxgraph_core::algo::pagerank::PageRank;
+use nxgraph_core::algo::Bfs;
 use nxgraph_core::dsss::SubShardView;
 use nxgraph_core::engine::kernel::{absorb, to_hub, EDGES_PER_TASK};
 use nxgraph_core::engine::AccBuf;
@@ -91,7 +93,23 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("dst_sorted_fine_grained", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-            absorb(&prog, [(&ss, &mut buf)], &vals, 0, threads, EDGES_PER_TASK);
+            absorb(&prog, [(&ss, &mut buf)], &vals, 0, None, threads, EDGES_PER_TASK);
+            black_box(buf.acc[0]);
+        })
+    });
+    // A frontier program's absorb over the same cell: BFS, every vertex
+    // reached, 1 % of them (ids ≡ 0 mod 100) changed last iteration, so
+    // only their edges are folded and every other bit test fails.
+    let bfs = Bfs::new(0);
+    let depths = vec![3u32; n as usize];
+    let mut sending = vec![0u64; (n as usize).div_ceil(64)];
+    for v in (0..n).step_by(100) {
+        sending[v as usize / 64] |= 1 << (v % 64);
+    }
+    group.bench_function("absorb_frontier_1pct", |b| {
+        b.iter(|| {
+            let mut buf = AccBuf::<Bfs>::new(&bfs, 0, n as usize);
+            absorb(&bfs, [(&ss, &mut buf)], &depths, 0, Some(&sending), threads, EDGES_PER_TASK);
             black_box(buf.acc[0]);
         })
     });
@@ -136,14 +154,14 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("scalar", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<ScalarPageRank>::new(&scalar_prog, 0, dn as usize);
-            absorb(&scalar_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, 1, usize::MAX);
+            absorb(&scalar_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, None, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
     group.bench_function("unrolled4", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&dense_prog, 0, dn as usize);
-            absorb(&dense_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, 1, usize::MAX);
+            absorb(&dense_prog, [(&dense_ss, &mut buf)], &dense_vals, 0, None, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
@@ -151,7 +169,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("hub");
     let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-    absorb(&prog, [(&ss, &mut buf)], &vals, 0, threads, EDGES_PER_TASK);
+    absorb(&prog, [(&ss, &mut buf)], &vals, 0, None, threads, EDGES_PER_TASK);
     group.bench_function("compact", |b| {
         b.iter(|| black_box(buf.compact()))
     });
@@ -159,7 +177,7 @@ fn bench_kernels(c: &mut Criterion) {
     // destinations, with no interval-wide buffer.
     let cells = [Arc::clone(&ss)];
     group.bench_function("to_hub", |b| {
-        b.iter(|| black_box(to_hub(&prog, &cells, &vals, 0, threads, EDGES_PER_TASK)))
+        b.iter(|| black_box(to_hub(&prog, &cells, &vals, 0, None, threads, EDGES_PER_TASK)))
     });
     let (dsts, accs) = buf.compact();
     group.bench_function("merge", |b| {

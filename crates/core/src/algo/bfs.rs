@@ -2,11 +2,14 @@
 //!
 //! Depths start at `∞` (`u32::MAX`) except the root at 0; each iteration
 //! propagates `depth + 1` along out-edges and keeps the minimum. Only the
-//! root's interval starts active, and the engine's interval activity
-//! tracking (§II-B) expands the frontier exactly as the paper describes:
-//! "update the destination vertex attribute with the minimum depth
-//! propagated from all its source vertices until no vertex can be
-//! updated."
+//! root starts active, and the engine's frontier (§II-B's activity, kept
+//! per vertex) expands it exactly as the paper describes: "update the
+//! destination vertex attribute with the minimum depth propagated from all
+//! its source vertices until no vertex can be updated." A vertex changes
+//! once, when it is reached, so each reached vertex sends along its
+//! out-edges exactly once, in the next iteration. The "reached"
+//! `source_active` filter is redundant under the frontier; the baselines,
+//! which keep no frontier, rely on it.
 
 use crate::program::VertexProgram;
 use crate::types::VertexId;

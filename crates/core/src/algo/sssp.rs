@@ -6,8 +6,10 @@
 //! synthetic-benchmark setups — hash-derived weights, or geometric
 //! distances for meshes — without widening every sub-shard file. The
 //! computation itself is Bellman-Ford-style relaxation: monotone
-//! min-propagation, so interval activity prunes converged regions exactly
-//! like BFS.
+//! min-propagation, so the engine's frontier sends only from the vertices
+//! whose distance fell last iteration and prunes converged regions exactly
+//! like BFS. As in BFS, the "reached" `source_active` filter is kept for
+//! the baselines, which keep no frontier.
 
 use std::sync::Arc;
 

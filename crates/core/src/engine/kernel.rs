@@ -16,6 +16,13 @@
 //!   hub `(i, j)` into accumulators indexed by position in their own
 //!   destination list, so a hub costs its cells' destinations, never an
 //!   interval.
+//!
+//! Both take the row's frontier: `None` for a program that sends from
+//! every source (PageRank), whose tasks fold each destination's run
+//! through [`VertexProgram::absorb_run`]; `Some(bits)` for a frontier
+//! program, whose tasks fold only the sources whose bit is set (those
+//! that changed last iteration), one edge at a time. The choice is made
+//! once per task, never per destination.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -56,15 +63,55 @@ pub fn absorb_chunk<P: VertexProgram>(
     has: &mut [u8],
     slice_base: VertexId,
 ) {
+    fold_chunk(ss, pos_range, acc, has, slice_base, |d, run, a| {
+        prog.absorb_run(d, run, src_vals, src_base, a)
+    });
+}
+
+/// The loop behind [`absorb_chunk`]: `fold` folds one destination's run
+/// into its accumulator and says whether it contributed a message.
+#[inline]
+fn fold_chunk<A>(
+    ss: &SubShardView,
+    pos_range: Range<usize>,
+    acc: &mut [A],
+    has: &mut [u8],
+    slice_base: VertexId,
+    fold: impl Fn(VertexId, &[VertexId], &mut A) -> bool,
+) {
     let (dsts, offsets, srcs) = (ss.dsts(), ss.offsets(), ss.srcs());
     for pos in pos_range {
         let d = dsts[pos];
         let slot = (d - slice_base) as usize;
         let run = &srcs[offsets[pos] as usize..offsets[pos + 1] as usize];
-        if prog.absorb_run(d, run, src_vals, src_base, &mut acc[slot]) {
+        if fold(d, run, &mut acc[slot]) {
             has[slot] = 1;
         }
     }
+}
+
+/// A frontier program's fold of destination `d`'s run: each source whose
+/// bit is set in `sending` (global ids) and that passes
+/// [`VertexProgram::source_active`] is absorbed, one edge at a time, in
+/// run order. With every bit set this is the default `absorb_run`.
+#[inline]
+fn absorb_sending<P: VertexProgram>(
+    prog: &P,
+    sending: &[u64],
+    d: VertexId,
+    run: &[VertexId],
+    src_vals: &[P::Value],
+    src_base: VertexId,
+    acc: &mut P::Accum,
+) -> bool {
+    let mut any = false;
+    for &s in run {
+        if sending[s as usize / 64] >> (s % 64) & 1 != 0 {
+            let sv = &src_vals[(s - src_base) as usize];
+            any |= prog.source_active(s, sv) && prog.absorb(s, sv, d, acc);
+        }
+    }
+    any
 }
 
 /// One fine-grained task: a destination chunk of a sub-shard plus the
@@ -123,12 +170,17 @@ fn carve_tasks<'a, P: VertexProgram>(
 /// one of them, so no locks are taken. Per destination the fold order is
 /// the sub-shard's own source order, so the result is bitwise-equal to a
 /// serial [`absorb_chunk`] over each whole sub-shard at any thread count
-/// and task size.
+/// and task size. With a frontier (`sending`, bit `v` for global source id
+/// `v`), only the sources whose bit is set are folded: the result equals
+/// the unmasked call over the same cells with every other source's edges
+/// left out.
+#[allow(clippy::too_many_arguments)] // the kernel's inputs, each a slice or a knob
 pub fn absorb<'a, P: VertexProgram + 'a>(
     prog: &P,
     pairs: impl IntoIterator<Item = (&'a Arc<SubShardView>, &'a mut AccBuf<P>)>,
     src_vals: &[P::Value],
     src_base: VertexId,
+    sending: Option<&[u64]>,
     threads: usize,
     edges_per_task: usize,
 ) {
@@ -138,8 +190,8 @@ pub fn absorb<'a, P: VertexProgram + 'a>(
             tasks.extend(carve_tasks(ss, ss.chunk_by_edges(edges_per_task), buf));
         }
     }
-    run_tasks(threads, tasks, |t: ChunkTask<'_, P>| {
-        absorb_chunk(
+    run_tasks(threads, tasks, |t: ChunkTask<'_, P>| match sending {
+        None => absorb_chunk(
             prog,
             &t.ss,
             t.pos_range,
@@ -148,7 +200,10 @@ pub fn absorb<'a, P: VertexProgram + 'a>(
             t.acc,
             t.has,
             t.slice_base,
-        );
+        ),
+        Some(bits) => fold_chunk(&t.ss, t.pos_range, t.acc, t.has, t.slice_base, |d, run, a| {
+            absorb_sending(prog, bits, d, run, src_vals, src_base, a)
+        }),
     });
 }
 
@@ -168,11 +223,14 @@ pub fn absorb<'a, P: VertexProgram + 'a>(
 /// [`AccBuf`] and keeping its messaged slots gives, bit for bit, at any
 /// thread count and task size. When every destination got a message, a
 /// one-cell hub borrows the cell's destination list instead of copying it.
+/// A frontier (`sending`) filters sources as in [`absorb`], so a
+/// destination that no sending source reaches is left out of the hub.
 pub fn to_hub<'c, P: VertexProgram>(
     prog: &P,
     cells: &'c [Arc<SubShardView>],
     src_vals: &[P::Value],
     src_base: VertexId,
+    sending: Option<&[u64]>,
     threads: usize,
     edges_per_task: usize,
 ) -> (Cow<'c, [VertexId]>, Vec<P::Accum>) {
@@ -198,39 +256,42 @@ pub fn to_hub<'c, P: VertexProgram>(
         tasks.push((&dsts[chunk], a, h));
     }
     debug_assert!(acc_rest.is_empty(), "chunks must cover every position");
-    run_tasks(threads, tasks, |(span, acc, has)| {
-        for ss in &cells {
-            absorb_span(prog, ss, span, src_vals, src_base, acc, has);
-        }
+    run_tasks(threads, tasks, |(span, acc, has)| match sending {
+        None => fold_span(&cells, span, acc, has, |d, run, a| {
+            prog.absorb_run(d, run, src_vals, src_base, a)
+        }),
+        Some(bits) => fold_span(&cells, span, acc, has, |d, run, a| {
+            absorb_sending(prog, bits, d, run, src_vals, src_base, a)
+        }),
     });
     keep_messaged(dsts, acc, &has)
 }
 
-/// Fold the runs of `ss` whose destinations lie in `span`, a slice of the
+/// Fold each cell's runs whose destinations lie in `span`, a slice of the
 /// hub's ascending destination list, into the position-indexed `acc`/`has`
-/// (`acc[k]` belongs to `span[k]`). Every destination of `ss` in that
-/// range is in `span`.
-fn absorb_span<P: VertexProgram>(
-    prog: &P,
-    ss: &SubShardView,
+/// (`acc[k]` belongs to `span[k]`), cell by cell, through `fold` (as in
+/// `fold_chunk`). Every destination of a cell in that range is in `span`.
+fn fold_span<A>(
+    cells: &[&SubShardView],
     span: &[VertexId],
-    src_vals: &[P::Value],
-    src_base: VertexId,
-    acc: &mut [P::Accum],
+    acc: &mut [A],
     has: &mut [u8],
+    fold: impl Fn(VertexId, &[VertexId], &mut A) -> bool,
 ) {
-    let (dsts, offsets, srcs) = (ss.dsts(), ss.offsets(), ss.srcs());
     let (lo, hi) = (span[0], span[span.len() - 1]);
-    let first = dsts.partition_point(|&d| d < lo);
-    let mut slot = 0;
-    for (pos, &d) in dsts.iter().enumerate().skip(first).take_while(|&(_, &d)| d <= hi) {
-        while span[slot] < d {
-            slot += 1;
-        }
-        debug_assert_eq!(span[slot], d, "a cell's destination is missing from the hub");
-        let run = &srcs[offsets[pos] as usize..offsets[pos + 1] as usize];
-        if prog.absorb_run(d, run, src_vals, src_base, &mut acc[slot]) {
-            has[slot] = 1;
+    for ss in cells {
+        let (dsts, offsets, srcs) = (ss.dsts(), ss.offsets(), ss.srcs());
+        let first = dsts.partition_point(|&d| d < lo);
+        let mut slot = 0;
+        for (pos, &d) in dsts.iter().enumerate().skip(first).take_while(|&(_, &d)| d <= hi) {
+            while span[slot] < d {
+                slot += 1;
+            }
+            debug_assert_eq!(span[slot], d, "a cell's destination is missing from the hub");
+            let run = &srcs[offsets[pos] as usize..offsets[pos + 1] as usize];
+            if fold(d, run, &mut acc[slot]) {
+                has[slot] = 1;
+            }
         }
     }
 }
@@ -395,7 +456,7 @@ mod tests {
             for ept in [1, 2, 100, usize::MAX] {
                 let mut bufs: Vec<AccBuf<Sum>> =
                     (0..2).map(|_| AccBuf::new(&prog, 4, 4)).collect();
-                absorb(&prog, shards.iter().zip(bufs.iter_mut()), &src_vals, 0, threads, ept);
+                absorb(&prog, shards.iter().zip(bufs.iter_mut()), &src_vals, 0, None, threads, ept);
                 for (got, want) in bufs.iter().zip(&serial) {
                     assert_eq!(bits(got), bits(want), "threads={threads} ept={ept}");
                     assert_eq!(got.has, want.has, "threads={threads} ept={ept}");
@@ -486,7 +547,7 @@ mod tests {
     ) -> (Vec<VertexId>, Vec<u64>) {
         let mut buf = AccBuf::new(prog, 16, 40);
         for ss in cells {
-            absorb(prog, [(ss, &mut buf)], src_vals, 0, 1, usize::MAX);
+            absorb(prog, [(ss, &mut buf)], src_vals, 0, None, 1, usize::MAX);
         }
         let (dsts, accs) = buf.compact();
         (dsts, accs.iter().map(|a| a.to_bits()).collect())
@@ -503,7 +564,7 @@ mod tests {
         let want = interval_wide(prog, cells, src_vals);
         for threads in [1, 2, 3, 8] {
             for ept in [1, 7, EDGES_PER_TASK, usize::MAX] {
-                let (dsts, accs) = to_hub(prog, cells, src_vals, 0, threads, ept);
+                let (dsts, accs) = to_hub(prog, cells, src_vals, 0, None, threads, ept);
                 let bits: Vec<u64> = accs.iter().map(|a| a.to_bits()).collect();
                 assert_eq!((dsts.to_vec(), bits), want, "{label}, threads={threads}, ept={ept}");
             }
@@ -554,11 +615,111 @@ mod tests {
     fn an_all_messaged_one_cell_hub_borrows_its_destinations() {
         let cells = [cell(1, |d| d % 5 != 2)];
         let sum_vals = vec![0.5; 12];
-        let (dsts, _) = to_hub(&Sum, &cells, &sum_vals, 0, 3, 7);
+        let (dsts, _) = to_hub(&Sum, &cells, &sum_vals, 0, None, 3, 7);
         assert!(matches!(dsts, Cow::Borrowed(_)));
         assert_eq!(&dsts[..], cells[0].dsts());
-        let (dsts, accs) = to_hub(&Gated, &cells, &[1.0; 12], 0, 3, 7);
+        let (dsts, accs) = to_hub(&Gated, &cells, &[1.0; 12], 0, None, 3, 7);
         assert!(dsts.is_empty() && accs.is_empty());
+    }
+
+    /// A cell from sources `[70, 370)` into destinations `[400, 480)`:
+    /// each kept destination gets a run of 1 to 24 pseudo-random sources.
+    fn wide_cell(seed: u64, keep: impl Fn(u32) -> bool) -> Arc<SubShardView> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut edges = Vec::new();
+        for d in (400..480u32).filter(|&d| keep(d)) {
+            let run = 1 + next() % 24;
+            edges.extend((0..run).map(|_| (70 + (next() % 300) as u32, d)));
+        }
+        Arc::new(SubShardView::from_edges(0, 1, edges))
+    }
+
+    /// `ss` rebuilt without the edges of the sources outside `sending`.
+    fn without_quiet_sources(ss: &SubShardView, sending: &[u64]) -> Arc<SubShardView> {
+        let (dsts, offsets, srcs) = (ss.dsts(), ss.offsets(), ss.srcs());
+        let mut edges = Vec::new();
+        for (pos, &d) in dsts.iter().enumerate() {
+            let run = &srcs[offsets[pos] as usize..offsets[pos + 1] as usize];
+            let sends = |s: &&u32| sending[**s as usize / 64] >> (**s % 64) & 1 != 0;
+            edges.extend(run.iter().filter(sends).map(|&s| (s, d)));
+        }
+        Arc::new(SubShardView::from_edges(0, 1, edges))
+    }
+
+    /// `absorb` and `to_hub` with a frontier equal, bit for bit, the
+    /// unmasked calls over the same cells rebuilt without the edges of the
+    /// sources outside it, for every frontier shape, thread count and task
+    /// size, with and without a `source_active` filter on top.
+    fn assert_frontier_is_a_cell_filter<P: VertexProgram<Accum = f64, Value = f64>>(
+        prog: &P,
+        cells: &[Arc<SubShardView>],
+        src_vals: &[f64],
+        sending: &[u64],
+        label: &str,
+    ) {
+        let kept: Vec<Arc<SubShardView>> =
+            cells.iter().map(|c| without_quiet_sources(c, sending)).collect();
+        let bits = |accs: &[f64]| accs.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let fresh = || -> Vec<AccBuf<P>> { cells.iter().map(|_| AccBuf::new(prog, 400, 80)).collect() };
+        let mut want_bufs = fresh();
+        absorb(prog, kept.iter().zip(&mut want_bufs), src_vals, 70, None, 1, usize::MAX);
+        let (want_dsts, want_accs) = to_hub(prog, &kept, src_vals, 70, None, 1, usize::MAX);
+        let want_hub = (want_dsts.to_vec(), bits(&want_accs));
+        for threads in [1, 2, 3, 8] {
+            for ept in [1, 7, EDGES_PER_TASK, usize::MAX] {
+                let at = format!("{label}, threads={threads}, ept={ept}");
+                let mut bufs = fresh();
+                absorb(prog, cells.iter().zip(&mut bufs), src_vals, 70, Some(sending), threads, ept);
+                for (got, want) in bufs.iter().zip(&want_bufs) {
+                    assert_eq!(bits(&got.acc), bits(&want.acc), "absorb: {at}");
+                    assert_eq!(got.has, want.has, "absorb: {at}");
+                }
+                let (dsts, accs) = to_hub(prog, cells, src_vals, 70, Some(sending), threads, ept);
+                assert_eq!((dsts.to_vec(), bits(&accs)), want_hub, "to_hub: {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frontier_folds_what_its_sources_alone_would() {
+        let one = vec![wide_cell(31, |d| d % 5 != 3)];
+        let two = vec![wide_cell(32, |d| d % 3 != 0), wide_cell(33, |d| d % 2 == 0)];
+        let words = 370usize.div_ceil(64);
+        let frontier = |send: &dyn Fn(u32) -> bool| -> Vec<u64> {
+            let mut bits = vec![0u64; words];
+            for s in (70..370u32).filter(|&s| send(s)) {
+                bits[s as usize / 64] |= 1 << (s % 64);
+            }
+            bits
+        };
+        let single = one[0].srcs()[one[0].num_edges() / 2];
+        let frontiers: [(&str, Vec<u64>); 4] = [
+            ("empty", frontier(&|_| false)),
+            ("full", frontier(&|_| true)),
+            ("1 %", frontier(&|s| s % 100 == 37)),
+            ("one vertex", frontier(&|s| s == single)),
+        ];
+        let sum_vals: Vec<f64> = (0..300).map(|s| 0.1 + s as f64 / 7.0).collect();
+        let gated_vals: Vec<f64> =
+            (0..300).map(|s| if s % 3 == 0 { 2.5 + s as f64 / 3.0 } else { 1.0 }).collect();
+        for (shape, sending) in &frontiers {
+            for (hub, cells) in [("one cell", &one), ("two cells", &two)] {
+                let label = format!("{shape} frontier, {hub}");
+                assert_frontier_is_a_cell_filter(&Sum, cells, &sum_vals, sending, &label);
+                assert_frontier_is_a_cell_filter(&Gated, cells, &gated_vals, sending, &label);
+            }
+        }
+        // The shapes are what they say: the 1 % frontier sends along some
+        // but not all edges, the single vertex along at least one.
+        let sent = |sending: &[u64]| without_quiet_sources(&one[0], sending).num_edges();
+        assert!((1..one[0].num_edges() / 10).contains(&sent(&frontiers[2].1)));
+        assert!(sent(&frontiers[3].1) >= 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub mod select;
 pub mod state;
 pub mod store;
 
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use nxgraph_storage::IoSnapshot;
@@ -28,7 +29,7 @@ use nxgraph_storage::IoSnapshot;
 use crate::dsss::PreparedGraph;
 use crate::error::{EngineError, EngineResult};
 use crate::program::{Direction, VertexProgram};
-use crate::types::Attr;
+use crate::types::{Attr, VertexId};
 
 pub use pipeline::{Fetch, Fetched, Pipeline};
 pub use select::choose_strategy;
@@ -185,44 +186,79 @@ pub fn run<P: VertexProgram>(
     ))
 }
 
-/// Shared per-iteration bookkeeping: interval activity (§II-B).
-pub(crate) struct Activity {
-    /// Active flag per interval.
-    pub active: Vec<bool>,
-    /// Whether the program ever deactivates intervals (monotone programs
-    /// only; global recompute programs keep everything active).
-    pub tracks: bool,
+/// Which vertices send this iteration (§II-B's activity, per vertex).
+///
+/// A frontier program (`!ALWAYS_APPLY`) keeps two bitsets of `n` bits,
+/// bit `v` for global id `v`: `sending`, the vertices whose value changed
+/// last iteration (at first, those `initially_active`), and `changed`,
+/// which finalize fills in as it applies this iteration. Only a sending
+/// source's edges are absorbed, and an interval with no bit set in
+/// `sending` is a row the iteration skips. Global recompute programs keep
+/// no bits: every row runs every iteration.
+pub(crate) struct Frontier {
+    /// Interval `i` covers ids `bounds[i]..bounds[i + 1]`.
+    bounds: Vec<VertexId>,
+    /// `(sending, changed)`, for a program that tracks its frontier.
+    bits: Option<(Vec<u64>, Vec<AtomicU64>)>,
 }
 
-impl Activity {
-    /// Initial activity from the program's `initially_active`.
-    pub fn init<P: VertexProgram>(graph: &PreparedGraph, prog: &P) -> Self {
-        let p = graph.num_intervals();
-        let tracks = !P::ALWAYS_APPLY;
-        let mut active = vec![false; p as usize];
-        for j in 0..p {
-            let r = graph.interval_range(j);
-            active[j as usize] =
-                !tracks || r.clone().any(|v| prog.initially_active(v));
-        }
-        Self { active, tracks }
+impl Frontier {
+    /// The first iteration's frontier over `graph`'s intervals: the
+    /// `active` vertices send if the program `tracks` its frontier.
+    pub fn new(graph: &PreparedGraph, tracks: bool, active: impl Fn(VertexId) -> bool) -> Self {
+        let n = graph.num_vertices();
+        let mut bounds: Vec<VertexId> =
+            (0..graph.num_intervals()).map(|i| graph.interval_range(i).start).collect();
+        bounds.push(n);
+        let bits = tracks.then(|| {
+            let mut sending = vec![0u64; (n as usize).div_ceil(64)];
+            for v in (0..n).filter(|&v| active(v)) {
+                sending[v as usize / 64] |= 1 << (v % 64);
+            }
+            let changed = sending.iter().map(|_| AtomicU64::new(0)).collect();
+            (sending, changed)
+        });
+        Self { bounds, bits }
     }
 
-    /// Whether source row `i` may be skipped this iteration.
+    /// The sources that send this iteration, if the program tracks them.
+    pub fn sending(&self) -> Option<&[u64]> {
+        self.bits.as_ref().map(|(sending, _)| &sending[..])
+    }
+
+    /// Where finalize marks the vertices it changes, if tracked.
+    pub fn changed(&self) -> Option<&[AtomicU64]> {
+        self.bits.as_ref().map(|(_, changed)| &changed[..])
+    }
+
+    /// Whether source row `i` may be skipped: no vertex of interval `i`
+    /// sends this iteration.
     pub fn row_skippable(&self, i: u32) -> bool {
-        self.tracks && !self.active[i as usize]
+        let Some(bits) = self.sending() else { return false };
+        let (lo, hi) = (self.bounds[i as usize] as usize, self.bounds[i as usize + 1] as usize);
+        if lo == hi {
+            return true;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let (low, high) = (u64::MAX << (lo % 64), u64::MAX >> (63 - (hi - 1) % 64));
+        if first == last {
+            return bits[first] & low & high == 0;
+        }
+        bits[first] & low == 0
+            && bits[first + 1..last].iter().all(|&w| w == 0)
+            && bits[last] & high == 0
     }
 
-    /// Install the next iteration's flags; returns `true` when every
-    /// interval went inactive (global termination for monotone programs).
-    pub fn advance(&mut self, changed: &[bool]) -> bool {
-        if !self.tracks {
-            return false;
+    /// Make this iteration's changes the next one's senders; returns `true`
+    /// when none changed (global termination for frontier programs).
+    pub fn advance(&mut self) -> bool {
+        let Some((sending, changed)) = &mut self.bits else { return false };
+        let mut none = true;
+        for (s, c) in sending.iter_mut().zip(changed) {
+            *s = std::mem::take(c.get_mut());
+            none &= *s == 0;
         }
-        for (a, &c) in self.active.iter_mut().zip(changed) {
-            *a = c;
-        }
-        self.active.iter().all(|&a| !a)
+        none
     }
 }
 
@@ -260,6 +296,46 @@ mod tests {
         assert_eq!(cfg.strategy, Strategy::Dpu);
         assert_eq!(cfg.max_iterations, 7);
         assert_eq!(cfg.io_deadline, Some(Duration::from_millis(250)));
+    }
+
+    /// A row is skippable exactly when none of its vertices sends, for
+    /// intervals that start and end inside a word or span several, and
+    /// termination is exactly "nothing changed".
+    #[test]
+    fn frontier_rows_and_termination_follow_the_bits() {
+        use crate::prep::{preprocess, PrepConfig};
+        use nxgraph_storage::{Disk, MemDisk};
+        use std::sync::atomic::Ordering;
+        let edges: Vec<(u64, u64)> = (0..700u64).map(|v| (v, (v * 7 + 3) % 700)).collect();
+        let disk: std::sync::Arc<dyn Disk> = std::sync::Arc::new(MemDisk::new());
+        let g = preprocess(&edges, &PrepConfig::new("bits", 9), disk).unwrap();
+        let n = g.num_vertices();
+        for (k, active) in [|v: u32| v % 97 == 5, |v: u32| v == 699, |_| false, |v| v % 64 == 63]
+            .into_iter()
+            .enumerate()
+        {
+            let mut f = Frontier::new(&g, true, active);
+            for i in 0..g.num_intervals() {
+                let none = !g.interval_range(i).any(active);
+                assert_eq!(f.row_skippable(i), none, "active set {k}, row {i}");
+            }
+            // This iteration changes exactly the next set's vertices.
+            let changed = f.changed().unwrap();
+            for v in (0..n).filter(|&v| active(v)) {
+                changed[v as usize / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
+            }
+            assert_eq!(f.advance(), !(0..n).any(active), "active set {k}");
+            for i in 0..g.num_intervals() {
+                let none = !g.interval_range(i).any(active);
+                assert_eq!(f.row_skippable(i), none, "active set {k}, row {i}, advanced");
+            }
+            assert!(f.advance(), "nothing changed the second time");
+        }
+        // A program that keeps no frontier skips nothing and never ends early.
+        let mut all = Frontier::new(&g, false, |_| false);
+        assert!(all.sending().is_none() && all.changed().is_none());
+        assert!((0..g.num_intervals()).all(|i| !all.row_skippable(i)));
+        assert!(!all.advance());
     }
 
     #[test]

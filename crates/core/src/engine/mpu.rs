@@ -16,8 +16,11 @@
 //! liveness in memory, so phase C reads exactly the hubs phase B wrote
 //! this iteration. It pays only for what can change a value: a streamed
 //! cell that held no edge is memoised and never fetched again; a frontier
-//! program's phase C column that no message reached is not read, applied
-//! or written (Table II's two `n·Ba/P` interval terms are upper bounds for
+//! program (`!ALWAYS_APPLY`) sends only from the vertices that changed last
+//! iteration (`Frontier`: finalize marks them as it applies, and a row
+//! with none is skipped), so a hub holds only the destinations they reach;
+//! its phase C column that no message reached is not read, applied or
+//! written (Table II's two `n·Ba/P` interval terms are upper bounds for
 //! such programs); and an interval applied against its old values is
 //! written back only if its bits changed.
 //!
@@ -43,7 +46,7 @@ use super::pipeline::{Fetch, Pipeline, Stream};
 use super::plan::{plan, Cell, Group, Step};
 use super::state::{finalize_intervals_par, AccBuf};
 use super::store::ShardStore;
-use super::{Activity, EngineConfig};
+use super::{EngineConfig, Frontier};
 
 /// Run to convergence with the first `q` intervals resident and
 /// `cache_bytes` of budget caching sub-shards. Returns (values,
@@ -73,7 +76,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
     let mut store = ShardStore::new(g);
     store.plan_cache(cache_bytes, prog.direction())?;
 
-    let mut activity = Activity::init(g, prog);
+    let mut frontier = Frontier::new(g, !P::ALWAYS_APPLY, |v| prog.initially_active(v));
     let mut pipe = Pipeline::<P::Accum>::new(g, cfg);
     let dirs = ShardStore::dirs(prog.direction());
     let mut accs_res: Vec<AccBuf<P>> = (0..q).map(new_buf).collect();
@@ -86,8 +89,9 @@ pub(super) fn run_mpu<P: VertexProgram>(
         for a in &mut accs_res {
             a.reset(prog);
         }
-        let mut changed = vec![false; p as usize];
-        let groups = plan(g, q, &store, &activity, dirs, P::APPLY_NEEDS_OLD).groups;
+        let mut any_changed = false;
+        let (sending, changed) = (frontier.sending(), frontier.changed());
+        let groups = plan(g, q, &store, &frontier, dirs, P::APPLY_NEEDS_OLD).groups;
         for Group { mut fetches, steps } in groups {
             fetches.retain(|f| !matches!(*f, Fetch::Hub { i, j } if !written.contains(&(i, j))));
             let mut stream = pipe.stream(fetches);
@@ -112,11 +116,12 @@ pub(super) fn run_mpu<P: VertexProgram>(
                         if let Some(j) = into {
                             let b = buf.get_or_insert_with(|| new_buf(j));
                             for s in &shards {
-                                absorb(prog, [(s, &mut *b)], src, r.start, threads, EDGES_PER_TASK);
+                                let pair = [(s, &mut *b)];
+                                absorb(prog, pair, src, r.start, sending, threads, EDGES_PER_TASK);
                             }
                         } else {
                             let pairs = shards.iter().zip(&mut accs_res);
-                            absorb(prog, pairs, src, r.start, threads, EDGES_PER_TASK);
+                            absorb(prog, pairs, src, r.start, sending, threads, EDGES_PER_TASK);
                         }
                     }
                     Step::ToHub { i, j, cells } => {
@@ -124,7 +129,7 @@ pub(super) fn run_mpu<P: VertexProgram>(
                         let src = vals.as_deref().expect("ReadInterval precedes");
                         let base = g.interval_range(i).start;
                         let (dsts, accs) =
-                            to_hub(prog, &shards, src, base, threads, EDGES_PER_TASK);
+                            to_hub(prog, &shards, src, base, sending, threads, EDGES_PER_TASK);
                         if !dsts.is_empty() {
                             g.write_hub(i, j, &dsts, &accs)?;
                             written.insert((i, j));
@@ -148,19 +153,20 @@ pub(super) fn run_mpu<P: VertexProgram>(
                     Step::Finalize(None) => {
                         // prev stays intact: phase C still reads it.
                         let bufs: Vec<_> = accs_res.iter().collect();
-                        let flags = finalize_intervals_par(prog, &bufs, &prev, &mut next, threads);
-                        changed[..q as usize].copy_from_slice(&flags);
+                        any_changed |=
+                            finalize_intervals_par(prog, &bufs, &prev, &mut next, threads, changed);
                     }
                     Step::Finalize(Some(j)) => {
                         let old = vals.take().unwrap_or_else(|| init(j));
                         let col = buf.take().unwrap_or_else(|| new_buf(j));
                         let mut new = old.clone();
-                        let flags = finalize_intervals_par(prog, &[&col], &old, &mut new, threads);
+                        any_changed |=
+                            finalize_intervals_par(prog, &[&col], &old, &mut new, threads, changed);
                         // Old values read from the file: an unchanged bit
                         // pattern is already on disk.
                         let encode = P::Value::encode_slice;
                         let same = P::APPLY_NEEDS_OLD && encode(&old) == encode(&new);
-                        (changed[j as usize], vals) = (flags[0], (!same).then_some(new));
+                        vals = (!same).then_some(new);
                     }
                     Step::WriteInterval(j) => {
                         if let Some(new) = vals.take() {
@@ -172,13 +178,13 @@ pub(super) fn run_mpu<P: VertexProgram>(
         }
         std::mem::swap(&mut prev, &mut next);
 
-        // Monotone programs stop once every interval went inactive; the
-        // others once nothing changed, if every change flag is real: an
-        // on-disk interval applies against init values unless the program
-        // needs its old ones (PageRank runs its fixed iteration count).
+        // Frontier programs stop once no vertex changed; the others once
+        // nothing changed, if every change is real: an on-disk interval
+        // applies against init values unless the program needs its old
+        // ones (PageRank runs its fixed iteration count).
         let trusted = q == p || P::APPLY_NEEDS_OLD;
-        let settled = P::ALWAYS_APPLY && trusted && !changed.contains(&true);
-        if activity.advance(&changed) || settled {
+        let settled = P::ALWAYS_APPLY && trusted && !any_changed;
+        if frontier.advance() || settled {
             break;
         }
     }

@@ -23,11 +23,14 @@
 //! list holds only misses, then the hubs its column may fold.
 //!
 //! For a frontier program (`!ALWAYS_APPLY`, `APPLY_NEEDS_OLD`: BFS, WCC,
-//! SSSP, SCC) the plan is an upper bound, so Table II is one too: the
-//! executor skips the `ReadInterval`, `Finalize` and `WriteInterval` of a
-//! phase C column that no message reached, and any program that reads old
-//! values writes an interval back only if its bits changed. Empty cells
-//! drop out of the `m·Be` term for every program.
+//! SSSP, SCC) only the rows where the `Frontier` has a sender are
+//! planned, and the plan is an upper bound, so Table II is one too: the
+//! kernels fold only the senders' edges, so ToHub writes a hub only for a
+//! destination a sender reached; the executor skips the `ReadInterval`,
+//! `Finalize` and `WriteInterval` of a phase C column that no message
+//! reached; and any program that reads old values writes an interval back
+//! only if its bits changed. Empty cells drop out of the `m·Be` term for
+//! every program.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,7 +38,7 @@ use std::sync::Arc;
 use crate::dsss::{Fetch, PreparedGraph, SubShardView};
 
 use super::store::{Key, ShardStore};
-use super::Activity;
+use super::Frontier;
 
 /// A cell an [`Step::Absorb`] or a [`Step::ToHub`] folds.
 pub enum Cell {
@@ -76,19 +79,19 @@ pub struct IterPlan {
     pub groups: Vec<Group>,
 }
 
-/// The iteration with intervals `0..q` resident, under this iteration's
-/// `activity`, for a program reading directions `dirs` (`read_old`: its
+/// The iteration with intervals `0..q` resident, skipping the rows where
+/// this iteration's `frontier` has no sender, for a program reading directions `dirs` (`read_old`: its
 /// on-disk columns apply against their old values).
 pub fn plan(
     g: &PreparedGraph,
     q: u32,
     store: &ShardStore,
-    activity: &Activity,
+    frontier: &Frontier,
     dirs: &[bool],
     read_old: bool,
 ) -> IterPlan {
     let p = g.num_intervals();
-    let live = |i: &u32| !activity.row_skippable(*i);
+    let live = |i: &u32| !frontier.row_skippable(*i);
     let res_rows: Vec<u32> = (0..q).filter(live).collect();
     let disk_rows: Vec<u32> = (q..p).filter(live).collect();
     // Row `i`'s cells `cols × dirs`, direction-major, listing each cache
@@ -173,8 +176,9 @@ mod tests {
         let g = preprocess(&edges, &PrepConfig::new("fig1", 4), disk).unwrap();
         let store = ShardStore::new(&g);
         // Q = 2: rows 0 and 1 resident; on-disk row 2 inactive, row 3 active.
-        let activity = Activity { active: vec![true, true, false, true], tracks: true };
-        let plan = plan(&g, 2, &store, &activity, &[false], true);
+        let quiet = g.interval_range(2);
+        let frontier = Frontier::new(&g, true, |v| !quiet.contains(&v));
+        let plan = plan(&g, 2, &store, &frontier, &[false], true);
         // Phase A, phase B for row 3 only, the resident finalize, columns 2 and 3.
         assert_eq!(plan.groups.len(), 5);
         assert!(matches!(plan.groups[1].steps[0], Step::ReadInterval(3)));

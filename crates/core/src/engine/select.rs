@@ -5,6 +5,11 @@
 //! partial budget, `Q = ⌊B_M/(2·n·Ba)·P⌋` intervals stay resident and MPU
 //! applies; with none, DPU. The degree table (4 bytes/vertex, needed by
 //! scatter-style programs) is charged against the budget first.
+//!
+//! A frontier program's two bitsets (`n/4` bytes: 16 KiB per 2^16
+//! vertices, 1/16 of a `u32` ping-pong pair) are not charged: they are
+//! small beside the pair, and charging them would move `Q` at budgets
+//! sized to an exact residency.
 
 use nxgraph_storage::budget::ResidencyPlan;
 

@@ -1,6 +1,6 @@
 //! Per-interval accumulator state shared by all three update strategies.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::dsss::HubView;
 use crate::parallel::{run_tasks, split_ranges};
@@ -175,8 +175,7 @@ impl<P: VertexProgram> AccBuf<P> {
 /// Finalise one destination interval: fold accumulators into new values.
 ///
 /// `old` and `out` both cover the interval (`out` may alias a ping-pong
-/// "next" buffer). Returns whether any vertex changed, which drives the
-/// interval activity of §II-B.
+/// "next" buffer). Returns whether any vertex changed.
 pub fn finalize_interval<P: VertexProgram>(
     prog: &P,
     buf: &AccBuf<P>,
@@ -185,11 +184,15 @@ pub fn finalize_interval<P: VertexProgram>(
 ) -> bool {
     debug_assert_eq!(old.len(), buf.len());
     debug_assert_eq!(out.len(), buf.len());
-    finalize_range(prog, buf, 0, old, out)
+    finalize_range(prog, buf, 0, old, out, None)
 }
 
 /// Finalise the sub-range of an interval starting `offset` vertices in:
 /// `old`/`out` cover positions `offset .. offset + out.len()` of `buf`.
+/// Returns whether any vertex changed, and sets bit `v` of `changed`
+/// (global ids) for each vertex `v` that did: the frontier of §II-B's
+/// activity, one atomic OR per word so that ranges sharing a word at
+/// their ends need no other coordination.
 ///
 /// This is the chunk body behind [`finalize_intervals_par`] — `apply` is
 /// elementwise, so any chunking of the interval produces bitwise-identical
@@ -200,10 +203,13 @@ pub fn finalize_range<P: VertexProgram>(
     offset: usize,
     old: &[P::Value],
     out: &mut [P::Value],
+    changed: Option<&[AtomicU64]>,
 ) -> bool {
     debug_assert_eq!(old.len(), out.len());
     debug_assert!(offset + out.len() <= buf.len());
     let mut any = false;
+    // The word of `changed` being filled: (index, bits not yet ORed in).
+    let mut word = (0usize, 0u64);
     for (idx, k) in (offset..offset + out.len()).enumerate() {
         let v = buf.base + k as VertexId;
         let got = buf.has[k] != 0;
@@ -214,14 +220,26 @@ pub fn finalize_range<P: VertexProgram>(
         };
         if prog.changed(&old[idx], &new) {
             any = true;
+            if let Some(bits) = changed {
+                let w = v as usize / 64;
+                if w != word.0 && word.1 != 0 {
+                    bits[word.0].fetch_or(word.1, Ordering::Relaxed);
+                    word.1 = 0;
+                }
+                word = (w, word.1 | 1 << (v % 64));
+            }
         }
         out[idx] = new;
+    }
+    if let Some(bits) = changed.filter(|_| word.1 != 0) {
+        bits[word.0].fetch_or(word.1, Ordering::Relaxed);
     }
     any
 }
 
 /// Finalise several consecutive intervals as one flat pool batch of
-/// destination-range chunks, returning each interval's changed flag.
+/// destination-range chunks, returning whether any vertex changed and
+/// marking each one that did in `changed` (see [`finalize_range`]).
 ///
 /// `bufs` are the intervals' accumulators in id order; `prev`/`next` are
 /// the ping-pong arrays covering exactly those intervals, starting at
@@ -236,8 +254,9 @@ pub fn finalize_intervals_par<P: VertexProgram>(
     prev: &[P::Value],
     next: &mut [P::Value],
     threads: usize,
-) -> Vec<bool> {
-    let changed: Vec<AtomicBool> = bufs.iter().map(|_| AtomicBool::new(false)).collect();
+    changed: Option<&[AtomicU64]>,
+) -> bool {
+    let any = AtomicBool::new(false);
     #[allow(clippy::type_complexity)]
     let mut tasks: Vec<(usize, usize, &[P::Value], &mut [P::Value])> = Vec::new();
     let mut prev_rest = prev;
@@ -254,11 +273,11 @@ pub fn finalize_intervals_par<P: VertexProgram>(
         }
     }
     run_tasks(threads, tasks, |(j, off, o, w)| {
-        if finalize_range(prog, bufs[j], off, o, w) {
-            changed[j].store(true, Ordering::Relaxed);
+        if finalize_range(prog, bufs[j], off, o, w, changed) {
+            any.store(true, Ordering::Relaxed);
         }
     });
-    changed.into_iter().map(AtomicBool::into_inner).collect()
+    any.into_inner()
 }
 
 #[cfg(test)]
@@ -465,15 +484,33 @@ mod tests {
             at = r.end;
         }
         assert_eq!(want, vec![true, false, false, true]);
+        // Bit `v` is set exactly for the vertices whose value changed.
+        let bits_of = |changed: &[AtomicU64], len: usize| -> Vec<bool> {
+            (0..len).map(|v| changed[v / 64].load(Ordering::Relaxed) >> (v % 64) & 1 != 0).collect()
+        };
+        let words = |len: usize| -> Vec<AtomicU64> {
+            (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
+        };
+        let moved: Vec<bool> = prev.iter().zip(&serial).map(|(a, b)| a != b).collect();
         for threads in [1usize, 3, 8] {
             let mut next = vec![0.0f64; total];
-            let got = finalize_intervals_par(&p, &refs, &prev, &mut next, threads);
-            assert_eq!(got, want, "threads={threads}");
+            let changed = words(total);
+            let got = finalize_intervals_par(&p, &refs, &prev, &mut next, threads, Some(&changed));
+            assert!(got, "threads={threads}");
             assert!(serial.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let bits = bits_of(&changed, total);
+            assert_eq!(bits, moved, "threads={threads}");
+            // Each interval's flag is "some bit set in the interval".
+            let mut at = 0;
+            for (b, &flag) in bufs.iter().zip(&want) {
+                assert_eq!(bits[at..at + b.len()].contains(&true), flag, "threads={threads}");
+                at += b.len();
+            }
         }
 
         // A one-buffer batch (how phase C finalises an on-disk column):
-        // 103 vertices not starting at 0, every third without a message.
+        // 103 vertices not starting at 0, every third without a message,
+        // so the tasks' ranges share words of the bitset at their ends.
         let len = 103;
         let mut buf = AccBuf::<Sum>::new(&p, 5, len);
         for k in (0..len).filter(|k| k % 3 != 0) {
@@ -483,14 +520,20 @@ mod tests {
         let old: Vec<f64> = (0..len).map(|k| k as f64 * 0.01).collect();
         let mut serial = vec![0.0f64; len];
         let want = finalize_interval(&p, &buf, &old, &mut serial);
+        let mut moved = vec![false; 5];
+        moved.extend(old.iter().zip(&serial).map(|(a, b)| a != b));
         for threads in [1usize, 2, 4, 8] {
             let mut next = vec![0.0f64; len];
-            let got = finalize_intervals_par(&p, &[&buf], &old, &mut next, threads);
-            assert_eq!(got, vec![want], "threads={threads}");
+            let changed = words(5 + len);
+            let got = finalize_intervals_par(&p, &[&buf], &old, &mut next, threads, Some(&changed));
+            assert_eq!(got, want, "threads={threads}");
             assert!(
                 serial.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "threads={threads}"
             );
+            assert_eq!(bits_of(&changed, 5 + len), moved, "threads={threads}");
+            let mut none = vec![0.0f64; len];
+            assert_eq!(finalize_intervals_par(&p, &[&buf], &old, &mut none, threads, None), want);
         }
     }
 

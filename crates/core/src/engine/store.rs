@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::dsss::Fetch;
     use crate::engine::plan::{plan, Cell, IterPlan, Step};
-    use crate::engine::Activity;
+    use crate::engine::Frontier;
     use crate::prep::{preprocess, PrepConfig};
     use nxgraph_storage::{Disk, MemDisk};
 
@@ -174,9 +174,9 @@ mod tests {
         assert_eq!(store.cached_count(), 16);
     }
 
-    /// Every activity flag up and tracked, so no row is skipped.
-    fn all_active() -> Activity {
-        Activity { active: vec![true; 4], tracks: true }
+    /// Every vertex sends, so no row is skipped.
+    fn all_active(g: &PreparedGraph) -> Frontier {
+        Frontier::new(g, true, |_| true)
     }
 
     /// The cells of every `Absorb` in `plan`, in execution order.
@@ -196,7 +196,7 @@ mod tests {
         let mut store = ShardStore::new(&g);
         assert_eq!(store.plan_cache(0, Direction::Forward).unwrap(), 0);
         // DPU: every cell streams, and the fetch lists hold them row-major.
-        let plan = plan(&g, 0, &store, &all_active(), &[false], false);
+        let plan = plan(&g, 0, &store, &all_active(&g), &[false], false);
         assert!(cells(&plan).iter().all(|cell| matches!(cell, Cell::Streamed(_))));
         let fetches = plan.groups.iter().flat_map(|group| &group.fetches);
         let shards: Vec<Fetch> =
@@ -215,7 +215,7 @@ mod tests {
         assert_eq!(cached, g.total_subshard_bytes().unwrap());
         assert_eq!(store.cached_count(), 16);
         let before = g.disk().counters().read_bytes();
-        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        let plan = plan(&g, 4, &store, &all_active(&g), &[false], false);
         assert_eq!(cells(&plan).len(), 16);
         assert!(cells(&plan).iter().all(|cell| matches!(cell, Cell::Held(_))));
         assert!(plan.groups.iter().all(|group| group.fetches.is_empty()));
@@ -232,7 +232,7 @@ mod tests {
         assert_eq!((store.cached_count(), store.cached_bytes()), (0, 0));
         // SPU, nothing cached: the memoised cell keeps its place among the
         // row's cells (it pairs with accumulator 0) and is not fetched.
-        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        let plan = plan(&g, 4, &store, &all_active(&g), &[false], false);
         let cells = cells(&plan);
         assert!(matches!(cells[0], Cell::Held(view) if view.is_empty()));
         assert!(cells[1..].iter().all(|cell| matches!(cell, Cell::Streamed(_))));
@@ -270,7 +270,7 @@ mod tests {
         store.plan_cache(u64::MAX, Direction::Forward).unwrap();
         let a = store.cached(1, 2, false).unwrap();
         // SPU: row 1's cells are the fifth to eighth the plan absorbs.
-        let plan = plan(&g, 4, &store, &all_active(), &[false], false);
+        let plan = plan(&g, 4, &store, &all_active(&g), &[false], false);
         assert!(matches!(cells(&plan)[4 + 2], Cell::Held(b) if Arc::ptr_eq(&a, b)));
     }
 

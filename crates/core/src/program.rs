@@ -17,12 +17,15 @@
 //! * [`VertexProgram::apply`] — finalises a destination vertex once all
 //!   sub-shards of its column have been folded.
 //!
-//! Activity (§II-B): an interval is *inactive* when no vertex in it changed
-//! during an iteration; sub-shards whose source interval is inactive are
-//! skipped — but only for programs whose `apply` folds the old value
-//! ([`VertexProgram::APPLY_NEEDS_OLD`], i.e. monotone programs like BFS),
-//! where a skipped message is recoverable from the old attribute. Global
-//! recompute programs (PageRank) keep every interval active and terminate
+//! Activity (§II-B), per vertex: a frontier program (not
+//! [`VertexProgram::ALWAYS_APPLY`]: BFS, SSSP, WCC, SCC) sends only from
+//! the vertices whose value changed in the previous iteration (at first,
+//! those [`initially_active`](VertexProgram::initially_active)). The engine
+//! keeps them as a bitset, absorbs only their edges, and skips every source
+//! interval none of them lies in — the paper's inactive interval. The run
+//! ends once no vertex changed. This is sound because a vertex that did not
+//! change has nothing new to send (see `ALWAYS_APPLY`). Global recompute
+//! programs (PageRank) send from every vertex each iteration and terminate
 //! on a fixed iteration count or global convergence.
 
 use crate::types::{Attr, VertexId};
@@ -50,6 +53,15 @@ pub trait VertexProgram: Send + Sync {
     /// program that also has [`APPLY_NEEDS_OLD`](Self::APPLY_NEEDS_OLD) the
     /// engine skips the read, apply and write-back of an on-disk column
     /// that no message reached.
+    ///
+    /// When `false` the program is also a frontier program: only the
+    /// sources whose value [`changed`](Self::changed) last iteration send.
+    /// So it must obey one rule: a source that did not change has nothing
+    /// new to send, i.e. re-absorbing the message of its unchanged value
+    /// is a no-op under `apply`, because its destinations already folded
+    /// that message in the iteration after it last changed. Min/max
+    /// propagation (BFS, SSSP, WCC, both SCC phases) satisfies it, as does
+    /// any program whose `apply` keeps the best value seen.
     const ALWAYS_APPLY: bool;
 
     /// Initial attribute of vertex `v` (the paper's `Initialize`).
@@ -80,8 +92,11 @@ pub trait VertexProgram: Send + Sync {
     fn combine(&self, a: &mut Self::Accum, b: &Self::Accum);
 
     /// Cheap per-source filter: when `false`, the kernel skips all of
-    /// `src`'s edges without calling `absorb` (e.g. unreached BFS
-    /// vertices).
+    /// `src`'s edges without calling `absorb`. For a frontier program it
+    /// applies on top of the frontier: BFS's and SSSP's "reached" filters
+    /// are redundant in the engine (an unreached vertex never changes) but
+    /// stay, because the baselines, which keep no frontier, filter with
+    /// them; SCC's encodes round state the frontier does not.
     fn source_active(&self, _src: VertexId, _val: &Self::Value) -> bool {
         true
     }

@@ -10,7 +10,7 @@ use nxgraph::core::algo::{self, pagerank::PageRank, ppr::PersonalizedPageRank, s
 use nxgraph::core::engine::{self, choose_strategy, EngineConfig, Strategy};
 use nxgraph::core::prep::{preprocess, PrepConfig};
 use nxgraph::core::reference;
-use nxgraph::core::PreparedGraph;
+use nxgraph::core::{PreparedGraph, VertexId, VertexProgram};
 use nxgraph::graphgen::{er, rmat};
 use nxgraph::storage::{AlignedBuf, Disk, DiskWrite, EncodingPolicy, MemDisk, StorageResult};
 
@@ -627,13 +627,17 @@ fn op_digest(ops: &[(&'static str, String, u64)]) -> u64 {
 /// the parent and at the change, show with a script that each new log is
 /// the parent's after exactly the edits the change intends (and record
 /// how many of each, per row), and only then replace the constants.
+///
+/// A second digest per run covers the same log with every hub op left
+/// out, so cell and interval I/O is pinned apart from hub traffic: a
+/// change that only drops hubs keeps every one of those constants.
 #[test]
 fn engine_io_sequence_is_pinned() {
     let fig1: Vec<(u64, u64)> = nxgraph::core::fig1_example_edges()
         .into_iter()
         .map(|(s, d)| (s as u64, d as u64))
         .collect();
-    let mut got: Vec<[u64; 3]> = Vec::new();
+    let (mut got, mut got_hubless): (Vec<[u64; 3]>, Vec<[u64; 3]>) = Default::default();
     for (raw, p) in [(rmat_raw(10, 8, 3), 8u32), (fig1, 4)] {
         let mem: Arc<dyn Disk> = Arc::new(MemDisk::new());
         preprocess(&raw, &PrepConfig::new("sched", p), Arc::clone(&mem)).unwrap();
@@ -657,8 +661,8 @@ fn engine_io_sequence_is_pinned() {
                     .with_strategy(strategy)
                     .with_budget(budget)
             };
-            let mut digests = [0u64; 3];
-            for (k, digest) in digests.iter_mut().enumerate() {
+            let (mut digests, mut hubless) = ([0u64; 3], [0u64; 3]);
+            for k in 0..3 {
                 log.reset();
                 match k {
                     0 => assert!(algo::pagerank(&g, 5, &cfg(8)).is_ok()),
@@ -667,30 +671,54 @@ fn engine_io_sequence_is_pinned() {
                 }
                 let ops = log.ops.lock().unwrap();
                 assert!(!ops.is_empty(), "P={p} Q={q} run {k} issued no I/O");
-                *digest = op_digest(&ops);
+                digests[k] = op_digest(&ops);
+                let no_hub: Vec<_> =
+                    ops.iter().filter(|(_, name, _)| !name.starts_with("hub_")).cloned().collect();
+                hubless[k] = op_digest(&no_hub);
             }
             got.push(digests);
+            got_hubless.push(hubless);
         }
     }
     const PINNED: [[u64; 3]; 16] = [
         // [PageRank, BFS, WCC]
-        [0x5ad3_123c_58eb_6a5a, 0xbf74_4ba8_3251_2dee, 0xf0e4_06ec_5e57_4eb2], // R-MAT, P = 8, Q = 0
-        [0x27e3_acfb_34cb_f11e, 0x5317_e523_187a_08d0, 0x8bde_e85b_1aa3_b93f], // R-MAT, P = 8, Q = 1
-        [0x5f8f_30aa_2136_5382, 0xf29f_3dc9_b01b_c450, 0x16b6_b368_8ff8_1d78], // R-MAT, P = 8, Q = 2
-        [0xdad1_cbf1_3da8_f1a8, 0x0190_533c_6c24_f437, 0x3237_c017_f80d_944e], // R-MAT, P = 8, Q = 3
-        [0x827f_0b58_d952_68aa, 0xd1bf_726a_b530_fc05, 0x99c6_7bdc_8bae_65a7], // R-MAT, P = 8, Q = 4
-        [0x2f98_aabd_5eb6_b7c8, 0x0701_5de2_bf61_7180, 0xc33e_9916_e62d_9557], // R-MAT, P = 8, Q = 5
-        [0xee56_b0e9_5813_bf88, 0xd7cd_dc3b_e703_2ea0, 0xd0d0_d79c_9a2a_aa1c], // R-MAT, P = 8, Q = 6
-        [0x803b_6d87_3f01_62f2, 0x7882_1b48_accf_ef7b, 0xd1fc_30b6_e44a_9fce], // R-MAT, P = 8, Q = 7
+        [0x5ad3_123c_58eb_6a5a, 0x3fdf_50a9_b490_9c30, 0xe522_ea65_7a87_2853], // R-MAT, P = 8, Q = 0
+        [0x27e3_acfb_34cb_f11e, 0x39ae_33cf_7ba0_b435, 0x2fab_2ddc_a8c5_9f39], // R-MAT, P = 8, Q = 1
+        [0x5f8f_30aa_2136_5382, 0x8030_0d64_0dad_5f1d, 0xf041_cebb_202e_91a5], // R-MAT, P = 8, Q = 2
+        [0xdad1_cbf1_3da8_f1a8, 0xe827_ee98_1cae_c0d4, 0x2ac4_1945_6c92_1cc2], // R-MAT, P = 8, Q = 3
+        [0x827f_0b58_d952_68aa, 0xdef2_2e97_0548_dff4, 0x13ef_7f1a_efab_d1ed], // R-MAT, P = 8, Q = 4
+        [0x2f98_aabd_5eb6_b7c8, 0xb046_65d8_79ef_3388, 0x3474_fd26_9423_d08a], // R-MAT, P = 8, Q = 5
+        [0xee56_b0e9_5813_bf88, 0xd699_1758_a81c_56ca, 0x631a_0428_4132_b339], // R-MAT, P = 8, Q = 6
+        [0x803b_6d87_3f01_62f2, 0x7882_1b48_accf_ef7b, 0x50d8_ed2d_2dcd_fff1], // R-MAT, P = 8, Q = 7
         [0xc9fb_fdde_0136_4cc4, 0x00c2_1677_8454_cadd, 0x72b8_b1de_8d5c_450f], // R-MAT, P = 8, Q = 8
         [0xc61c_908d_b347_a5ac, 0xea40_47c1_dfee_0f47, 0x2c35_694a_97ff_9ad1], // R-MAT, SPU, half the store cached
-        [0xe2d2_b9a5_f3df_03a3, 0xe3b5_669e_02cd_96d4, 0x08c1_bb5e_1fb9_63e9], // Fig 1, P = 4, Q = 0
-        [0xc62b_4150_f429_e3c5, 0x8586_60ce_c530_2cda, 0x592f_ee08_ac6d_6476], // Fig 1, P = 4, Q = 1
-        [0xb83a_7f48_6620_a793, 0x1937_0b6c_efb0_2305, 0x1aec_27b8_058b_6bdb], // Fig 1, P = 4, Q = 2
+        [0xe2d2_b9a5_f3df_03a3, 0x402e_8743_f7a5_033c, 0xad4d_6308_7e8c_b629], // Fig 1, P = 4, Q = 0
+        [0xc62b_4150_f429_e3c5, 0x8320_80c0_8863_949d, 0x6337_b184_ec99_d526], // Fig 1, P = 4, Q = 1
+        [0xb83a_7f48_6620_a793, 0x5a59_e836_1be3_5325, 0x3197_b6fa_c587_cbcb], // Fig 1, P = 4, Q = 2
         [0x53dd_6b8e_dc79_12dd, 0xeb81_5e03_8c88_b08d, 0x5108_ba1d_fc60_68e1], // Fig 1, P = 4, Q = 3
         [0xe9b7_cd03_1b05_e321, 0x3437_dfc9_2489_9583, 0xb9f9_e555_9247_d87d], // Fig 1, P = 4, Q = 4
         [0x92a3_706c_104b_e151, 0xf37b_0562_bd58_a669, 0xc1bc_9fc6_9aa3_65c5], // Fig 1, SPU, half the store cached
     ];
+    const HUBLESS: [[u64; 3]; 16] = [
+        // [PageRank, BFS, WCC], every hub op left out
+        [0x7fc7_f83b_cc68_2634, 0xc4dc_a5a7_5415_bf2a, 0x7333_a600_7110_e1b1], // R-MAT, P = 8, Q = 0
+        [0x7e3a_720e_2722_f482, 0x7433_7c42_f009_332e, 0x5242_2ee0_b580_707c], // R-MAT, P = 8, Q = 1
+        [0x81e0_efea_94c8_9e9e, 0x91f7_366d_f5d8_ac5b, 0x712c_703f_eb07_8477], // R-MAT, P = 8, Q = 2
+        [0x0de9_1d4e_3691_de96, 0x34d8_0cf9_3abd_ce0f, 0x5f0f_2f89_2572_a4a9], // R-MAT, P = 8, Q = 3
+        [0x9f0b_8c63_4179_d470, 0x01c9_b771_0f4e_c4ff, 0x6cde_6657_4d53_be90], // R-MAT, P = 8, Q = 4
+        [0x0204_0a57_2216_cb72, 0x7b69_c682_f6e1_c02b, 0x0c87_460b_d227_9d84], // R-MAT, P = 8, Q = 5
+        [0x3ec1_97c2_f183_8d04, 0x83ac_cdf2_1a5b_eaf5, 0xa191_495d_949c_b141], // R-MAT, P = 8, Q = 6
+        [0x803b_6d87_3f01_62f2, 0x7882_1b48_accf_ef7b, 0x50d8_ed2d_2dcd_fff1], // R-MAT, P = 8, Q = 7
+        [0xc9fb_fdde_0136_4cc4, 0x00c2_1677_8454_cadd, 0x72b8_b1de_8d5c_450f], // R-MAT, P = 8, Q = 8
+        [0xc61c_908d_b347_a5ac, 0xea40_47c1_dfee_0f47, 0x2c35_694a_97ff_9ad1], // R-MAT, SPU, half the store cached
+        [0x2359_0f44_fe50_56e9, 0xe17d_1340_6b9f_b269, 0x6668_65e7_a50e_832f], // Fig 1, P = 4, Q = 0
+        [0x2e6b_899f_851d_b3c9, 0xdebd_dc88_6903_cf7c, 0x3f78_c68b_cdfc_4cbb], // Fig 1, P = 4, Q = 1
+        [0x78c2_140a_17fe_d213, 0x6913_9f0a_8fa5_4043, 0x620e_4930_cd54_d28c], // Fig 1, P = 4, Q = 2
+        [0x53dd_6b8e_dc79_12dd, 0xeb81_5e03_8c88_b08d, 0x5108_ba1d_fc60_68e1], // Fig 1, P = 4, Q = 3
+        [0xe9b7_cd03_1b05_e321, 0x3437_dfc9_2489_9583, 0xb9f9_e555_9247_d87d], // Fig 1, P = 4, Q = 4
+        [0x92a3_706c_104b_e151, 0xf37b_0562_bd58_a669, 0xc1bc_9fc6_9aa3_65c5], // Fig 1, SPU, half the store cached
+    ];
+    assert_eq!(got_hubless, HUBLESS, "cell or interval I/O changed: {got_hubless:#x?}");
     assert_eq!(got, PINNED, "engine I/O schedule changed: {got:#x?}");
 }
 
@@ -735,8 +763,8 @@ fn hub_contents_are_pinned() {
         }
         const PINNED: [[(usize, u64); 2]; 2] = [
             // [PageRank, WCC]: (hub writes, digest of names and checksums)
-            [(315, 0xa859_28b6_08eb_7ba4), (244, 0x1686_28e9_82b4_d2a2)], // DPU
-            [(75, 0x8872_1453_8f72_d8fd), (60, 0xa559_b999_0639_e304)], // MPU, Q = 4
+            [(315, 0xa859_28b6_08eb_7ba4), (204, 0x965a_1274_b417_16e4)], // DPU
+            [(75, 0x8872_1453_8f72_d8fd), (46, 0x9782_686e_5ea0_b600)], // MPU, Q = 4
         ];
         assert_eq!(got, PINNED, "hub contents changed at threads={threads}: {got:#x?}");
     }
@@ -804,6 +832,80 @@ fn frontier_schedule_wastes_nothing() {
                         assert!(read.insert(name.clone()), "{label}: empty cell {name} read twice");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// BFS wrapped so that every `absorb` call is counted.
+struct CountedBfs(algo::Bfs, std::sync::atomic::AtomicU64);
+
+impl VertexProgram for CountedBfs {
+    type Value = u32;
+    type Accum = u32;
+    const APPLY_NEEDS_OLD: bool = true;
+    const ALWAYS_APPLY: bool = false;
+    fn init(&self, v: VertexId) -> u32 {
+        self.0.init(v)
+    }
+    fn initially_active(&self, v: VertexId) -> bool {
+        self.0.initially_active(v)
+    }
+    fn zero(&self) -> u32 {
+        self.0.zero()
+    }
+    fn source_active(&self, src: VertexId, val: &u32) -> bool {
+        self.0.source_active(src, val)
+    }
+    fn absorb(&self, src: VertexId, val: &u32, dst: VertexId, acc: &mut u32) -> bool {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.absorb(src, val, dst, acc)
+    }
+    fn combine(&self, a: &mut u32, b: &u32) {
+        self.0.combine(a, b)
+    }
+    fn apply(&self, v: VertexId, old: &u32, acc: &u32, got: bool) -> u32 {
+        self.0.apply(v, old, acc, got)
+    }
+}
+
+/// A frontier program sends from a vertex only in the iteration after its
+/// value changed. A BFS vertex changes once, when it is reached (the root
+/// is active from the start), so a whole BFS calls `absorb` exactly once
+/// per edge whose source is reachable: on a 32×32 mesh (P = 8) and on
+/// R-MAT 2^10×8 (P = 8), under SPU, MPU at Q = P/2 and DPU, inline and at
+/// three threads, with the depths equal to the oracle's.
+#[test]
+fn frontier_bfs_sends_each_reached_edge_once() {
+    use nxgraph::graphgen::mesh::{self, MeshConfig};
+    let mesh: Vec<(u64, u64)> = mesh::generate(&MeshConfig { rows: 32, cols: 32 })
+        .into_iter()
+        .map(|e| (e.src, e.dst))
+        .collect();
+    for (gname, raw) in [("mesh", mesh), ("rmat", rmat_raw(10, 8, 3))] {
+        let g = prepare(&raw, 8);
+        let edges = dense_edges(&g, &raw);
+        let want = reference::bfs(g.num_vertices(), &edges, 0);
+        let reached = edges.iter().filter(|&&(s, _)| want[s as usize] != u32::MAX).count();
+        let (n, pair) = (g.num_vertices() as u64, 8 * g.num_vertices() as u64);
+        for (strategy, budget) in [
+            (Strategy::Spu, u64::MAX),
+            (Strategy::Mpu, 4 * n + pair / 2 + pair / 16),
+            (Strategy::Dpu, 0),
+        ] {
+            for threads in [1usize, 3] {
+                let label = format!("{gname} {strategy:?} threads={threads}");
+                let cfg = EngineConfig::default()
+                    .with_threads(threads)
+                    .with_strategy(strategy)
+                    .with_budget(budget)
+                    .with_max_iterations(n as usize + 1);
+                let prog = CountedBfs(algo::Bfs::new(0), Default::default());
+                let (depths, stats) = engine::run(&g, &prog, &cfg).unwrap();
+                assert_eq!(depths, want, "{label}");
+                assert_eq!(stats.strategy, strategy, "{label}");
+                let calls = prog.1.into_inner();
+                assert_eq!(calls, reached as u64, "{label}: absorb calls");
             }
         }
     }
